@@ -3,9 +3,10 @@
 Reports go to stdout as a single JSON document; diagnostics go to
 stderr.  Exit status is 0 when every embedded check passes, 1 when some
 check fails, and 2 on usage errors.  Rationals serialize as strings like
-"3/2" (integers plainly, like "4"); sets serialize sorted.  The --seed
-flag defaults to a fixed constant so runs are reproducible; the
-DEGPOLY_SEED environment variable, when set, overrides the flag.
+"3/2" (integers plainly, like "4"); sets serialize sorted.  The
+verify --seed flag defaults to a fixed constant so runs are
+reproducible; the DEGPOLY_SEED environment variable, when set,
+overrides the flag.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from .core import sort_decreasing
+from .core import bounded_partitions, sort_decreasing
 from .hypergraph import (
     POSET_SIZE_BOUND,
     RGraph,
@@ -56,17 +57,9 @@ from .threshold import (
     tp_meet,
 )
 
-SUITES = ("counts", "facets", "edges", "lattice-points", "hypergraph", "volume3")
-
-# Documented n ranges per verification suite.
-SUITE_BOUNDS = {
-    "counts": (3, 10),
-    "facets": (4, 7),
-    "edges": (3, 10),
-    "lattice-points": (3, 7),
-    "hypergraph": (4, 5),
-    "volume3": (3, 3),
-}
+# A verify suite maps (n, seed, samples) to extra result fields and checks.
+SuiteReport = tuple[dict[str, Any], list[dict[str, Any]]]
+Suite = Callable[[int, int, int], SuiteReport]
 
 
 def jsonify(obj: Any) -> Any:
@@ -176,24 +169,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _bounded_partitions(n: int, max_total: int) -> list[tuple[int, ...]]:
-    """Weakly decreasing nonnegative n-tuples with sum at most max_total."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], slots: int, cap: int, used: int) -> None:
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(min(cap, max_total - used), -1, -1):
-            prefix.append(v)
-            rec(prefix, slots - 1, v, used + v)
-            prefix.pop()
-
-    rec([], n, max_total, 0)
-    return out
-
-
-def _suite_counts(n: int) -> list[dict[str, Any]]:
+def _suite_counts(n: int, seed: int, samples: int) -> SuiteReport:
     checks = [
         make_check(
             "vertex-count",
@@ -217,18 +193,19 @@ def _suite_counts(n: int) -> list[dict[str, Any]]:
                 formula="(n^2-3n+12)/2",
             )
         )
+    total, expected = dominating_sum_identity(n)
     checks.append(
         make_check(
             "dominating-sum-identity",
-            dominating_sum_identity(n)[1],
-            dominating_sum_identity(n)[0],
+            expected,
+            total,
             formula="sum of dominating counts = 2^(n-1)",
         )
     )
-    return checks
+    return {}, checks
 
 
-def _suite_facets(n: int) -> list[dict[str, Any]]:
+def _suite_facets(n: int, seed: int, samples: int) -> SuiteReport:
     facets = facet_inequalities(n)
     vertices = enumerate_threshold_partitions(n)
     violations = sum(
@@ -237,8 +214,12 @@ def _suite_facets(n: int) -> list[dict[str, Any]]:
     min_rank = min(
         affine_rank([d for d in vertices if f.tight(d)]) for f in facets
     )
-    witnesses = sum(1 for f in facets if irredundancy_witness(n, f) is not None)
-    return [
+
+    def violates_only(f, w):
+        return not f.satisfied(w) and all(g.satisfied(w) for g in facets if g != f)
+
+    witnesses = sum(1 for f in facets if violates_only(f, irredundancy_witness(n, f)))
+    return {}, [
         make_check(
             "facet-count",
             (n * n - 3 * n + 12) // 2,
@@ -257,7 +238,7 @@ def _suite_facets(n: int) -> list[dict[str, Any]]:
     ]
 
 
-def _suite_edges(n: int) -> list[dict[str, Any]]:
+def _suite_edges(n: int, seed: int, samples: int) -> SuiteReport:
     checks = [
         make_check(
             "edge-count",
@@ -275,19 +256,17 @@ def _suite_edges(n: int) -> list[dict[str, Any]]:
                 formula="E(n) = 2 E(n-1) + 2^(n-1)",
             )
         )
-    return checks
+    return {}, checks
 
 
-def _suite_lattice_points(n: int) -> list[dict[str, Any]]:
+def _suite_lattice_points(n: int, seed: int, samples: int) -> SuiteReport:
     from_graphs = enumerate_degree_partitions(n)
-    candidates = _bounded_partitions(n, n * (n - 1))
+    candidates = bounded_partitions(n, n * (n - 1), max_entry=n - 1)
     from_polytope = frozenset(
-        d
-        for d in candidates
-        if d[0] <= n - 1 and sum(d) % 2 == 0 and in_fhm_polytope(d).member
+        d for d in candidates if sum(d) % 2 == 0 and in_fhm_polytope(d).member
     )
     sym_diff = from_graphs.symmetric_difference(from_polytope)
-    return [
+    return {}, [
         make_check(
             "lattice-point-count",
             len(from_graphs),
@@ -298,11 +277,11 @@ def _suite_lattice_points(n: int) -> list[dict[str, Any]]:
     ]
 
 
-def _suite_hypergraph(n: int) -> list[dict[str, Any]]:
+def _suite_hypergraph(n: int, seed: int, samples: int) -> SuiteReport:
     plans = ((3, 12), (2, 10))
     checks = []
     for r, max_total in plans:
-        candidates = _bounded_partitions(n, max_total)
+        candidates = bounded_partitions(n, max_total)
         agree = sum(
             1
             for d in candidates
@@ -316,7 +295,7 @@ def _suite_hypergraph(n: int) -> list[dict[str, Any]]:
                 formula="majorized by an ideal partition <=> realizable",
             )
         )
-    candidates = _bounded_partitions(n, 10)
+    candidates = bounded_partitions(n, 10)
     agree = sum(
         1
         for d in candidates
@@ -325,10 +304,12 @@ def _suite_hypergraph(n: int) -> list[dict[str, Any]]:
     checks.append(
         make_check("r2-matches-graph-membership", len(candidates), agree)
     )
-    return checks
+    return {}, checks
 
 
-def _suite_volume3(seed: int, samples: int) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+def _suite_volume3(n: int, seed: int, samples: int) -> SuiteReport:
+    if samples < 1:
+        raise ValueError("--samples must be positive")
     exact = dp3_volume()
     estimate = ds3_volume_estimate(samples=samples, seed=seed)
     tolerance = Fraction(1, 25)
@@ -359,32 +340,28 @@ def _suite_volume3(seed: int, samples: int) -> tuple[dict[str, Any], list[dict[s
     return result, checks
 
 
+# suite -> (lowest n, highest n, suite function)
+SUITES: dict[str, tuple[int, int, Suite]] = {
+    "counts": (3, 10, _suite_counts),
+    "facets": (4, 7, _suite_facets),
+    "edges": (3, 10, _suite_edges),
+    "lattice-points": (3, 7, _suite_lattice_points),
+    "hypergraph": (4, 5, _suite_hypergraph),
+    "volume3": (3, 3, _suite_volume3),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     n, suite = args.n, args.suite
-    lo, hi = SUITE_BOUNDS[suite]
+    lo, hi, run_suite = SUITES[suite]
     if not lo <= n <= hi:
         raise ValueError(f"suite {suite!r} supports {lo} <= n <= {hi}, got n={n}")
     seed = resolve_seed(args.seed)
-    result: dict[str, Any] = {"n": n, "suite": suite}
-    if suite == "counts":
-        checks = _suite_counts(n)
-    elif suite == "facets":
-        checks = _suite_facets(n)
-    elif suite == "edges":
-        checks = _suite_edges(n)
-    elif suite == "lattice-points":
-        checks = _suite_lattice_points(n)
-    elif suite == "hypergraph":
-        checks = _suite_hypergraph(n)
-    else:
-        if args.samples < 1:
-            raise ValueError("--samples must be positive")
-        extra, checks = _suite_volume3(seed, args.samples)
-        result.update(extra)
+    extra, checks = run_suite(n, seed, args.samples)
     return {
         "command": "verify",
         "inputs": {"n": n, "suite": suite, "seed": seed, "samples": args.samples},
-        "result": result,
+        "result": {"n": n, "suite": suite, **extra},
         "checks": checks,
     }
 
@@ -471,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which extreme optimizer to report (both attain the maximum value)")
     opt.add_argument("--oracle", action="store_true",
                      help="cross-check against full vertex enumeration (n <= 16)")
-    opt.add_argument("--seed", type=int, default=None)
+    opt.set_defaults(run=cmd_optimize)
 
     ver = sub.add_parser("verify", help="run a verification suite at a given n")
     ver.add_argument("--n", type=int, required=True)
@@ -479,12 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--samples", type=int, default=1_000_000,
                      help="volume3 only: Monte Carlo sample count")
     ver.add_argument("--seed", type=int, default=None)
+    ver.set_defaults(run=cmd_verify)
 
     rec = sub.add_parser("recognize", help="recognize an r-graph degree sequence")
     rec.add_argument("--seq", required=True, help='comma-separated degrees, e.g. "2,2,1,1"')
     rec.add_argument("--r", type=int, default=2, help="edge size (default 2)")
     rec.add_argument("--n", type=int, default=None, help="vertex count (default: len(seq))")
-    rec.add_argument("--seed", type=int, default=None)
+    rec.set_defaults(run=cmd_recognize)
 
     return parser
 
@@ -492,12 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "optimize":
-            report = cmd_optimize(args)
-        elif args.command == "verify":
-            report = cmd_verify(args)
-        else:
-            report = cmd_recognize(args)
+        report = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,8 @@
 Every quantity in this package is an ``int`` or a ``fractions.Fraction``;
 no decision anywhere is made in floating point.  This module collects the
 small sequence utilities everything else leans on: decreasing
-rearrangement, weak-decrease tests, prefix sums, and the majorization
-preorder.
+rearrangement, weak-decrease tests, prefix sums, the majorization
+preorder, and the enumeration of bounded partitions.
 
 Majorization compares two equal-length sequences through their sorted
 prefix sums: ``a`` majorizes ``b`` when, after sorting both in weakly
@@ -86,3 +86,25 @@ def check_partition(values: Sequence, what: str = "sequence") -> Partition:
     if not is_partition(values):
         raise ValueError(f"{what} must be weakly decreasing nonnegative integers: {values!r}")
     return tuple(values)
+
+
+def bounded_partitions(n: int, max_total: int, max_entry: int | None = None) -> list[Partition]:
+    """Weakly decreasing nonnegative n-tuples with sum <= max_total.
+
+    ``max_entry``, when given, also caps every entry.  Tuples come out in
+    reverse lexicographic order.
+    """
+    out: list[Partition] = []
+    first_cap = max_total if max_entry is None else min(max_entry, max_total)
+
+    def rec(prefix: list[int], slots: int, cap: int, used: int) -> None:
+        if slots == 0:
+            out.append(tuple(prefix))
+            return
+        for v in range(min(cap, max_total - used), -1, -1):
+            prefix.append(v)
+            rec(prefix, slots - 1, v, used + v)
+            prefix.pop()
+
+    rec([], n, first_cap, 0)
+    return out

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .core import Partition, Rational, RationalVector, as_rational_vector, is_weakly_decreasing
-from .runs import ascending_runs, pool
+from .runs import pool
 from .threshold import (
     OrderIdeal,
     Pair,
@@ -159,32 +160,6 @@ def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, froz
     return best, frozenset(argmax)
 
 
-def certificate_step(c: Sequence[Rational]) -> tuple[RationalVector, dict[int, Fraction]]:
-    """One averaging round with its difference-vector bookkeeping.
-
-    Returns (averaged vector, coefficients) with every coefficient
-    nonnegative and c == averaged + sum alpha_i * (e_{i+1} - e_i).
-    Within a run starting at m with mean a, position i < run end carries
-    (i + 1 - m) * a - (c_m + ... + c_i): the run mean times the prefix
-    length minus the prefix sum, which is nonnegative because prefixes
-    of an ascending run average at most the whole run.
-    """
-    vec = as_rational_vector(c)
-    averaged = []
-    coeffs: dict[int, Fraction] = {}
-    for run in ascending_runs(vec).runs:
-        mean = Fraction(sum(vec[i - 1] for i in run), len(run))
-        averaged.extend([mean] * len(run))
-        prefix = Fraction(0)
-        for i in run[:-1]:
-            prefix += vec[i - 1]
-            alpha = (i + 1 - run[0]) * mean - prefix
-            assert alpha >= 0
-            if alpha:
-                coeffs[i] = alpha
-    return tuple(averaged), coeffs
-
-
 @dataclass(frozen=True)
 class Certificate:
     """c = base + sum alpha_i (e_{i+1} - e_i), base decreasing, alpha >= 0."""
@@ -213,22 +188,19 @@ class Certificate:
 
 
 def optimality_certificate(c: Sequence[Rational]) -> Certificate:
-    """Accumulate :func:`certificate_step` until the vector is decreasing.
+    """The certificate in closed form: b = pool(c), alpha = prefix sums of b - c.
 
-    The base comes out equal to the pooled projection of c, and the
-    support only touches positions where consecutive entries of the
-    projection (hence of the optimal partition) coincide.
+    Entry k of sum alpha_i (e_{i+1} - e_i) is alpha_{k-1} - alpha_k, so
+    c = b + that sum forces alpha_i = sum_{t <= i} (b_t - c_t).  These are
+    nonnegative because every prefix of a pooled block averages at most
+    the block mean, and they vanish at block ends, so the support only
+    touches positions where consecutive entries of the projection (hence
+    of the optimal partition) coincide.
     """
-    cur = as_rational_vector(c)
-    if not cur:
+    vec = as_rational_vector(c)
+    if not vec:
         raise ValueError("cannot certify an empty vector")
-    alpha = [Fraction(0)] * (len(cur) - 1)
-    limit = max(1, len(cur) - 1)
-    for _ in range(limit + 1):
-        if is_weakly_decreasing(cur):
-            support = frozenset(i for i, a in enumerate(alpha, start=1) if a)
-            return Certificate(base=cur, coefficients=tuple(alpha), support=support)
-        cur, step = certificate_step(cur)
-        for i, a in step.items():
-            alpha[i - 1] += a
-    raise AssertionError(f"certificate failed to stabilize within {limit} rounds: {c!r}")
+    base = pool(vec).vector
+    alpha = tuple(accumulate(b - ci for b, ci in zip(base[:-1], vec)))
+    support = frozenset(i for i, a in enumerate(alpha, start=1) if a)
+    return Certificate(base=base, coefficients=alpha, support=support)

@@ -127,12 +127,6 @@ def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
     return FhmMembership(not violations, tuple(violations))
 
 
-def in_fhm_polytope_facets_only(x: Sequence[Rational]) -> bool:
-    """Fast path over just the irredundant facet list (n >= 4)."""
-    vec = as_rational_vector(x)
-    return all(f.satisfied(vec) for f in facet_inequalities(len(vec)))
-
-
 def in_koren_polytope(x: Sequence[Rational], method: str = "sorted") -> bool:
     """Unordered membership: every disjoint S, T obey the subset bound.
 
@@ -475,6 +469,8 @@ class VolumeEstimate:
 # common denominator and compares integers, which is the same exact test.
 _SCALE_BITS = 30
 _SCALE = 1 << _SCALE_BITS
+# Leading samples also decided by in_koren_polytope, to pin the fast path.
+_CROSS_CHECK_SAMPLES = 10_000
 
 
 def _koren3_scaled(a: int, b: int, c: int) -> bool:
@@ -499,18 +495,14 @@ def _koren3_scaled(a: int, b: int, c: int) -> bool:
     )
 
 
-def ds3_volume_estimate(
-    samples: int = 1_000_000,
-    seed: int | None = None,
-    cross_check: int = 10_000,
-) -> VolumeEstimate:
+def ds3_volume_estimate(samples: int = 1_000_000, seed: int | None = None) -> VolumeEstimate:
     """Monte Carlo volume of the unordered degree region inside [0,2]^3.
 
     Every membership decision is exact: coordinates are dyadic rationals
     and the subset bounds are evaluated in integer arithmetic after
-    clearing the denominator.  The first ``cross_check`` samples are also
-    routed through :func:`in_koren_polytope` and the answers asserted
-    equal, pinning the fast path to the reference predicate.  Randomness
+    clearing the denominator.  The first ``_CROSS_CHECK_SAMPLES`` samples
+    are also routed through :func:`in_koren_polytope` and the answers
+    asserted equal, pinning the fast path to the reference predicate.  Randomness
     enters only through the seeded generator; the estimate itself is the
     exact rational 8 * hits / samples.
     """
@@ -518,7 +510,7 @@ def ds3_volume_estimate(
         raise ValueError("need at least one sample")
     rng = make_rng(seed)
     hits = 0
-    checked = min(cross_check, samples)
+    checked = min(_CROSS_CHECK_SAMPLES, samples)
     for idx in range(samples):
         a = rng.getrandbits(_SCALE_BITS + 1)
         b = rng.getrandbits(_SCALE_BITS + 1)

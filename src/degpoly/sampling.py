@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import RationalVector, sort_decreasing
+from .core import RationalVector
 
-# Fixed default seed; the DEGPOLY_SEED environment variable or the --seed
-# flag override it on the command line.
+# Fixed default seed; on the command line, verify --seed or the
+# DEGPOLY_SEED environment variable override it.
 DEFAULT_SEED = 1729
 
 
@@ -28,10 +28,6 @@ def random_rational(rng: random.Random) -> Fraction:
 
 def random_rational_vector(rng: random.Random, n: int) -> RationalVector:
     return tuple(random_rational(rng) for _ in range(n))
-
-
-def random_decreasing_vector(rng: random.Random, n: int) -> RationalVector:
-    return sort_decreasing(random_rational_vector(rng, n))
 
 
 def random_pair_costs(rng: random.Random, n: int) -> dict[tuple[int, int], Fraction]:

@@ -224,11 +224,6 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> OrderIdea
     return OrderIdeal(n, frozenset(edges))
 
 
-def is_proper_threshold_graph(n: int, edges: Iterable[Sequence[int]]) -> bool:
-    """Threshold with weakly decreasing degree labels == downward closed."""
-    return is_order_ideal(n, edges)
-
-
 def proper_threshold_oracle(n: int, edges: Iterable[Sequence[int]]) -> bool:
     """Independent route: peel dominating/isolated vertices, check labels.
 

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import pytest
 
-from degpoly.core import majorizes, sort_decreasing
+from degpoly.core import bounded_partitions, majorizes, sort_decreasing
 from degpoly.hypergraph import (
     apply_unit_transformation,
     brute_force_r_graphical,
@@ -83,24 +83,6 @@ def criterion_fixture(capfd):
         announce(f"criterion {num:02d} PASS {description} [{elapsed:.2f}s]")
 
     return criterion
-
-
-def bounded_partitions(n: int, max_total: int, max_entry: int | None = None):
-    """Weakly decreasing nonnegative n-tuples with sum <= max_total."""
-    out = []
-    first_cap = max_total if max_entry is None else min(max_entry, max_total)
-
-    def rec(prefix, slots, cap, used):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(min(cap, max_total - used), -1, -1):
-            prefix.append(v)
-            rec(prefix, slots - 1, v, used + v)
-            prefix.pop()
-
-    rec([], n, first_cap, 0)
-    return out
 
 
 def test_criterion_01_vertex_count(criterion):

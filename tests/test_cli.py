@@ -1,6 +1,7 @@
 """The degpoly command line: JSON reports, exit codes, seeds."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,11 @@ from degpoly.cli import jsonify, main, make_check, parse_costs, resolve_seed
 from degpoly.sampling import DEFAULT_SEED
 from degpoly.threshold import parse_edge_list
 from fractions import Fraction
+
+
+# stdout and exit status of main() for fixed argv lists, recorded once; any
+# byte change in a report fails test_golden_reports_byte_identical
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
 
 
 def run(capsys, *argv):
@@ -212,6 +218,12 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "4", "--suite", "nonsense"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--costs", "1", "--seed", "3"])  # only verify takes --seed
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["recognize", "--seq", "1,1", "--seed", "3"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -241,6 +253,26 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     assert code == 1
     failed = [check for check in report["checks"] if not check["pass"]]
     assert failed and failed[0]["name"] == "monte-carlo-within-tolerance"
+
+
+def test_irredundancy_check_counts_only_true_witnesses(capsys, monkeypatch):
+    # the zero vector satisfies every facet, so it witnesses none of them
+    import degpoly.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "irredundancy_witness", lambda n, facet: (Fraction(0),) * n)
+    code, report, _ = run(capsys, "verify", "--n", "4", "--suite", "facets")
+    assert code == 1
+    failed = [check for check in report["checks"] if not check["pass"]]
+    assert [check["name"] for check in failed] == ["facet-irredundancy-witnesses"]
+    assert failed[0]["actual"] == 0
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_reports_byte_identical(capsys, monkeypatch, case):
+    monkeypatch.delenv("DEGPOLY_SEED", raising=False)
+    code = main(case["argv"])
+    assert capsys.readouterr().out == case["stdout"]
+    assert code == case["exit"]
 
 
 def test_jsonify():

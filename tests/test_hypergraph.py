@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from degpoly.core import majorizes, sort_decreasing
+from degpoly.core import bounded_partitions, majorizes, sort_decreasing
 from degpoly.hypergraph import (
     RGraph,
     UnitTransformation,
@@ -202,21 +202,6 @@ def test_is_r_graphical_partition_frozen_cases():
 
 
 def test_recognition_agrees_with_brute_force():
-    def bounded_partitions(n, max_total):
-        out = []
-
-        def rec(prefix, slots, cap, used):
-            if slots == 0:
-                out.append(tuple(prefix))
-                return
-            for v in range(min(cap, max_total - used), -1, -1):
-                prefix.append(v)
-                rec(prefix, slots - 1, v, used + v)
-                prefix.pop()
-
-        rec([], n, max_total, 0)
-        return out
-
     for n, r, max_total in ((4, 2, 8), (4, 3, 9), (5, 3, 10)):
         for d in bounded_partitions(n, max_total):
             assert is_r_graphical_partition(d, n, r) == brute_force_r_graphical(
@@ -225,21 +210,6 @@ def test_recognition_agrees_with_brute_force():
 
 
 def test_r2_recognition_matches_graph_membership():
-    def bounded_partitions(n, max_total):
-        out = []
-
-        def rec(prefix, slots, cap, used):
-            if slots == 0:
-                out.append(tuple(prefix))
-                return
-            for v in range(min(cap, max_total - used), -1, -1):
-                prefix.append(v)
-                rec(prefix, slots - 1, v, used + v)
-                prefix.pop()
-
-        rec([], n, max_total, 0)
-        return out
-
     for n in (4, 5):
         for d in bounded_partitions(n, 2 * comb(n, 2)):
             assert is_r_graphical_partition(d, n, 2) == is_degree_partition(d)
@@ -256,21 +226,6 @@ def test_realize_r_graph_frozen_cases():
 
 
 def test_realize_r_graph_matches_recognition():
-    def bounded_partitions(n, max_total):
-        out = []
-
-        def rec(prefix, slots, cap, used):
-            if slots == 0:
-                out.append(tuple(prefix))
-                return
-            for v in range(min(cap, max_total - used), -1, -1):
-                prefix.append(v)
-                rec(prefix, slots - 1, v, used + v)
-                prefix.pop()
-
-        rec([], n, max_total, 0)
-        return out
-
     for n, r, max_total in ((4, 2, 8), (4, 3, 8), (5, 3, 9)):
         for d in bounded_partitions(n, max_total):
             g = realize_r_graph(d, n, r)

@@ -5,6 +5,8 @@ from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from degpoly.core import as_rational_vector, is_weakly_decreasing
 from degpoly.optimize import (
@@ -12,7 +14,6 @@ from degpoly.optimize import (
     PairCosts,
     brute_force_max_weight_ideals,
     brute_force_optimal_partition,
-    certificate_step,
     lift_costs,
     max_weight_ideal,
     objective_value,
@@ -154,18 +155,27 @@ def test_dp_agrees_with_pooled_weights():
         assert ideal_min.edges == graph_from_weights(pooled, strict=True).edges
 
 
-def test_certificate_step_frozen_example():
-    averaged, coeffs = certificate_step(as_rational_vector((1, 3)))
-    assert averaged == (F(2), F(2))
-    assert coeffs == {1: F(1)}
-
-
 def test_optimality_certificate_frozen_example():
     cert = optimality_certificate(as_rational_vector((1, -1, 2)))
     assert cert.base == (F(1), F(1, 2), F(1, 2))
     assert cert.coefficients == (F(0), F(3, 2))
     assert cert.support == frozenset({2})
     assert cert.reconstruct() == (F(1), F(-1), F(2))
+    cert = optimality_certificate(as_rational_vector((1, 3)))
+    assert cert.base == (F(2), F(2))
+    assert cert.coefficients == (F(1),)
+    assert cert.support == frozenset({1})
+
+
+# small integers make ties and multi-round pooling frequent
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=20))
+def test_closed_form_certificate_matches_pava(c):
+    cert = optimality_certificate(c)
+    assert cert.base == pava_oracle(c)
+    assert cert.reconstruct() == as_rational_vector(c)
+    assert all(a >= 0 for a in cert.coefficients)
+    d = optimal_threshold_partition(c)
+    assert all(d[i - 1] == d[i] for i in cert.support)
 
 
 def test_certificate_soundness_seeded():

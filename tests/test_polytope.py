@@ -5,7 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from degpoly.core import as_rational_vector, is_weakly_decreasing, sort_decreasing
+from degpoly.core import (
+    as_rational_vector,
+    bounded_partitions,
+    is_weakly_decreasing,
+    sort_decreasing,
+)
 from degpoly.polytope import (
     FacetInequality,
     affine_rank,
@@ -21,7 +26,6 @@ from degpoly.polytope import (
     facet_inequalities,
     fhm_inequality,
     in_fhm_polytope,
-    in_fhm_polytope_facets_only,
     in_koren_polytope,
     interval_step_vector,
     irredundancy_witness,
@@ -34,23 +38,6 @@ from degpoly.sampling import DEFAULT_SEED, make_rng, random_rational_vector
 from degpoly.threshold import enumerate_threshold_partitions, ideal_from_partition
 
 F = Fraction
-
-
-def _bounded_partitions(n, max_entry):
-    """All weakly decreasing tuples over 0..max_entry, any parity."""
-    out = []
-
-    def rec(prefix, slots, cap):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(cap, -1, -1):
-            prefix.append(v)
-            rec(prefix, slots - 1, v)
-            prefix.pop()
-
-    rec([], n, max_entry)
-    return out
 
 
 def test_monotone_inequality():
@@ -92,14 +79,18 @@ def test_in_fhm_polytope_vertices_and_rejects():
 
 
 def test_facets_only_membership_agrees():
+    # the irredundant facet list alone decides membership (n >= 4)
+    def facets_only(x):
+        return all(f.satisfied(x) for f in facet_inequalities(len(x)))
+
     for n in (4, 5):
-        for d in _bounded_partitions(n, n - 1):
-            assert in_fhm_polytope_facets_only(d) == in_fhm_polytope(d).member
+        for d in bounded_partitions(n, n * (n - 1), max_entry=n - 1):
+            assert facets_only(d) == in_fhm_polytope(d).member
     rng = make_rng(21)
     for _ in range(200):
         n = rng.randint(4, 7)
         x = tuple(sorted(random_rational_vector(rng, n), reverse=True))
-        assert in_fhm_polytope_facets_only(x) == in_fhm_polytope(x).member
+        assert facets_only(x) == in_fhm_polytope(x).member
 
 
 def test_in_koren_polytope_frozen_cases():
@@ -292,7 +283,7 @@ def test_lattice_points_equal_degree_partitions():
     for n in range(3, 6):
         candidates = [
             d
-            for d in _bounded_partitions(n, n - 1)
+            for d in bounded_partitions(n, n * (n - 1), max_entry=n - 1)
             if sum(d) % 2 == 0 and in_fhm_polytope(d).member
         ]
         assert frozenset(candidates) == enumerate_degree_partitions(n)

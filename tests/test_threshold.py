@@ -14,7 +14,6 @@ from degpoly.threshold import (
     graph_from_weights,
     ideal_from_partition,
     is_order_ideal,
-    is_proper_threshold_graph,
     is_threshold_partition,
     pair_lower_covers,
     pair_poset,
@@ -56,6 +55,8 @@ def test_is_order_ideal():
     assert is_order_ideal(4, {(1, 2), (1, 3), (1, 4), (2, 3)})
     assert not is_order_ideal(4, {(1, 3)})  # missing (1,2) below it
     assert not is_order_ideal(4, {(3, 4)})
+    assert not is_order_ideal(4, {(1, 2), (3, 4)})
+    assert is_order_ideal(2, set())
     with pytest.raises(ValueError):
         is_order_ideal(3, {(2, 1)})
     with pytest.raises(ValueError):
@@ -169,21 +170,13 @@ def test_graph_from_weights():
         graph_from_weights((F(0), F(1)))
 
 
-def test_is_proper_threshold_graph():
-    assert is_proper_threshold_graph(4, {(1, 2), (1, 3), (1, 4), (2, 3)})
-    assert not is_proper_threshold_graph(4, {(1, 2), (3, 4)})
-    assert is_proper_threshold_graph(2, set())
-
-
 def test_proper_threshold_oracle_agrees_exhaustively():
     for n in range(1, 6):
         pairs = pair_poset(n)
         for size in range(len(pairs) + 1):
             for subset in combinations(pairs, size):
                 edges = set(subset)
-                assert proper_threshold_oracle(n, edges) == is_proper_threshold_graph(
-                    n, edges
-                )
+                assert proper_threshold_oracle(n, edges) == is_order_ideal(n, edges)
 
 
 def test_edge_list_roundtrip():
