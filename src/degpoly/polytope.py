@@ -12,12 +12,18 @@ polytope whose vertices are precisely the threshold partitions of
 ranging over all index pairs of disjoint subsets S, T gives the
 unordered (Koren) version, whose membership reduces to sorting.
 
-This module keeps every test exact.  It knows the irredundant facet
-list for n >= 4, decides vertex adjacency by difference patterns,
-counts edges in closed form and by enumeration, and spot-checks the
-n = 3 volume: the polytope is a tetrahedron of volume 1/3, and the
-unordered region in [0,2]^3 has volume 2, estimated by Monte Carlo with
-exact membership per sample.
+Membership takes O(n) after the sort: for each k only one l can give
+the largest excess, and one pointer finds it for every k.  A failed
+test names the violated monotone constraints, or else the single most
+violated prefix-suffix inequality.  :func:`fhm_violations` keeps the
+full O(n^2) scan as the oracle.
+
+This module keeps every test exact; integer input is decided in
+integers.  It knows the irredundant facet list for n >= 4, decides
+vertex adjacency by difference patterns, counts edges in closed form
+and by enumeration, and spot-checks the n = 3 volume: the polytope is a
+tetrahedron of volume 1/3, and the unordered region in [0,2]^3 has
+volume 2, estimated by Monte Carlo with exact membership per sample.
 """
 
 from __future__ import annotations
@@ -95,6 +101,14 @@ def fhm_inequality(n: int, k: int, l: int) -> FacetInequality:
 
 @dataclass(frozen=True)
 class FhmMembership:
+    """Verdict of :func:`in_fhm_polytope` and the constraints behind it.
+
+    For a member ``violations`` is empty.  Otherwise it holds every
+    violated monotone constraint x_i >= x_{i+1} when there is one, and
+    else exactly one prefix-suffix inequality: the most violated one,
+    the smallest (k, l) among equally violated ones.
+    """
+
     member: bool
     violations: tuple[FacetInequality, ...]
 
@@ -103,10 +117,55 @@ class FhmMembership:
 
 
 def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
-    """Check x_1 >= ... >= x_n plus every prefix-suffix inequality.
+    """Check x_1 >= ... >= x_n plus every prefix-suffix inequality, in O(n).
 
-    Returns the verdict together with the violated constraints, so a
-    failed membership is self-explaining.
+    Once x is weakly decreasing, the excess of (k, l),
+
+        pre_k - suf_l - k (n - 1 - l)
+            = pre_k - k (n - 1) + sum of (k - x_t) over the last l entries,
+
+    grows with l while the next entry from the back is below k and
+    shrinks after that, so for each k the best l is the number of
+    entries below k, capped at n - k.  That count only grows with k,
+    so one pointer from the back of x finds the best l for every k
+    (Erdos and Gallai, 1960).  Integer input is decided in integers,
+    rational input in Fractions.  See :class:`FhmMembership` for what
+    ``violations`` holds.
+    """
+    vec = tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x)
+    n = len(vec)
+    if n < 1:
+        raise ValueError("membership needs a nonempty vector")
+    unsorted = tuple(monotone_inequality(n, i) for i in range(1, n) if vec[i - 1] < vec[i])
+    if unsorted:
+        return FhmMembership(False, unsorted)
+    # suf[l] is the sum of the last l entries
+    suf = [0] * (n + 1)
+    for l in range(1, n + 1):
+        suf[l] = suf[l - 1] + vec[n - l]
+    # (0, 0) is no constraint, but its excess 0 is never a violation
+    best, best_k, best_l = 0, 0, 0
+    pre = 0
+    below = 0  # entries below k; they form a suffix of vec
+    for k in range(n + 1):
+        if k:
+            pre += vec[k - 1]
+        while below < n and vec[n - 1 - below] < k:
+            below += 1
+        l = min(below, n - k)
+        excess = pre - suf[l] - k * (n - 1 - l)
+        if excess > best:
+            best, best_k, best_l = excess, k, l
+    if best > 0:
+        return FhmMembership(False, (fhm_inequality(n, best_k, best_l),))
+    return FhmMembership(True, ())
+
+
+def fhm_violations(x: Sequence[Rational]) -> tuple[FacetInequality, ...]:
+    """Every violated monotone and prefix-suffix constraint, by a full O(n^2) scan.
+
+    The oracle for :func:`in_fhm_polytope`: x is a member exactly when
+    this is empty.
     """
     vec = as_rational_vector(x)
     n = len(vec)
@@ -124,7 +183,7 @@ def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
             lhs = head - (suf[l - 1] if l else 0)
             if lhs > k * (n - 1 - l):
                 violations.append(fhm_inequality(n, k, l))
-    return FhmMembership(not violations, tuple(violations))
+    return tuple(violations)
 
 
 def in_koren_polytope(x: Sequence[Rational], method: str = "sorted") -> bool:
@@ -134,13 +193,13 @@ def in_koren_polytope(x: Sequence[Rational], method: str = "sorted") -> bool:
     :func:`in_fhm_polytope`; ``method="direct"`` literally enumerates the
     3^n assignments of each index to S, T, or neither (n <= 12).
     """
-    vec = as_rational_vector(x)
-    n = len(vec)
-    if n < 1:
+    if len(x) < 1:
         raise ValueError("membership needs a nonempty vector")
     if method == "sorted":
-        return in_fhm_polytope(sort_decreasing(vec)).member
+        return in_fhm_polytope(sort_decreasing(x)).member
     if method == "direct":
+        vec = as_rational_vector(x)
+        n = len(vec)
         if n > 12:
             raise ValueError(f"direct enumeration is capped at n <= 12, got n={n}")
         for assign in product((0, 1, 2), repeat=n):
@@ -198,7 +257,8 @@ def facet_inequalities(n: int) -> tuple[FacetInequality, ...]:
     params += [(k, s - k) for s in range(2, n - 2) for k in range(1, s)]
     params += [(k, n - k) for k in range(1, n)]
     facets.extend(fhm_inequality(n, k, l) for k, l in params)
-    assert len(facets) == (n * n - 3 * n + 12) // 2
+    if len(facets) != (n * n - 3 * n + 12) // 2:
+        raise AssertionError(f"facet list for n={n} has {len(facets)} entries")
     return tuple(facets)
 
 
@@ -417,7 +477,8 @@ def irredundancy_witness(n: int, facet: FacetInequality) -> RationalVector:
     if facet not in facets:
         raise ValueError("witness requested for a constraint outside the facet list")
     tight = [d for d in enumerate_threshold_partitions(n) if facet.tight(d)]
-    assert tight, "every facet is tight somewhere on the vertex set"
+    if not tight:
+        raise AssertionError(f"facet {facet!r} is tight at no vertex")
     bary = tuple(Fraction(sum(col), len(tight)) for col in zip(*tight))
     normal = facet.coefficients
     limits = []
@@ -427,12 +488,13 @@ def irredundancy_witness(n: int, facet: FacetInequality) -> RationalVector:
         rate = sum(gc * nc for gc, nc in zip(g.coefficients, normal))
         if rate > 0:
             slack = Fraction(g.rhs) - g.value(bary)
-            assert slack > 0
+            if slack <= 0:
+                raise AssertionError(f"barycenter of {facet!r} is not strictly inside {g!r}")
             limits.append(slack / rate)
     eps = min(limits) / 2 if limits else Fraction(1)
     witness = tuple(b + eps * c for b, c in zip(bary, normal))
-    assert not facet.satisfied(witness)
-    assert all(g.satisfied(witness) for g in facets if g != facet)
+    if facet.satisfied(witness) or not all(g.satisfied(witness) for g in facets if g != facet):
+        raise AssertionError(f"witness {witness!r} does not violate exactly {facet!r}")
     return witness
 
 
@@ -501,8 +563,8 @@ def ds3_volume_estimate(samples: int = 1_000_000, seed: int | None = None) -> Vo
     Every membership decision is exact: coordinates are dyadic rationals
     and the subset bounds are evaluated in integer arithmetic after
     clearing the denominator.  The first ``_CROSS_CHECK_SAMPLES`` samples
-    are also routed through :func:`in_koren_polytope` and the answers
-    asserted equal, pinning the fast path to the reference predicate.  Randomness
+    are also routed through :func:`in_koren_polytope`, and a disagreement
+    raises ``AssertionError``, also under ``python -O``.  Randomness
     enters only through the seeded generator; the estimate itself is the
     exact rational 8 * hits / samples.
     """
@@ -521,7 +583,11 @@ def ds3_volume_estimate(samples: int = 1_000_000, seed: int | None = None) -> Vo
                 (Fraction(a, _SCALE), Fraction(b, _SCALE), Fraction(c, _SCALE)),
                 method="sorted",
             )
-            assert member == reference
+            if member != reference:
+                raise AssertionError(
+                    f"integer test says {member} but in_koren_polytope says {reference} "
+                    f"at sample {idx}: {(a, b, c)!r} / 2^{_SCALE_BITS}"
+                )
         if member:
             hits += 1
     return VolumeEstimate(samples, hits, Fraction(8 * hits, samples))

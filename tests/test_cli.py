@@ -267,6 +267,18 @@ def test_irredundancy_check_counts_only_true_witnesses(capsys, monkeypatch):
     assert failed[0]["actual"] == 0
 
 
+def test_rebound_command_is_honoured_after_first_call(capsys, monkeypatch):
+    # a cmd_* rebound after the first call, as bench/spans.py does, is the one that runs
+    import degpoly.cli as cli_module
+
+    assert run(capsys, "recognize", "--seq", "2,1,1")[0] == 0
+    stub = {"command": "recognize", "checks": [{"name": "stub", "pass": False}]}
+    monkeypatch.setattr(cli_module, "cmd_recognize", lambda args: stub)
+    code, report, _ = run(capsys, "recognize", "--seq", "2,1,1")
+    assert code == 1
+    assert report == stub
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_reports_byte_identical(capsys, monkeypatch, case):
     monkeypatch.delenv("DEGPOLY_SEED", raising=False)

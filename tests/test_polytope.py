@@ -1,9 +1,15 @@
 """Membership, facets, edges, faces, lattice points, and volume."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degpoly.core import (
     as_rational_vector,
@@ -25,6 +31,7 @@ from degpoly.polytope import (
     face_vertices,
     facet_inequalities,
     fhm_inequality,
+    fhm_violations,
     in_fhm_polytope,
     in_koren_polytope,
     interval_step_vector,
@@ -63,11 +70,12 @@ def test_in_fhm_polytope_frozen_cases():
     assert bool(in_fhm_polytope((3, 2, 2, 1)))
     verdict = in_fhm_polytope((2, 1, 0))
     assert not verdict.member
-    assert any(
-        v.kind == "fhm" and v.k == 1 and v.l == 1 for v in verdict.violations
-    )
+    # (1, 1) and (2, 1) both exceed their bound by 1; the smaller pair wins
+    assert verdict.violations == (fhm_inequality(3, 1, 1),)
     assert in_fhm_polytope((F(3, 2), F(1), F(1, 2)))
-    assert not in_fhm_polytope((1, 2, 0))  # not weakly decreasing
+    unsorted = in_fhm_polytope((1, 2, 0))
+    assert not unsorted
+    assert unsorted.violations == (monotone_inequality(3, 1),)
 
 
 def test_in_fhm_polytope_vertices_and_rejects():
@@ -91,6 +99,81 @@ def test_facets_only_membership_agrees():
         n = rng.randint(4, 7)
         x = tuple(sorted(random_rational_vector(rng, n), reverse=True))
         assert facets_only(x) == in_fhm_polytope(x).member
+
+
+def _palette_vectors(values):
+    """Vectors of length <= 12 over a palette of at most 4 values, so ties are common."""
+    return st.lists(values, min_size=1, max_size=4, unique=True).flatmap(
+        lambda palette: st.lists(st.sampled_from(palette), min_size=1, max_size=12)
+    )
+
+
+exact_vectors = _palette_vectors(st.integers(min_value=-2, max_value=13)) | _palette_vectors(
+    st.fractions(min_value=-2, max_value=13, max_denominator=3)
+)
+
+
+def _excess(f, x):
+    return f.value(x) - f.rhs
+
+
+@settings(max_examples=300)
+@given(exact_vectors)
+def test_sweep_matches_scan_on_decreasing_vectors(values):
+    x = sort_decreasing(values)
+    verdict = in_fhm_polytope(x)
+    scan = fhm_violations(x)
+    assert verdict.member == (not scan)
+    if scan:
+        (witness,) = verdict.violations
+        assert witness.kind == "fhm" and not witness.satisfied(x)
+        most = max(_excess(f, x) for f in scan)
+        assert _excess(witness, x) == most
+        assert (witness.k, witness.l) == min((f.k, f.l) for f in scan if _excess(f, x) == most)
+
+
+@settings(max_examples=300)
+@given(exact_vectors)
+def test_sweep_matches_scan_on_unsorted_vectors(x):
+    verdict = in_fhm_polytope(x)
+    scan = fhm_violations(x)
+    assert verdict.member == (not scan)
+    if not is_weakly_decreasing(x):
+        assert verdict.violations == tuple(f for f in scan if f.kind == "monotone")
+    assert in_koren_polytope(x) == (not fhm_violations(sort_decreasing(x)))
+
+
+def _erdos_gallai(seq):
+    d = sorted(seq, reverse=True)
+    if sum(d) % 2:
+        return False
+    return all(
+        sum(d[:k]) <= k * (k - 1) + sum(min(v, k) for v in d[k:])
+        for k in range(1, len(d) + 1)
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)
+    )
+)
+def test_is_degree_sequence_matches_erdos_gallai(seq):
+    assert is_degree_sequence(seq) == _erdos_gallai(seq)
+
+
+def test_is_degree_sequence_scales_to_20000_vertices():
+    n = 20_000
+    matching = (1,) * n
+    assert is_degree_sequence(matching)
+    assert in_fhm_polytope(matching).member
+    star_too_big = (n,) + (1,) * (n - 1)
+    assert not is_degree_sequence(star_too_big)
+    verdict = in_fhm_polytope(star_too_big)
+    assert not verdict.member
+    (witness,) = verdict.violations
+    assert not witness.satisfied(star_too_big)
 
 
 def test_in_koren_polytope_frozen_cases():
@@ -317,3 +400,23 @@ def test_facet_inequality_serialization_shape():
     assert (f.kind, f.k, f.l, f.i) == ("fhm", 1, 3, None)
     m = monotone_inequality(4, 2)
     assert (m.kind, m.k, m.l, m.i) == ("monotone", None, None, 2)
+
+
+def test_volume_cross_check_raises_under_python_O():
+    # the cross-check must not be an assert that -O strips
+    script = (
+        "import sys\n"
+        "from degpoly import polytope\n"
+        "real = polytope._koren3_scaled\n"
+        "polytope._koren3_scaled = lambda a, b, c: not real(a, b, c)\n"
+        "try:\n"
+        "    polytope.ds3_volume_estimate(samples=50, seed=1)\n"
+        "except AssertionError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["raised", "1"]
