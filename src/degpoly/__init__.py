@@ -71,6 +71,7 @@ from .polytope import (
     irredundancy_witness,
     is_degree_partition,
     is_degree_sequence,
+    koren_oracle,
     monotone_inequality,
     pair_step_vector,
 )
@@ -95,105 +96,14 @@ from .threshold import (
     degree_partition_of_ideal,
     enumerate_order_ideals,
     enumerate_threshold_partitions,
-    format_edge_list,
     graph_from_weights,
     ideal_from_partition,
     is_order_ideal,
     is_threshold_partition,
     pair_poset,
-    parse_edge_list,
     proper_threshold_oracle,
     tp_join,
     tp_meet,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Certificate",
-    "DEFAULT_SEED",
-    "FacetInequality",
-    "FhmMembership",
-    "IntSequence",
-    "OrderIdeal",
-    "PairCosts",
-    "Partition",
-    "PoolResult",
-    "RGraph",
-    "Rational",
-    "RationalVector",
-    "RunDecomposition",
-    "UnitTransformation",
-    "VolumeEstimate",
-    "affine_rank",
-    "apply_incidence",
-    "apply_unit_transformation",
-    "are_adjacent",
-    "as_rational_vector",
-    "ascending_runs",
-    "average_runs",
-    "bounded_partitions",
-    "brute_force_max_weight_ideals",
-    "brute_force_optimal_partition",
-    "brute_force_r_graphical",
-    "check_partition",
-    "count_edges",
-    "degree_partition_of_ideal",
-    "degree_sequence",
-    "descent_set",
-    "dominating_count",
-    "dominating_sum_identity",
-    "dp3_volume",
-    "ds3_volume_estimate",
-    "enumerate_degree_partitions",
-    "enumerate_order_ideals",
-    "enumerate_r_ideal_partitions",
-    "enumerate_r_ideals",
-    "enumerate_threshold_partitions",
-    "face_vertices",
-    "facet_inequalities",
-    "fhm_inequality",
-    "format_edge_list",
-    "format_hypergraph",
-    "graph_from_weights",
-    "ideal_from_partition",
-    "in_fhm_polytope",
-    "in_koren_polytope",
-    "interval_step_vector",
-    "irredundancy_witness",
-    "is_degree_partition",
-    "is_degree_sequence",
-    "is_order_ideal",
-    "is_partition",
-    "is_r_graphical_partition",
-    "is_r_ideal",
-    "is_threshold_partition",
-    "is_weakly_decreasing",
-    "lift_costs",
-    "majorizes",
-    "make_rng",
-    "max_weight_ideal",
-    "monotone_inequality",
-    "muirhead_chain",
-    "objective_value",
-    "optimal_threshold_partition",
-    "optimality_certificate",
-    "pair_poset",
-    "pair_step_vector",
-    "parse_edge_list",
-    "parse_hypergraph",
-    "pava_oracle",
-    "pool",
-    "prefix_sums",
-    "proper_threshold_oracle",
-    "r_subsets",
-    "random_pair_costs",
-    "random_rational",
-    "random_rational_vector",
-    "realize_r_graph",
-    "relabel_rgraph",
-    "reverse_saturate",
-    "sort_decreasing",
-    "tp_join",
-    "tp_meet",
-]

@@ -5,15 +5,13 @@ stderr.  Exit status is 0 when every embedded check passes, 1 when some
 check fails, and 2 on usage errors.  Rationals serialize as strings like
 "3/2" (integers plainly, like "4"); sets serialize sorted.  The
 verify --seed flag defaults to a fixed constant so runs are
-reproducible; the DEGPOLY_SEED environment variable, when set,
-overrides the flag.
+reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -52,7 +50,6 @@ from .polytope import (
 from .sampling import DEFAULT_SEED
 from .threshold import (
     enumerate_threshold_partitions,
-    format_edge_list,
     tp_join,
     tp_meet,
 )
@@ -64,10 +61,12 @@ Suite = Callable[[int, int, int], SuiteReport]
 
 def jsonify(obj: Any) -> Any:
     """Fractions to "p/q" strings, sets sorted, tuples to lists."""
-    if isinstance(obj, Fraction):
-        return str(obj)
+    # plain scalars first: Fraction's ABC metaclass makes isinstance slow
+    # on each of a report's many ints
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
+    if isinstance(obj, Fraction):
+        return str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
@@ -93,16 +92,6 @@ def make_check(
     if formula is not None:
         entry["formula"] = formula
     return entry
-
-
-def resolve_seed(cli_seed: int | None) -> int:
-    env = os.environ.get("DEGPOLY_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"DEGPOLY_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED if cli_seed is None else cli_seed
 
 
 def parse_costs(text: str) -> tuple[Fraction, ...]:
@@ -356,11 +345,10 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     lo, hi, run_suite = SUITES[suite]
     if not lo <= n <= hi:
         raise ValueError(f"suite {suite!r} supports {lo} <= n <= {hi}, got n={n}")
-    seed = resolve_seed(args.seed)
-    extra, checks = run_suite(n, seed, args.samples)
+    extra, checks = run_suite(n, args.seed, args.samples)
     return {
         "command": "verify",
-        "inputs": {"n": n, "suite": suite, "seed": seed, "samples": args.samples},
+        "inputs": {"n": n, "suite": suite, "seed": args.seed, "samples": args.samples},
         "result": {"n": n, "suite": suite, **extra},
         "checks": checks,
     }
@@ -370,9 +358,7 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
     seq = parse_int_seq(args.seq)
     if any(v < 0 for v in seq):
         raise ValueError("degrees must be nonnegative")
-    n = len(seq) if args.n is None else args.n
-    if n != len(seq):
-        raise ValueError(f"--n {n} disagrees with a sequence of length {len(seq)}")
+    n = len(seq)
     r = args.r
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
@@ -416,9 +402,7 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
                 make_check("witness-degrees-match-input", seq, degree_sequence(witness))
             )
             witness_edges = sorted(witness.edges)
-            witness_text = (
-                format_edge_list(witness_edges) if r == 2 else format_hypergraph(witness_edges)
-            )
+            witness_text = format_hypergraph(witness_edges)
     return {
         "command": "recognize",
         "inputs": {"seq": seq, "r": r, "n": n},
@@ -455,13 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=SUITES, required=True)
     ver.add_argument("--samples", type=int, default=1_000_000,
                      help="volume3 only: Monte Carlo sample count")
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ver.set_defaults(run=cmd_verify)
 
     rec = sub.add_parser("recognize", help="recognize an r-graph degree sequence")
     rec.add_argument("--seq", required=True, help='comma-separated degrees, e.g. "2,2,1,1"')
     rec.add_argument("--r", type=int, default=2, help="edge size (default 2)")
-    rec.add_argument("--n", type=int, default=None, help="vertex count (default: len(seq))")
     rec.set_defaults(run=cmd_recognize)
 
     return parser

@@ -257,7 +257,8 @@ def _ideal_partitions_with_total(n: int, r: int, total: int) -> list[tuple[Parti
             for v in edge:
                 deg[v - 1] += 1
         part = tuple(deg)
-        assert is_weakly_decreasing(part), "ideal degrees must weakly decrease"
+        if not is_weakly_decreasing(part):
+            raise AssertionError(f"ideal degrees must weakly decrease, got {part!r}")
         picks.setdefault(part, ideal)
     return sorted(picks.items())
 
@@ -309,7 +310,6 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
         return None
     part, ideal = start
     edges = set(ideal)
-    deg = list(part)
     for step in muirhead_chain(part, vec):
         src, tgt = step.source, step.target
         swap = None
@@ -323,13 +323,14 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
             if with_tgt not in edges:
                 swap = (with_src, with_tgt)
                 break
-        assert swap is not None, "degree surplus guarantees a swappable edge"
+        if swap is None:
+            raise AssertionError(f"degree surplus guarantees a swappable edge for {step!r}")
         edges.remove(swap[0])
         edges.add(swap[1])
-        deg[src - 1] -= 1
-        deg[tgt - 1] += 1
     result = RGraph(n, r, frozenset(edges))
-    assert sort_decreasing(degree_sequence(result)) == vec
+    realized = sort_decreasing(degree_sequence(result))
+    if realized != vec:
+        raise AssertionError(f"realization has degree partition {realized!r}, not {vec!r}")
     return result
 
 

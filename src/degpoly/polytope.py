@@ -16,7 +16,8 @@ Membership takes O(n) after the sort: for each k only one l can give
 the largest excess, and one pointer finds it for every k.  A failed
 test names the violated monotone constraints, or else the single most
 violated prefix-suffix inequality.  :func:`fhm_violations` keeps the
-full O(n^2) scan as the oracle.
+full O(n^2) scan as the oracle, and :func:`koren_oracle` the 3^n
+enumeration of disjoint S, T for the unordered version.
 
 This module keeps every test exact; integer input is decided in
 integers.  It knows the irredundant facet list for n >= 4, decides
@@ -186,36 +187,41 @@ def fhm_violations(x: Sequence[Rational]) -> tuple[FacetInequality, ...]:
     return tuple(violations)
 
 
-def in_koren_polytope(x: Sequence[Rational], method: str = "sorted") -> bool:
+def in_koren_polytope(x: Sequence[Rational]) -> bool:
     """Unordered membership: every disjoint S, T obey the subset bound.
 
-    ``method="sorted"`` sorts decreasingly and defers to
-    :func:`in_fhm_polytope`; ``method="direct"`` literally enumerates the
-    3^n assignments of each index to S, T, or neither (n <= 12).
+    Sorts decreasingly and defers to :func:`in_fhm_polytope`.
     """
     if len(x) < 1:
         raise ValueError("membership needs a nonempty vector")
-    if method == "sorted":
-        return in_fhm_polytope(sort_decreasing(x)).member
-    if method == "direct":
-        vec = as_rational_vector(x)
-        n = len(vec)
-        if n > 12:
-            raise ValueError(f"direct enumeration is capped at n <= 12, got n={n}")
-        for assign in product((0, 1, 2), repeat=n):
-            lhs = Fraction(0)
-            ns = nt = 0
-            for role, v in zip(assign, vec):
-                if role == 1:
-                    lhs += v
-                    ns += 1
-                elif role == 2:
-                    lhs -= v
-                    nt += 1
-            if ns + nt and lhs > ns * (n - 1 - nt):
-                return False
-        return True
-    raise ValueError(f"unknown method {method!r}")
+    return in_fhm_polytope(sort_decreasing(x)).member
+
+
+def koren_oracle(x: Sequence[Rational]) -> bool:
+    """Unordered membership by enumerating every disjoint S, T (n <= 12).
+
+    The oracle for :func:`in_koren_polytope`: each of the 3^n
+    assignments puts every index in S, in T, or in neither.
+    """
+    if len(x) < 1:
+        raise ValueError("membership needs a nonempty vector")
+    vec = as_rational_vector(x)
+    n = len(vec)
+    if n > 12:
+        raise ValueError(f"direct enumeration is capped at n <= 12, got n={n}")
+    for assign in product((0, 1, 2), repeat=n):
+        lhs = Fraction(0)
+        ns = nt = 0
+        for role, v in zip(assign, vec):
+            if role == 1:
+                lhs += v
+                ns += 1
+            elif role == 2:
+                lhs -= v
+                nt += 1
+        if ns + nt and lhs > ns * (n - 1 - nt):
+            return False
+    return True
 
 
 def _check_ints(d: Sequence[int], what: str) -> tuple[int, ...]:
@@ -238,7 +244,7 @@ def is_degree_sequence(x: Sequence[int]) -> bool:
     vec = _check_ints(x, "degree sequence")
     if not vec:
         return False
-    return sum(vec) % 2 == 0 and in_koren_polytope(vec, method="sorted")
+    return sum(vec) % 2 == 0 and in_koren_polytope(vec)
 
 
 @lru_cache(maxsize=None)
@@ -580,8 +586,7 @@ def ds3_volume_estimate(samples: int = 1_000_000, seed: int | None = None) -> Vo
         member = _koren3_scaled(a, b, c)
         if idx < checked:
             reference = in_koren_polytope(
-                (Fraction(a, _SCALE), Fraction(b, _SCALE), Fraction(c, _SCALE)),
-                method="sorted",
+                (Fraction(a, _SCALE), Fraction(b, _SCALE), Fraction(c, _SCALE))
             )
             if member != reference:
                 raise AssertionError(

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .core import RationalVector
 
-# Fixed default seed; on the command line, verify --seed or the
-# DEGPOLY_SEED environment variable override it.
+# Fixed default seed; on the command line, verify --seed overrides it.
 DEFAULT_SEED = 1729
 
 

@@ -95,7 +95,8 @@ def degree_partition_of_ideal(ideal: OrderIdeal) -> Partition:
     for i, j in ideal.edges:
         deg[i - 1] += 1
         deg[j - 1] += 1
-    assert is_weakly_decreasing(deg), "ideal degrees must weakly decrease"
+    if not is_weakly_decreasing(deg):
+        raise AssertionError(f"ideal degrees must weakly decrease, got {tuple(deg)!r}")
     return tuple(deg)
 
 
@@ -254,27 +255,3 @@ def proper_threshold_oracle(n: int, edges: Iterable[Sequence[int]]) -> bool:
             return False
         alive.remove(pick)
     return True
-
-
-def parse_edge_list(text: str) -> frozenset[Pair]:
-    """Read one edge per line, "i j" with 1 <= i < j, blank lines skipped."""
-    edges = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two vertex labels, got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: vertex labels must be integers: {line!r}") from None
-        if not 1 <= i < j:
-            raise ValueError(f"line {lineno}: need 1 <= i < j, got {line!r}")
-        edges.add((i, j))
-    return frozenset(edges)
-
-
-def format_edge_list(edges: Iterable[Pair]) -> str:
-    """Inverse of :func:`parse_edge_list`, edges sorted, one per line."""
-    return "\n".join(f"{i} {j}" for i, j in sorted(edges))

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from degpoly.cli import jsonify, main, make_check, parse_costs, resolve_seed
+from degpoly.cli import jsonify, main, make_check, parse_costs
+from degpoly.hypergraph import parse_hypergraph
 from degpoly.sampling import DEFAULT_SEED
-from degpoly.threshold import parse_edge_list
 from fractions import Fraction
 
 
@@ -124,25 +124,18 @@ def test_verify_volume3_seed_changes_estimate(capsys):
     assert first["result"]["hits"] != other["result"]["hits"]
 
 
-def test_env_seed_overrides_flag(capsys, monkeypatch):
+def test_seed_comes_from_the_flag_alone(capsys, monkeypatch):
+    # the environment has no say: identical flags give identical reports
     monkeypatch.setenv("DEGPOLY_SEED", "7")
     _, report, _ = run(
         capsys, "verify", "--n", "3", "--suite", "volume3", "--samples", "10000",
         "--seed", "1",
     )
-    assert report["result"]["seed"] == 7
-    monkeypatch.setenv("DEGPOLY_SEED", "oops")
-    code, report, err = run(
+    assert report["inputs"]["seed"] == report["result"]["seed"] == 1
+    _, report, _ = run(
         capsys, "verify", "--n", "3", "--suite", "volume3", "--samples", "10000"
     )
-    assert code == 2
-    assert report is None
-    assert "DEGPOLY_SEED" in err
-
-
-def test_resolve_seed():
-    assert resolve_seed(None) == DEFAULT_SEED
-    assert resolve_seed(5) == 5
+    assert report["result"]["seed"] == DEFAULT_SEED
 
 
 def test_verify_out_of_range_n(capsys):
@@ -159,7 +152,7 @@ def test_recognize_graphical_with_witness(capsys):
     assert report["result"]["degree_partition"] == [2, 1, 1]
     assert report["result"]["witness_edges"] == [[1, 2], [1, 3]]
     # witness text reparses to the same edge set
-    parsed = parse_edge_list(report["result"]["witness_text"])
+    parsed = parse_hypergraph(report["result"]["witness_text"], r=2)
     assert sorted(parsed) == [(1, 2), (1, 3)]
     assert {check["name"] for check in report["checks"]} == {
         "sorted-unsorted-agreement",
@@ -205,12 +198,6 @@ def test_recognize_negative_degree(capsys):
     assert "nonnegative" in err
 
 
-def test_recognize_n_mismatch(capsys):
-    code, _, err = run(capsys, "recognize", "--seq", "1,1", "--n", "3")
-    assert code == 2
-    assert "disagrees" in err
-
-
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["optimize"])  # missing --costs
@@ -223,6 +210,9 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["recognize", "--seq", "1,1", "--seed", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["recognize", "--seq", "1,1", "--n", "2"])  # n is always len(seq)
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -280,8 +270,7 @@ def test_rebound_command_is_honoured_after_first_call(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_golden_reports_byte_identical(capsys, monkeypatch, case):
-    monkeypatch.delenv("DEGPOLY_SEED", raising=False)
+def test_golden_reports_byte_identical(capsys, case):
     code = main(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
@@ -293,6 +282,8 @@ def test_jsonify():
     assert jsonify({"a": (1, Fraction(1, 3))}) == {"a": [1, "1/3"]}
     assert jsonify(frozenset({(2, 3), (1, 2)})) == [[1, 2], [2, 3]]
     assert jsonify(None) is None
+    assert jsonify(True) is True
+    assert jsonify(7) == 7
     with pytest.raises(TypeError):
         jsonify(object())
 

@@ -1,7 +1,11 @@
 """r-graph degree sequences: recognition, chains, and realization."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +258,30 @@ def test_hypergraph_text_roundtrip():
     with pytest.raises(ValueError):
         parse_hypergraph("1 2\n1 2 3")  # mixed edge sizes
     assert parse_hypergraph("") == frozenset()
+    # graphs are the r = 2 case of the same format
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    assert parse_hypergraph(format_hypergraph(pairs), r=2) == frozenset(pairs)
+    assert parse_hypergraph("1 2\n\n 1 3 \n", r=2) == frozenset({(1, 2), (1, 3)})
+    with pytest.raises(ValueError, match="line 2"):
+        parse_hypergraph("1 2\n2 1", r=2)
+    with pytest.raises(ValueError):
+        parse_hypergraph("1 2 3", r=2)
+
+
+def test_realization_check_raises_under_python_O():
+    # with the chain stubbed out the final degree check must fire, not an assert that -O strips
+    script = (
+        "import sys\n"
+        "from degpoly import hypergraph\n"
+        "hypergraph.muirhead_chain = lambda a, b: ()\n"
+        "try:\n"
+        "    hypergraph.realize_r_graph((1, 1, 1, 1), 4, 2)\n"
+        "except AssertionError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["raised", "1"]

@@ -38,6 +38,7 @@ from degpoly.polytope import (
     irredundancy_witness,
     is_degree_partition,
     is_degree_sequence,
+    koren_oracle,
     monotone_inequality,
     pair_step_vector,
 )
@@ -193,14 +194,14 @@ def test_in_koren_polytope_is_sort_invariant():
         assert member == in_fhm_polytope(sort_decreasing(x)).member
 
 
-def test_in_koren_polytope_direct_method_agrees():
+def test_koren_oracle_agrees_with_in_koren_polytope():
     rng = make_rng(23)
     for _ in range(150):
         n = rng.randint(1, 7)
         x = random_rational_vector(rng, n)
-        assert in_koren_polytope(x, method="direct") == in_koren_polytope(x)
+        assert koren_oracle(x) == in_koren_polytope(x)
     with pytest.raises(ValueError):
-        in_koren_polytope((1,) * 13, method="direct")
+        koren_oracle((1,) * 13)
 
 
 def test_is_degree_partition_frozen_cases():

@@ -10,14 +10,12 @@ from degpoly.threshold import (
     degree_partition_of_ideal,
     enumerate_order_ideals,
     enumerate_threshold_partitions,
-    format_edge_list,
     graph_from_weights,
     ideal_from_partition,
     is_order_ideal,
     is_threshold_partition,
     pair_lower_covers,
     pair_poset,
-    parse_edge_list,
     proper_threshold_oracle,
     tp_join,
     tp_meet,
@@ -177,14 +175,3 @@ def test_proper_threshold_oracle_agrees_exhaustively():
             for subset in combinations(pairs, size):
                 edges = set(subset)
                 assert proper_threshold_oracle(n, edges) == is_order_ideal(n, edges)
-
-
-def test_edge_list_roundtrip():
-    edges = [(1, 2), (1, 3), (2, 3)]
-    text = format_edge_list(edges)
-    assert parse_edge_list(text) == frozenset(edges)
-    assert parse_edge_list("1 2\n\n 1 3 \n") == frozenset({(1, 2), (1, 3)})
-    with pytest.raises(ValueError, match="line 2"):
-        parse_edge_list("1 2\n2 1")
-    with pytest.raises(ValueError):
-        parse_edge_list("1 2 3")
