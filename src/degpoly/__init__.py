@@ -102,6 +102,7 @@ from .threshold import (
     is_threshold_partition,
     pair_poset,
     proper_threshold_oracle,
+    threshold_degrees,
     tp_join,
     tp_meet,
 )

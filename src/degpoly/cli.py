@@ -31,7 +31,6 @@ from .hypergraph import (
 from .optimize import (
     brute_force_optimal_partition,
     objective_value,
-    optimal_threshold_partition,
     optimality_certificate,
 )
 from .polytope import (
@@ -50,6 +49,7 @@ from .polytope import (
 from .sampling import DEFAULT_SEED
 from .threshold import (
     enumerate_threshold_partitions,
+    threshold_degrees,
     tp_join,
     tp_meet,
 )
@@ -118,9 +118,10 @@ def parse_int_seq(text: str) -> tuple[int, ...]:
 def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     costs = parse_costs(args.costs)
     mode = args.mode
-    partition = optimal_threshold_partition(costs, mode)
-    value = objective_value(costs, partition)
+    # the certificate base is the projection the optimizer is read from
     cert = optimality_certificate(costs)
+    partition = threshold_degrees(cert.base, strict=(mode == "min"))
+    value = objective_value(costs, partition)
     checks = [
         make_check("certificate-reconstructs-costs", costs, cert.reconstruct()),
         make_check(

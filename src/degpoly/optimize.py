@@ -11,12 +11,17 @@ Breaking ties toward the dominating branch yields the edge-maximal
 optimum; breaking them the other way yields the edge-minimal one.
 
 The vertex route maximizes sum(c_i * d_i) over threshold partitions d.
-Pooling c to its decreasing projection b and taking the edge set
-{(i,j) : b_i + b_j >= 0} (strict > for the minimal variant) reads the
-optimizer straight off the projection.  A certificate makes the optimum
-checkable by hand: c equals its projection plus a nonnegative rational
-combination of the adjacent-difference vectors v_i = e_{i+1} - e_i,
-supported only where the optimal partition has d_i = d_{i+1}.
+The projection b of c onto the weakly decreasing vectors, computed by
+pool-adjacent-violators (:func:`degpoly.runs.pava_oracle`), gives the
+optimizer in time linear in n: one two-pointer sweep counts the partners
+j of each vertex with b_i + b_j >= 0 (strict > for the minimal variant;
+:func:`degpoly.threshold.threshold_degrees`).
+Iterated run averaging (:func:`degpoly.runs.pool`) and the explicit edge
+set (:func:`degpoly.threshold.graph_from_weights`) are the oracles the
+tests hold this route to.  A certificate makes the optimum checkable by
+hand: c equals its projection plus a nonnegative rational combination of
+the adjacent-difference vectors v_i = e_{i+1} - e_i, supported only
+where the optimal partition has d_i = d_{i+1}.
 
 Both routes come with brute-force oracles over the full enumeration so
 the test suite can pin them down exactly.
@@ -30,15 +35,14 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .core import Partition, Rational, RationalVector, as_rational_vector, is_weakly_decreasing
-from .runs import pool
+from .runs import pava_oracle
 from .threshold import (
     OrderIdeal,
     Pair,
-    degree_partition_of_ideal,
     enumerate_order_ideals,
     enumerate_threshold_partitions,
-    graph_from_weights,
     pair_poset,
+    threshold_degrees,
 )
 
 MODES = ("max", "min")
@@ -85,30 +89,35 @@ def max_weight_ideal(costs: PairCosts, mode: str = "max") -> OrderIdeal:
     ``mode="max"`` breaks ties toward the dominating branch and returns
     the edge-maximal maximizer, ``mode="min"`` the edge-minimal one.
     Row i only consults row i+1 and earlier entries of row i, so two
-    rows of state suffice.
+    rows of weights suffice; each cell keeps one back-pointer (did
+    vertex i dominate its window?) and the edge set is rebuilt once by
+    walking those pointers from the full window {1..n}.
     """
     _check_mode(mode)
     n = costs.n
-    # prev[j] = (edge set, weight) of the best ideal on the window {i+1..j}
-    prev: dict[int, tuple[frozenset[Pair], Fraction]] = {}
+    # prev[j] = weight of the best ideal on the window {i+1..j};
+    # take[i][j] = whether vertex i dominates the window {i..j} in its best ideal
+    prev: list[Fraction] = []
+    take: list[list[bool]] = [[]] * (n + 1)
     for i in range(n, 0, -1):
-        cur: dict[int, tuple[frozenset[Pair], Fraction]] = {i: (frozenset(), Fraction(0))}
+        cur = [Fraction(0)] * (n + 1)
+        row = take[i] = [False] * (n + 1)
         row_prefix = Fraction(0)
-        row_edges: list[Pair] = []
         for j in range(i + 1, n + 1):
             row_prefix += costs.costs[(i, j)]
-            row_edges.append((i, j))
-            below_edges, below_weight = prev[j]
-            dominating = row_prefix + below_weight
-            other_edges, other_weight = cur[j - 1]
-            take = dominating >= other_weight if mode == "max" else dominating > other_weight
-            if take:
-                cur[j] = (frozenset(row_edges) | below_edges, dominating)
-            else:
-                cur[j] = (other_edges, other_weight)
+            dominating = row_prefix + prev[j]
+            row[j] = dominating >= cur[j - 1] if mode == "max" else dominating > cur[j - 1]
+            cur[j] = dominating if row[j] else cur[j - 1]
         prev = cur
-    edges, _ = prev[n]
-    return OrderIdeal(n, edges)
+    edges: list[Pair] = []
+    i, j = 1, n
+    while i < j:
+        if take[i][j]:
+            edges.extend((i, k) for k in range(i + 1, j + 1))
+            i += 1
+        else:
+            j -= 1
+    return OrderIdeal(n, frozenset(edges))
 
 
 def brute_force_max_weight_ideals(costs: PairCosts) -> tuple[Fraction, tuple[frozenset[Pair], ...]]:
@@ -121,7 +130,8 @@ def brute_force_max_weight_ideals(costs: PairCosts) -> tuple[Fraction, tuple[fro
             best, argmax = w, [edges]
         elif w == best:
             argmax.append(edges)
-    assert best is not None
+    if best is None:
+        raise AssertionError("enumeration returned no candidates")
     return best, tuple(argmax)
 
 
@@ -140,9 +150,7 @@ def optimal_threshold_partition(c: Sequence[Rational], mode: str = "max") -> Par
     set, ``mode="min"`` the componentwise-minimal one.  Both maximize.
     """
     _check_mode(mode)
-    b = pool(c).vector
-    ideal = graph_from_weights(b, strict=(mode == "min"))
-    return degree_partition_of_ideal(ideal)
+    return threshold_degrees(pava_oracle(c), strict=(mode == "min"))
 
 
 def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, frozenset[Partition]]:
@@ -156,7 +164,8 @@ def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, froz
             best, argmax = v, [d]
         elif v == best:
             argmax.append(d)
-    assert best is not None
+    if best is None:
+        raise AssertionError("enumeration returned no candidates")
     return best, frozenset(argmax)
 
 
@@ -188,7 +197,7 @@ class Certificate:
 
 
 def optimality_certificate(c: Sequence[Rational]) -> Certificate:
-    """The certificate in closed form: b = pool(c), alpha = prefix sums of b - c.
+    """The certificate in closed form: b = pava_oracle(c), alpha = prefix sums of b - c.
 
     Entry k of sum alpha_i (e_{i+1} - e_i) is alpha_{k-1} - alpha_k, so
     c = b + that sum forces alpha_i = sum_{t <= i} (b_t - c_t).  These are
@@ -200,7 +209,7 @@ def optimality_certificate(c: Sequence[Rational]) -> Certificate:
     vec = as_rational_vector(c)
     if not vec:
         raise ValueError("cannot certify an empty vector")
-    base = pool(vec).vector
+    base = pava_oracle(vec)
     alpha = tuple(accumulate(b - ci for b, ci in zip(base[:-1], vec)))
     support = frozenset(i for i, a in enumerate(alpha, start=1) if a)
     return Certificate(base=base, coefficients=alpha, support=support)

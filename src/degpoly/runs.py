@@ -8,9 +8,11 @@ weakly decreasing vectors.  That projection is what turns a vertex cost
 vector into an optimizing threshold graph in :mod:`degpoly.optimize`.
 
 The same projection is classical isotonic (here antitonic) regression,
-so the module carries two independent implementations: ``pool`` iterates
-run averaging, ``pava_oracle`` merges adjacent violating blocks.  The
-test suite holds them bit-for-bit equal.
+so the module carries two independent implementations.  ``pava_oracle``
+merges adjacent violating blocks in one linear pass and is the route
+:mod:`degpoly.optimize` takes; ``pool`` iterates run averaging, the
+paper's operator, and serves as its oracle.  The test suite holds them
+bit-for-bit equal.
 """
 
 from __future__ import annotations
@@ -89,8 +91,11 @@ def pava_oracle(c: Sequence[Rational]) -> RationalVector:
     """Antitonic regression by pool-adjacent-violators.
 
     Scans left to right keeping a stack of (sum, size) blocks whose means
-    must stay weakly decreasing; a violation merges blocks.  Kept textually
-    independent of :func:`pool` so the two can cross-check each other.
+    must stay weakly decreasing; a violation merges blocks.  Each entry is
+    pushed once and merged at most once, so the pass is linear in n.  This
+    is the hot route of :mod:`degpoly.optimize` (the name predates that);
+    it is kept textually independent of :func:`pool`, its oracle, so the
+    two can cross-check each other.
     """
     if not c:
         raise ValueError("cannot project an empty vector")

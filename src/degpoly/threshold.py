@@ -136,7 +136,8 @@ def ideal_from_partition(d: Sequence[int]) -> OrderIdeal:
     cur = list(d)
     while cur:
         # for two or more vertices the branches cannot both apply
-        assert len(cur) == 1 or not (cur[-1] == 0 and cur[0] == len(cur) - 1)
+        if len(cur) > 1 and cur[-1] == 0 and cur[0] == len(cur) - 1:
+            raise AssertionError(f"vertex both isolated and dominating in {tuple(cur)!r}")
         if cur[-1] == 0:
             vertices.pop()
             cur.pop()
@@ -190,7 +191,8 @@ def tp_join(d: Sequence[int], e: Sequence[int]) -> Partition:
     if len(a) != len(b):
         raise ValueError("join needs partitions of the same length")
     out = tuple(max(x, y) for x, y in zip(a, b))
-    assert is_threshold_partition(out)
+    if not is_threshold_partition(out):
+        raise AssertionError(f"join of {a!r} and {b!r} is not a threshold partition: {out!r}")
     return out
 
 
@@ -200,7 +202,8 @@ def tp_meet(d: Sequence[int], e: Sequence[int]) -> Partition:
     if len(a) != len(b):
         raise ValueError("meet needs partitions of the same length")
     out = tuple(min(x, y) for x, y in zip(a, b))
-    assert is_threshold_partition(out)
+    if not is_threshold_partition(out):
+        raise AssertionError(f"meet of {a!r} and {b!r} is not a threshold partition: {out!r}")
     return out
 
 
@@ -223,6 +226,30 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> OrderIdea
         edges = {(i, j) for i, j in pair_poset(n) if vec[i - 1] + vec[j - 1] >= 0}
     # decreasing weights make the pair-sum condition downward closed
     return OrderIdeal(n, frozenset(edges))
+
+
+def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
+    """The degrees of :func:`graph_from_weights`, without building its edges.
+
+    ``b`` weakly decreases, so the partners j of vertex i (b_i + b_j >= 0,
+    or > 0 when ``strict``) form a prefix 1..hi of [n], and hi only
+    shrinks as i grows: one two-pointer sweep counts every d_i, and the
+    nested prefixes are the downward closure of the edge set.
+    """
+    vec = as_rational_vector(b)
+    if not vec:
+        raise ValueError("need at least one weight")
+    if not is_weakly_decreasing(vec):
+        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
+    deg = []
+    hi = len(vec)
+    for i, bi in enumerate(vec, start=1):
+        while hi and (bi + vec[hi - 1] <= 0 if strict else bi + vec[hi - 1] < 0):
+            hi -= 1
+        deg.append(hi - 1 if i <= hi else hi)
+    if not is_weakly_decreasing(deg):
+        raise AssertionError(f"threshold degrees must weakly decrease, got {tuple(deg)!r}")
+    return tuple(deg)
 
 
 def proper_threshold_oracle(n: int, edges: Iterable[Sequence[int]]) -> bool:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from degpoly import optimize
 from degpoly.cli import jsonify, main, make_check, parse_costs
 from degpoly.hypergraph import parse_hypergraph
 from degpoly.sampling import DEFAULT_SEED
@@ -45,6 +46,24 @@ def test_optimize_min_mode(capsys):
     assert report["result"]["partition"] == [0, 0]
     code, report, _ = run(capsys, "optimize", "--costs", "1,-1", "--mode", "max", "--oracle")
     assert report["result"]["partition"] == [1, 1]
+
+
+def test_optimize_projects_once_per_op(capsys, monkeypatch):
+    # the certificate's base is the projection the partition is read from
+    calls = []
+    real = optimize.pava_oracle
+
+    def counted(c):
+        calls.append(len(c))
+        return real(c)
+
+    monkeypatch.setattr(optimize, "pava_oracle", counted)
+    for mode in ("max", "min"):
+        for extra in ((), ("--oracle",)):
+            calls.clear()
+            code, report, _ = run(capsys, "optimize", "--costs", "3,-1/2,2,0,-4,5/3", "--mode", mode, *extra)
+            assert code == 0
+            assert calls == [6], (mode, extra)
 
 
 def test_optimize_fractional_costs(capsys):

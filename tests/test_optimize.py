@@ -122,6 +122,21 @@ def test_optimal_threshold_partition_against_brute_force_seeded():
         assert optimal_threshold_partition(c, "min") == reduce(tp_meet, sorted(argmax))
 
 
+def test_optimal_threshold_partition_scales_to_20000_vertices():
+    n = 20_000
+    # costs 1, -1, 1, -1, ... project to b = (1, 0, ..., 0, -1)
+    alternating = as_rational_vector((1, -1) * (n // 2))
+    assert optimal_threshold_partition(alternating, "max") == (n - 1,) + (n - 2,) * (n - 2) + (1,)
+    assert optimal_threshold_partition(alternating, "min") == (n - 2,) + (1,) * (n - 2) + (0,)
+    c = random_rational_vector(make_rng(18), n)
+    d_max, d_min = optimal_threshold_partition(c, "max"), optimal_threshold_partition(c, "min")
+    assert is_weakly_decreasing(d_max) and is_weakly_decreasing(d_min)
+    assert all(hi >= lo for hi, lo in zip(d_max, d_min))
+    assert objective_value(c, d_max) == objective_value(c, d_min)
+    cert = optimality_certificate(c)
+    assert all(d_max[i - 1] == d_max[i] and d_min[i - 1] == d_min[i] for i in cert.support)
+
+
 def test_ascending_costs_force_plateaus():
     # wherever c_i <= c_{i+1}, every reported optimizer has d_i = d_{i+1}
     rng = make_rng(14)

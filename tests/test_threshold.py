@@ -1,9 +1,15 @@
 """Threshold partitions, the pair poset, and its order ideals."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from degpoly.threshold import (
     OrderIdeal,
@@ -17,6 +23,7 @@ from degpoly.threshold import (
     pair_lower_covers,
     pair_poset,
     proper_threshold_oracle,
+    threshold_degrees,
     tp_join,
     tp_meet,
 )
@@ -166,6 +173,54 @@ def test_graph_from_weights():
     assert graph_from_weights((F(1), F(-1)), strict=True).edges == frozenset()
     with pytest.raises(ValueError):
         graph_from_weights((F(0), F(1)))
+
+
+# few distinct values, symmetric about 0: ties and zero pair sums are common
+tie_heavy_weights = st.lists(
+    st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.sampled_from((F(-3, 2), F(-1, 2), F(1, 2), F(3, 2))),
+    ),
+    min_size=1,
+    max_size=20,
+).map(lambda values: sorted(values, reverse=True))
+
+
+@given(tie_heavy_weights, st.booleans())
+def test_threshold_degrees_match_graph_from_weights(b, strict):
+    assert threshold_degrees(b, strict) == degree_partition_of_ideal(graph_from_weights(b, strict))
+
+
+def test_threshold_degrees():
+    assert threshold_degrees((F(1), F(0), F(0), F(-1))) == (3, 2, 2, 1)
+    assert threshold_degrees((F(1), F(0), F(0), F(-1)), strict=True) == (2, 1, 1, 0)
+    assert threshold_degrees((0,)) == (0,)
+    with pytest.raises(ValueError):
+        threshold_degrees((F(0), F(1)))
+    with pytest.raises(ValueError):
+        threshold_degrees((1, -1, 0), strict=True)
+    with pytest.raises(ValueError):
+        threshold_degrees(())
+
+
+def test_lattice_check_raises_under_python_O():
+    # with the output check stubbed to fail, tp_join must raise, not an assert that -O strips
+    script = (
+        "import sys\n"
+        "from degpoly import threshold\n"
+        "real = threshold.is_threshold_partition\n"
+        "threshold.is_threshold_partition = lambda d: real(d) and tuple(d) != (3, 2, 2, 1)\n"
+        "try:\n"
+        "    threshold.tp_join((2, 2, 2, 0), (3, 1, 1, 1))\n"
+        "except AssertionError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["raised", "1"]
 
 
 def test_proper_threshold_oracle_agrees_exhaustively():
