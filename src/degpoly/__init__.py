@@ -67,13 +67,11 @@ from .polytope import (
     fhm_inequality,
     in_fhm_polytope,
     in_koren_polytope,
-    interval_step_vector,
     irredundancy_witness,
     is_degree_partition,
     is_degree_sequence,
     koren_oracle,
     monotone_inequality,
-    pair_step_vector,
 )
 from .runs import (
     PoolResult,

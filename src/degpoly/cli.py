@@ -159,6 +159,11 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+def _edge_count_formula(n: int) -> int:
+    """The paper's closed form for the edge count of the polytope, n >= 3."""
+    return 2 ** (n - 2) * (2 * n - 3)
+
+
 def _suite_counts(n: int, seed: int, samples: int) -> SuiteReport:
     checks = [
         make_check(
@@ -169,8 +174,8 @@ def _suite_counts(n: int, seed: int, samples: int) -> SuiteReport:
         ),
         make_check(
             "edge-count",
-            count_edges(n, method="formula"),
-            count_edges(n, method="enumerate"),
+            _edge_count_formula(n),
+            count_edges(n),
             formula="2^(n-2)*(2n-3)",
         ),
     ]
@@ -232,8 +237,8 @@ def _suite_edges(n: int, seed: int, samples: int) -> SuiteReport:
     checks = [
         make_check(
             "edge-count",
-            count_edges(n, method="formula"),
-            count_edges(n, method="enumerate"),
+            _edge_count_formula(n),
+            count_edges(n),
             formula="2^(n-2)*(2n-3)",
         )
     ]
@@ -241,8 +246,8 @@ def _suite_edges(n: int, seed: int, samples: int) -> SuiteReport:
         checks.append(
             make_check(
                 "edge-recurrence",
-                count_edges(n, method="formula"),
-                2 * count_edges(n - 1, method="formula") + 2 ** (n - 1),
+                _edge_count_formula(n),
+                2 * _edge_count_formula(n - 1) + 2 ** (n - 1),
                 formula="E(n) = 2 E(n-1) + 2^(n-1)",
             )
         )

@@ -21,10 +21,12 @@ enumeration of disjoint S, T for the unordered version.
 
 This module keeps every test exact; integer input is decided in
 integers.  It knows the irredundant facet list for n >= 4, decides
-vertex adjacency by difference patterns, counts edges in closed form
-and by enumeration, and spot-checks the n = 3 volume: the polytope is a
-tetrahedron of volume 1/3, and the unordered region in [0,2]^3 has
-volume 2, estimated by Monte Carlo with exact membership per sample.
+vertex adjacency from the block shape of the difference of two
+threshold partitions (recognized by the one peel of
+:mod:`degpoly.threshold`), counts edges by testing every vertex pair,
+and spot-checks the n = 3 volume: the polytope is a tetrahedron of
+volume 1/3, and the unordered region in [0,2]^3 has volume 2,
+estimated by Monte Carlo with exact membership per sample.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -268,51 +270,14 @@ def facet_inequalities(n: int) -> tuple[FacetInequality, ...]:
     return tuple(facets)
 
 
-def interval_step_vector(n: int, interval: tuple[int, int]) -> tuple[int, ...]:
-    """Size-1 on an interval of at least two indices, zero elsewhere.
-
-    These vectors, together with :func:`pair_step_vector`, are exactly
-    the possible coordinate differences across an edge of the polytope.
-    """
-    lo, hi = interval
-    if not 1 <= lo < hi <= n:
-        raise ValueError(f"need an interval 1 <= lo < hi <= {n}, got {interval!r}")
-    size = hi - lo + 1
-    return tuple(size - 1 if lo <= t <= hi else 0 for t in range(1, n + 1))
-
-
-def pair_step_vector(n: int, left: tuple[int, int], right: tuple[int, int]) -> tuple[int, ...]:
-    """|right| on the left interval and |left| on the right one."""
-    a, b = left
-    c, d = right
-    if not (1 <= a <= b and b < c and c <= d <= n):
-        raise ValueError(f"need 1 <= {left!r} < {right!r} <= {n} as disjoint intervals")
-    p, q = b - a + 1, d - c + 1
-    out = [0] * n
-    for t in range(a, b + 1):
-        out[t - 1] = q
-    for t in range(c, d + 1):
-        out[t - 1] = p
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _step_patterns(n: int) -> frozenset[tuple[int, ...]]:
-    """Every interval or interval-pair step vector on [n]."""
-    intervals = [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
-    patterns = {interval_step_vector(n, iv) for iv in intervals if iv[0] < iv[1]}
-    for left in intervals:
-        for right in intervals:
-            if left[1] < right[0]:
-                patterns.add(pair_step_vector(n, left, right))
-    return frozenset(patterns)
-
-
 def are_adjacent(d: Sequence[int], e: Sequence[int]) -> bool:
     """Do two distinct threshold partitions span an edge of the polytope?
 
     They do exactly when one dominates the other componentwise and the
-    difference matches a step pattern.
+    nonzero part of the difference, read as maximal blocks of one value
+    on consecutive positions, is either one block of length L and value
+    v with v = L - 1 or 2v = L, or two blocks whose values are each the
+    other block's length.
     """
     n = len(d)
     if len(e) != n or n < 3:
@@ -324,27 +289,30 @@ def are_adjacent(d: Sequence[int], e: Sequence[int]) -> bool:
         raise ValueError("adjacency needs two distinct partitions")
     if not (all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b))):
         return False
-    diff = tuple(abs(x - y) for x, y in zip(a, b))
-    return diff in _step_patterns(n)
+    # (value, length) of each block
+    blocks = [(v, len(list(run))) for v, run in groupby(abs(x - y) for x, y in zip(a, b)) if v]
+    if len(blocks) == 1:
+        ((v, length),) = blocks
+        return v == length - 1 or 2 * v == length
+    if len(blocks) == 2:
+        (v, p), (w, q) = blocks
+        return v == q and w == p
+    return False
 
 
-def count_edges(n: int, method: str = "formula") -> int:
-    """Edge count of the polytope: 2^(n-2) (2n - 3) for n >= 3."""
+def count_edges(n: int) -> int:
+    """Edge count of the polytope, by testing every pair of vertices (3 <= n <= 12)."""
     if n < 3:
         raise ValueError(f"the edge count needs n >= 3, got n={n}")
-    if method == "formula":
-        return 2 ** (n - 2) * (2 * n - 3)
-    if method == "enumerate":
-        if n > 12:
-            raise ValueError(f"edge enumeration is capped at n <= 12, got n={n}")
-        tps = enumerate_threshold_partitions(n)
-        return sum(
-            1
-            for s in range(len(tps))
-            for t in range(s + 1, len(tps))
-            if are_adjacent(tps[s], tps[t])
-        )
-    raise ValueError(f"unknown method {method!r}")
+    if n > 12:
+        raise ValueError(f"edge enumeration is capped at n <= 12, got n={n}")
+    tps = enumerate_threshold_partitions(n)
+    return sum(
+        1
+        for s in range(len(tps))
+        for t in range(s + 1, len(tps))
+        if are_adjacent(tps[s], tps[t])
+    )
 
 
 def dominating_count(d: Sequence[int]) -> int:

@@ -9,23 +9,27 @@ the degree-partition polytope handled in :mod:`degpoly.polytope`.
 
 There are exactly 2^(n-1) such graphs on [n]: vertex n is isolated or
 vertex 1 dominates, and either choice reduces to the same structure on
-n-1 vertices.  Componentwise max and min of their degree vectors stay
-threshold partitions, so they form a lattice; the degree map is a
-bijection from ideals to partitions, and both enumerations below walk
-the recursion in the same branch order (isolated branch first) so that
-corresponding positions match.
+n-1 vertices (Chvatal and Hammer, 1977).  Componentwise max and min of
+their degree vectors stay threshold partitions, so they form a lattice.
+
+The recursion is written out twice: forwards in
+:func:`enumerate_threshold_partitions`, which builds every partition,
+and backwards in one O(n) peel that decodes a given partition into its
+dominating steps.  Recognition, :func:`ideal_from_partition` and
+:func:`enumerate_order_ideals` all read that one decode, so the degree
+map is a bijection from ideals to partitions by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    IntSequence,
     Partition,
     Rational,
     as_rational_vector,
+    is_partition,
     is_weakly_decreasing,
 )
 
@@ -100,53 +104,59 @@ def degree_partition_of_ideal(ideal: OrderIdeal) -> Partition:
     return tuple(deg)
 
 
+def _peel(d: Sequence[int]) -> list[tuple[int, int]] | None:
+    """The dominating steps of the threshold recursion on a partition ``d``.
+
+    The part still to peel is d[lo..hi] (0-based, inclusive) minus
+    ``offset``, the number of dominating vertices removed so far.  Its last
+    vertex is isolated when d[hi] == offset; otherwise its first
+    dominates when d[lo] - offset == hi - lo, and the step (lo, hi)
+    records that vertex lo+1 is adjacent to lo+2..hi+1.  Returns None
+    when neither applies.  Isolated is tested first, so the values left
+    never go negative.
+    """
+    steps = []
+    lo, hi, offset = 0, len(d) - 1, 0
+    while lo <= hi:
+        if d[hi] == offset:
+            hi -= 1
+        elif d[lo] - offset == hi - lo:
+            steps.append((lo, hi))
+            lo += 1
+            offset += 1
+        else:
+            return None
+    return steps
+
+
+def _step_edges(steps: list[tuple[int, int]]) -> frozenset[Pair]:
+    return frozenset((lo + 1, v) for lo, hi in steps for v in range(lo + 2, hi + 2))
+
+
 def is_threshold_partition(d: Sequence[int]) -> bool:
     """Is ``d`` the degree sequence of a proper threshold graph on len(d) vertices?
 
-    Peels the defining recursion: the last vertex is isolated (d_n = 0)
-    or the first dominates (d_1 = n-1), and the remainder must again be
-    a threshold partition.
+    A partition (see :func:`degpoly.core.is_partition`) whose peel
+    empties it: the last vertex is isolated (d_n = 0) or the first
+    dominates (d_1 = n-1), and the rest must again be a threshold
+    partition.  O(n).
     """
-    if len(d) == 0 or not all(isinstance(v, int) and not isinstance(v, bool) for v in d):
-        return False
-    if not is_weakly_decreasing(d) or d[-1] < 0:
-        return False
-    cur = tuple(d)
-    while cur:
-        if cur[-1] == 0:
-            cur = cur[:-1]
-        elif cur[0] == len(cur) - 1:
-            cur = tuple(v - 1 for v in cur[1:])
-        else:
-            return False
-    return True
+    return is_partition(d) and _peel(d) is not None
 
 
 def ideal_from_partition(d: Sequence[int]) -> OrderIdeal:
     """The unique order ideal whose degree sequence is ``d``.
 
-    Runs the same recursion as :func:`is_threshold_partition` but records
-    the edges of each dominating step.  Raises for non-threshold input.
+    Its edges are the dominating steps of the peel.  Raises
+    ``ValueError`` for non-threshold input.
     """
-    if not is_threshold_partition(d):
+    steps = _peel(d) if is_partition(d) else None
+    if steps is None:
         raise ValueError(f"not a threshold partition: {d!r}")
-    n = len(d)
-    edges: set[Pair] = set()
-    vertices = list(range(1, n + 1))
-    cur = list(d)
-    while cur:
-        # for two or more vertices the branches cannot both apply
-        if len(cur) > 1 and cur[-1] == 0 and cur[0] == len(cur) - 1:
-            raise AssertionError(f"vertex both isolated and dominating in {tuple(cur)!r}")
-        if cur[-1] == 0:
-            vertices.pop()
-            cur.pop()
-        else:
-            head = vertices[0]
-            edges.update((head, v) for v in vertices[1:])
-            vertices = vertices[1:]
-            cur = [v - 1 for v in cur[1:]]
-    return OrderIdeal(n, frozenset(edges))
+    ideal = OrderIdeal(len(d), _step_edges(steps))
+    if degree_partition_of_ideal(ideal) != tuple(d):
+        raise AssertionError(f"the ideal rebuilt from {tuple(d)!r} has other degrees")
+    return ideal
 
 
 def enumerate_threshold_partitions(n: int, bound: int = ENUMERATION_BOUND) -> tuple[Partition, ...]:
@@ -164,47 +174,39 @@ def enumerate_threshold_partitions(n: int, bound: int = ENUMERATION_BOUND) -> tu
 
 
 def enumerate_order_ideals(n: int, bound: int = IDEAL_ENUMERATION_BOUND) -> tuple[frozenset[Pair], ...]:
-    """All order ideals of the pair poset, same branch order as partitions.
+    """All order ideals of the pair poset, as edge sets.
 
     Position k here is the ideal of the k-th partition from
-    :func:`enumerate_threshold_partitions`.
+    :func:`enumerate_threshold_partitions`, read from its peel.
     """
     if not 1 <= n <= bound:
         raise ValueError(f"n={n} outside the ideal enumeration bound 1..{bound}")
-    ideals: list[frozenset[Pair]] = [frozenset()]
-    for m in range(2, n + 1):
-        star = frozenset((1, j) for j in range(2, m + 1))
-        shifted = [frozenset((i + 1, j + 1) for i, j in ideal) for ideal in ideals]
-        ideals = list(ideals) + [star | ideal for ideal in shifted]
-    return tuple(ideals)
+    return tuple(_step_edges(_peel(d)) for d in enumerate_threshold_partitions(n))
 
 
-def _check_tp(d: Sequence[int], what: str) -> Partition:
-    if not is_threshold_partition(d):
-        raise ValueError(f"{what} must be a threshold partition, got {tuple(d)!r}")
-    return tuple(d)
+def _lattice_op(
+    d: Sequence[int], e: Sequence[int], pick: Callable[[int, int], int], word: str
+) -> Partition:
+    for arg in (d, e):
+        if not is_threshold_partition(arg):
+            raise ValueError(f"{word} argument must be a threshold partition, got {tuple(arg)!r}")
+    if len(d) != len(e):
+        raise ValueError(f"{word} needs partitions of the same length")
+    a, b = tuple(d), tuple(e)
+    out = tuple(map(pick, a, b))
+    if not is_threshold_partition(out):
+        raise AssertionError(f"{word} of {a!r} and {b!r} is not a threshold partition: {out!r}")
+    return out
 
 
 def tp_join(d: Sequence[int], e: Sequence[int]) -> Partition:
     """Componentwise max of two threshold partitions (their lattice join)."""
-    a, b = _check_tp(d, "join argument"), _check_tp(e, "join argument")
-    if len(a) != len(b):
-        raise ValueError("join needs partitions of the same length")
-    out = tuple(max(x, y) for x, y in zip(a, b))
-    if not is_threshold_partition(out):
-        raise AssertionError(f"join of {a!r} and {b!r} is not a threshold partition: {out!r}")
-    return out
+    return _lattice_op(d, e, max, "join")
 
 
 def tp_meet(d: Sequence[int], e: Sequence[int]) -> Partition:
     """Componentwise min of two threshold partitions (their lattice meet)."""
-    a, b = _check_tp(d, "meet argument"), _check_tp(e, "meet argument")
-    if len(a) != len(b):
-        raise ValueError("meet needs partitions of the same length")
-    out = tuple(min(x, y) for x, y in zip(a, b))
-    if not is_threshold_partition(out):
-        raise AssertionError(f"meet of {a!r} and {b!r} is not a threshold partition: {out!r}")
-    return out
+    return _lattice_op(d, e, min, "meet")
 
 
 def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> OrderIdeal:

@@ -172,13 +172,11 @@ def test_criterion_05_averaging_operator(criterion):
 def test_criterion_06_edge_counts(criterion):
     with criterion(6, "edge counts 6, 20, 56, 144 for n = 3..6", time_limit=60.0):
         for n, expected in ((3, 6), (4, 20), (5, 56), (6, 144)):
-            enumerated = count_edges(n, method="enumerate")
+            enumerated = count_edges(n)
             assert enumerated == expected
             assert enumerated == 2 ** (n - 2) * (2 * n - 3)
             if n >= 4:
-                assert enumerated == 2 * count_edges(n - 1, method="formula") + 2 ** (
-                    n - 1
-                )
+                assert enumerated == 2 * count_edges(n - 1) + 2 ** (n - 1)
 
 
 def test_criterion_07_facets(criterion):
@@ -207,8 +205,8 @@ def test_criterion_08_dominating_sum_identity(criterion):
 
 
 def test_criterion_09_adjacency_oracle_agreement(criterion):
-    with criterion(9, "step-pattern adjacency = tight-facet face oracle, n = 4, 5"):
-        for n in (4, 5):
+    with criterion(9, "block-shape adjacency = tight-facet face oracle, n = 4..6"):
+        for n in (4, 5, 6):
             vertices = enumerate_threshold_partitions(n)
             facets = facet_inequalities(n)
             for d, e in combinations(vertices, 2):

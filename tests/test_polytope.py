@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -34,13 +33,11 @@ from degpoly.polytope import (
     fhm_violations,
     in_fhm_polytope,
     in_koren_polytope,
-    interval_step_vector,
     irredundancy_witness,
     is_degree_partition,
     is_degree_sequence,
     koren_oracle,
     monotone_inequality,
-    pair_step_vector,
 )
 from degpoly.sampling import DEFAULT_SEED, make_rng, random_rational_vector
 from degpoly.threshold import enumerate_threshold_partitions, ideal_from_partition
@@ -262,15 +259,23 @@ def test_facets_valid_and_irredundant():
                     assert other.satisfied(witness)
 
 
-def test_interval_and_pair_step_vectors():
-    assert interval_step_vector(3, (1, 3)) == (2, 2, 2)
-    assert interval_step_vector(4, (2, 3)) == (0, 1, 1, 0)
-    assert pair_step_vector(4, (2, 3), (4, 4)) == (0, 1, 1, 2)
-    assert pair_step_vector(5, (1, 1), (3, 5)) == (3, 0, 1, 1, 1)
-    with pytest.raises(ValueError):
-        interval_step_vector(3, (2, 2))  # singleton interval
-    with pytest.raises(ValueError):
-        pair_step_vector(4, (2, 3), (3, 4))  # overlapping blocks
+def test_are_adjacent_block_shapes():
+    # difference (2, 2, 2): one block, v = L - 1
+    assert are_adjacent((0, 0, 0), (2, 2, 2))
+    # (1, 1, 1, 1): one block with neither v = L - 1 nor 2v = L
+    assert not are_adjacent((2, 1, 1, 0), (3, 2, 2, 1))
+    # (2, 0, 1, 1): two separated blocks, each value the other's length
+    assert are_adjacent((1, 1, 0, 0), (3, 1, 1, 1))
+    # (1, 1, 0, 1, 1): two separated blocks of length 2 and value 1
+    assert not are_adjacent((3, 2, 2, 1, 0), (4, 3, 2, 2, 1))
+    # (1, 1, 2): two touching blocks, p = 2 != q = 1
+    assert are_adjacent((2, 2, 2), (1, 1, 0))
+    # (3, 3, 2, 2): two touching blocks of length 2
+    assert not are_adjacent((0, 0, 0, 0), (3, 3, 2, 2))
+    # (2, 2, 2, 2): two touching blocks with p = q = 2 merge into one, 2v = L
+    assert are_adjacent((1, 1, 0, 0), (3, 3, 2, 2))
+    # (3, 2, 2, 1): three blocks
+    assert not are_adjacent((0, 0, 0, 0), (3, 2, 2, 1))
 
 
 def test_are_adjacent_frozen_cases():
@@ -288,11 +293,13 @@ def test_are_adjacent_frozen_cases():
 def test_count_edges_formula_and_enumeration():
     assert [count_edges(n) for n in (3, 4, 5, 6)] == [6, 20, 56, 144]
     for n in range(3, 9):
-        formula = count_edges(n, method="formula")
-        assert formula == 2 ** (n - 2) * (2 * n - 3)
-        assert count_edges(n, method="enumerate") == formula
+        formula = 2 ** (n - 2) * (2 * n - 3)
+        assert count_edges(n) == formula
         if n >= 4:
             assert formula == 2 * count_edges(n - 1) + 2 ** (n - 1)
+    for n in (2, 13):
+        with pytest.raises(ValueError):
+            count_edges(n)
 
 
 def test_dominating_count_and_identity():
@@ -338,18 +345,6 @@ def test_face_vertices():
         {(0, 0, 0, 0), (3, 3, 3, 3)}
     )
     assert face_vertices(4, ()) == enumerate_threshold_partitions(4)
-
-
-def test_adjacency_matches_shared_facet_faces():
-    # two vertices are adjacent exactly when the facets tight at both
-    # cut out a face containing nothing else
-    for n in (4, 5):
-        vertices = enumerate_threshold_partitions(n)
-        facets = facet_inequalities(n)
-        for d, e in combinations(vertices, 2):
-            shared = [f for f in facets if f.tight(d) and f.tight(e)]
-            geometric = frozenset(face_vertices(n, shared)) == frozenset({d, e})
-            assert are_adjacent(d, e) == geometric
 
 
 def test_enumerate_degree_partitions():

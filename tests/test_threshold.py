@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from degpoly.core import bounded_partitions
 from degpoly.threshold import (
     OrderIdeal,
     degree_partition_of_ideal,
@@ -90,10 +91,19 @@ def test_is_threshold_partition_frozen_cases():
     assert is_threshold_partition((0,))
 
 
+def test_is_threshold_partition_exhaustive():
+    for n in range(1, 9):
+        tps = set(enumerate_threshold_partitions(n))
+        for d in bounded_partitions(n, n * (n - 1), max_entry=n - 1):
+            assert is_threshold_partition(d) == (d in tps)
+    for d in ((True,), (True, False), (1, 1, -1), (0, -1), (0, 1), (1, 2, 0), (), [], (1.0, 1.0)):
+        assert not is_threshold_partition(d)
+
+
 def test_ideal_from_partition_roundtrip():
     ideal = ideal_from_partition((3, 2, 2, 1))
     assert ideal.edges == frozenset({(1, 2), (1, 3), (1, 4), (2, 3)})
-    for n in (1, 2, 3, 4, 5, 6):
+    for n in range(1, 9):
         for d in enumerate_threshold_partitions(n):
             assert degree_partition_of_ideal(ideal_from_partition(d)) == d
     with pytest.raises(ValueError):
@@ -127,7 +137,7 @@ def test_enumerate_order_ideals_matches_partitions():
         ideals = enumerate_order_ideals(n)
         tps = enumerate_threshold_partitions(n)
         assert len(ideals) == len(tps)
-        # the two enumerations walk the same recursion, position by position
+        # each ideal is read from the peel of the partition at its position
         for edges, d in zip(ideals, tps):
             assert degree_partition_of_ideal(OrderIdeal(n, edges)) == d
 
@@ -212,6 +222,25 @@ def test_lattice_check_raises_under_python_O():
         "threshold.is_threshold_partition = lambda d: real(d) and tuple(d) != (3, 2, 2, 1)\n"
         "try:\n"
         "    threshold.tp_join((2, 2, 2, 0), (3, 1, 1, 1))\n"
+        "except AssertionError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["raised", "1"]
+
+
+def test_ideal_degree_check_raises_under_python_O():
+    # with the rebuilt ideal's degrees stubbed to disagree, the invariant must survive -O
+    script = (
+        "import sys\n"
+        "from degpoly import threshold\n"
+        "threshold.degree_partition_of_ideal = lambda ideal: ()\n"
+        "try:\n"
+        "    threshold.ideal_from_partition((3, 2, 2, 1))\n"
         "except AssertionError:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
