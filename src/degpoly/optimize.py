@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .core import Partition, Rational, RationalVector, as_rational_vector, is_weakly_decreasing
@@ -154,19 +156,26 @@ def optimal_threshold_partition(c: Sequence[Rational], mode: str = "max") -> Par
 
 
 def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, frozenset[Partition]]:
-    """(best value, the full argmax set) over all threshold partitions."""
+    """(best value, the full argmax set) over all threshold partitions.
+
+    The costs are scaled once to integer numerators over their common
+    denominator D, so every vertex is scored by an integer dot product;
+    the best value is that integer over D.
+    """
     vec = as_rational_vector(c)
-    best: Fraction | None = None
+    scale = lcm(*(v.denominator for v in vec))
+    numerators = tuple(v.numerator * (scale // v.denominator) for v in vec)
+    best: int | None = None
     argmax: list[Partition] = []
     for d in enumerate_threshold_partitions(len(vec)):
-        v = objective_value(vec, d)
+        v = sum(map(mul, numerators, d))
         if best is None or v > best:
             best, argmax = v, [d]
         elif v == best:
             argmax.append(d)
     if best is None:
         raise AssertionError("enumeration returned no candidates")
-    return best, frozenset(argmax)
+    return Fraction(best, scale), frozenset(argmax)
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,17 @@ violated prefix-suffix inequality.  :func:`fhm_violations` keeps the
 full O(n^2) scan as the oracle, and :func:`koren_oracle` the 3^n
 enumeration of disjoint S, T for the unordered version.
 
-This module keeps every test exact; integer input is decided in
-integers.  It knows the irredundant facet list for n >= 4, decides
-vertex adjacency from the block shape of the difference of two
-threshold partitions (recognized by the one peel of
-:mod:`degpoly.threshold`), counts edges by testing every vertex pair,
-and spot-checks the n = 3 volume: the polytope is a tetrahedron of
-volume 1/3, and the unordered region in [0,2]^3 has volume 2,
-estimated by Monte Carlo with exact membership per sample.
+This module keeps every test exact and makes it in integers where it
+can: integer input is decided in integers, rational input is cleared
+to one common denominator and then decided in integers too, and a
+constraint evaluated at an integer point stays an integer.  It knows
+the irredundant facet list for n >= 4, decides vertex adjacency from
+the block shape of the difference of two threshold partitions
+(recognized by the one peel of :mod:`degpoly.threshold`), counts edges
+by validating each enumerated vertex once and then testing every
+vertex pair, and spot-checks the n = 3 volume: the polytope is a
+tetrahedron of volume 1/3, and the unordered region in [0,2]^3 has
+volume 2, estimated by Monte Carlo with exact membership per sample.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -70,8 +74,9 @@ class FacetInequality:
     k: int | None = None
     l: int | None = None
 
-    def value(self, x: Sequence[Rational]) -> Fraction:
-        return sum((Fraction(c) * v for c, v in zip(self.coefficients, x)), Fraction(0))
+    def value(self, x: Sequence[Rational]) -> Rational:
+        """a . x over the nonzero coefficients: an ``int`` on integer x, exact either way."""
+        return sum(c * v for c, v in zip(self.coefficients, x) if c)
 
     def satisfied(self, x: Sequence[Rational]) -> bool:
         return self.value(x) <= self.rhs
@@ -131,11 +136,19 @@ def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
     shrinks after that, so for each k the best l is the number of
     entries below k, capped at n - k.  That count only grows with k,
     so one pointer from the back of x finds the best l for every k
-    (Erdos and Gallai, 1960).  Integer input is decided in integers,
-    rational input in Fractions.  See :class:`FhmMembership` for what
+    (Erdos and Gallai, 1960).  The sweep runs in integers: integer
+    input as it is, rational input after clearing one common
+    denominator D, with every bound scaled by D.  A positive D keeps
+    each excess's sign and their order, so the verdict and the witness
+    are those of x itself.  See :class:`FhmMembership` for what
     ``violations`` holds.
     """
-    vec = tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x)
+    vec = tuple(x)
+    scale = 1
+    if not all(type(v) is int for v in vec):
+        vec = tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vec)
+        scale = lcm(*(v.denominator for v in vec))
+        vec = tuple(v.numerator * (scale // v.denominator) for v in vec)
     n = len(vec)
     if n < 1:
         raise ValueError("membership needs a nonempty vector")
@@ -153,10 +166,11 @@ def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
     for k in range(n + 1):
         if k:
             pre += vec[k - 1]
-        while below < n and vec[n - 1 - below] < k:
+        bound = k * scale
+        while below < n and vec[n - 1 - below] < bound:
             below += 1
         l = min(below, n - k)
-        excess = pre - suf[l] - k * (n - 1 - l)
+        excess = pre - suf[l] - bound * (n - 1 - l)
         if excess > best:
             best, best_k, best_l = excess, k, l
     if best > 0:
@@ -287,10 +301,16 @@ def are_adjacent(d: Sequence[int], e: Sequence[int]) -> bool:
         raise ValueError("adjacency is defined between threshold partitions")
     if a == b:
         raise ValueError("adjacency needs two distinct partitions")
-    if not (all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b))):
+    return _adjacent(a, b)
+
+
+def _adjacent(a: Partition, b: Partition) -> bool:
+    """The rule of :func:`are_adjacent` on two distinct threshold partitions, unchecked."""
+    diff = [x - y for x, y in zip(a, b)]
+    if min(diff) < 0 < max(diff):
         return False
     # (value, length) of each block
-    blocks = [(v, len(list(run))) for v, run in groupby(abs(x - y) for x, y in zip(a, b)) if v]
+    blocks = [(v, len(list(run))) for v, run in groupby(map(abs, diff)) if v]
     if len(blocks) == 1:
         ((v, length),) = blocks
         return v == length - 1 or 2 * v == length
@@ -301,17 +321,26 @@ def are_adjacent(d: Sequence[int], e: Sequence[int]) -> bool:
 
 
 def count_edges(n: int) -> int:
-    """Edge count of the polytope, by testing every pair of vertices (3 <= n <= 12)."""
+    """Edge count of the polytope, by testing every pair of vertices (3 <= n <= 12).
+
+    Each enumerated vertex is validated once, before the pair loop, so
+    the loop tests adjacency without re-checking its arguments; a
+    repeated vertex, or one that is not a threshold partition on [n],
+    raises ``AssertionError``, also under ``python -O``.
+    """
     if n < 3:
         raise ValueError(f"the edge count needs n >= 3, got n={n}")
     if n > 12:
         raise ValueError(f"edge enumeration is capped at n <= 12, got n={n}")
     tps = enumerate_threshold_partitions(n)
+    bad = [d for d in tps if len(d) != n or not is_threshold_partition(d)]
+    if bad or len(set(tps)) != len(tps):
+        raise AssertionError(f"the enumeration at n={n} holds repeated or non-threshold vertices {bad!r}")
     return sum(
         1
         for s in range(len(tps))
         for t in range(s + 1, len(tps))
-        if are_adjacent(tps[s], tps[t])
+        if _adjacent(tps[s], tps[t])
     )
 
 

@@ -196,6 +196,21 @@ def test_closed_form_certificate_matches_pava(c):
     assert all(d[i - 1] == d[i] for i in cert.support)
 
 
+# a palette of at most 3 costs makes ties common; denominators up to 1000 make the lcm large
+_mixed_costs = st.lists(
+    st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=1000), min_size=1, max_size=3, unique=True
+).flatmap(lambda palette: st.lists(st.sampled_from(palette), min_size=1, max_size=8))
+
+
+@given(_mixed_costs)
+def test_brute_force_optimal_partition_matches_objective_value_scan(c):
+    values = {d: objective_value(c, d) for d in enumerate_threshold_partitions(len(c))}
+    top = max(values.values())
+    best, argmax = brute_force_optimal_partition(c)
+    assert type(best) is Fraction and best == top
+    assert argmax == frozenset(d for d, v in values.items() if v == top)
+
+
 def test_certificate_soundness_seeded():
     rng = make_rng(16)
     for _ in range(150):

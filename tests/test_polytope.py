@@ -115,14 +115,14 @@ def _excess(f, x):
     return f.value(x) - f.rhs
 
 
-@settings(max_examples=300)
-@given(exact_vectors)
-def test_sweep_matches_scan_on_decreasing_vectors(values):
-    x = sort_decreasing(values)
+def _check_sweep_against_scan(x):
+    """The verdict, and the witness with its excess and (k, l) tie rule, against the scan."""
     verdict = in_fhm_polytope(x)
     scan = fhm_violations(x)
     assert verdict.member == (not scan)
-    if scan:
+    if not is_weakly_decreasing(x):
+        assert verdict.violations == tuple(f for f in scan if f.kind == "monotone")
+    elif scan:
         (witness,) = verdict.violations
         assert witness.kind == "fhm" and not witness.satisfied(x)
         most = max(_excess(f, x) for f in scan)
@@ -132,13 +132,64 @@ def test_sweep_matches_scan_on_decreasing_vectors(values):
 
 @settings(max_examples=300)
 @given(exact_vectors)
+def test_sweep_matches_scan_on_decreasing_vectors(values):
+    _check_sweep_against_scan(sort_decreasing(values))
+
+
+@settings(max_examples=300)
+@given(exact_vectors)
 def test_sweep_matches_scan_on_unsorted_vectors(x):
-    verdict = in_fhm_polytope(x)
-    scan = fhm_violations(x)
-    assert verdict.member == (not scan)
-    if not is_weakly_decreasing(x):
-        assert verdict.violations == tuple(f for f in scan if f.kind == "monotone")
+    _check_sweep_against_scan(x)
     assert in_koren_polytope(x) == (not fhm_violations(sort_decreasing(x)))
+
+
+_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1)))
+# dyadic like the volume3 samples (k / 2^30), and primes, so common denominators get large
+_large_denominators = (
+    st.just(1 << 30) | st.integers(min_value=0, max_value=30).map(lambda e: 1 << e) | st.sampled_from(_PRIMES)
+)
+
+
+def _large_denominator_vectors(n):
+    """Length-n vectors over a palette of at most 4 values in [-1, n], each with its own denominator."""
+    value = _large_denominators.flatmap(lambda q: st.integers(-q, n * q).map(lambda p: F(p, q)))
+    return st.lists(value, min_size=1, max_size=4, unique=True).flatmap(
+        lambda palette: st.lists(st.sampled_from(palette), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=400)
+@given(st.integers(min_value=1, max_value=12).flatmap(_large_denominator_vectors))
+def test_sweep_matches_scan_with_large_mixed_denominators(x):
+    _check_sweep_against_scan(x)
+    _check_sweep_against_scan(sort_decreasing(x))
+
+
+def _inequalities(n):
+    """A monotone or prefix-suffix inequality on [n]."""
+    monotone = st.integers(1, n - 1).map(lambda i: monotone_inequality(n, i)) if n > 1 else st.nothing()
+    fhm = st.integers(0, n).flatmap(
+        lambda k: st.integers(max(1 - k, 0), n - k).map(lambda l: fhm_inequality(n, k, l))
+    )
+    return monotone | fhm
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            _inequalities(n),
+            st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+            st.lists(st.fractions(-50, 50, max_denominator=1 << 30), min_size=n, max_size=n),
+        )
+    )
+)
+def test_facet_value_is_int_on_ints_and_exact_on_fractions(case):
+    f, ints, fractions = case
+    for x in (ints, fractions):
+        reference = sum((Fraction(c) * v for c, v in zip(f.coefficients, x)), Fraction(0))
+        assert f.value(x) == reference
+    assert type(f.value(ints)) is int
+    assert type(f.value(fractions)) is Fraction
 
 
 def _erdos_gallai(seq):
@@ -398,6 +449,16 @@ def test_facet_inequality_serialization_shape():
     assert (m.kind, m.k, m.l, m.i) == ("monotone", None, None, 2)
 
 
+def _run_under_python_O(script):
+    """Run ``script`` with ``python -O`` against this checkout; return its stdout words."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
+
+
 def test_volume_cross_check_raises_under_python_O():
     # the cross-check must not be an assert that -O strips
     script = (
@@ -410,9 +471,25 @@ def test_volume_cross_check_raises_under_python_O():
         "except AssertionError:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    assert _run_under_python_O(script) == ["raised", "1"]
+
+
+def test_count_edges_rejects_a_bad_enumeration_under_python_O():
+    # count_edges validates its vertices once, and not with an assert that -O strips;
+    # (2, 2, 1, 1) is the path on four vertices, graphical but not threshold
+    script = (
+        "import sys\n"
+        "from degpoly import polytope\n"
+        "real = polytope.enumerate_threshold_partitions\n"
+        "for extra in ((2, 2, 1, 1),), real(4)[:1]:\n"
+        "    polytope.enumerate_threshold_partitions = lambda n: real(n) + extra\n"
+        "    try:\n"
+        "        polytope.count_edges(4)\n"
+        "    except AssertionError:\n"
+        "        print('raised', sys.flags.optimize)\n"
+        "try:\n"
+        "    polytope.are_adjacent((2, 2, 1, 1), (0, 0, 0, 0))\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
     )
-    assert out.stdout.split() == ["raised", "1"]
+    assert _run_under_python_O(script) == ["raised", "1", "raised", "1", "rejected"]
