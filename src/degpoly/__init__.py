@@ -90,15 +90,12 @@ from .sampling import (
     random_rational_vector,
 )
 from .threshold import (
-    OrderIdeal,
     degree_partition_of_ideal,
     enumerate_order_ideals,
     enumerate_threshold_partitions,
     graph_from_weights,
     ideal_from_partition,
-    is_order_ideal,
     is_threshold_partition,
-    pair_poset,
     proper_threshold_oracle,
     threshold_degrees,
     tp_join,

@@ -21,12 +21,12 @@ from typing import Any, Callable, Sequence
 from .core import bounded_partitions, sort_decreasing
 from .hypergraph import (
     POSET_SIZE_BOUND,
-    RGraph,
     brute_force_r_graphical,
     degree_sequence,
     format_hypergraph,
     is_r_graphical_partition,
     realize_r_graph,
+    relabel_rgraph,
 )
 from .optimize import (
     brute_force_optimal_partition,
@@ -392,18 +392,13 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
             make_check("realization-matches-verdict", graphical, realized is not None)
         )
         if realized is not None:
-            # permute labels so the witness degrees equal the input order
+            # permute labels so the witness degrees equal the input order:
+            # the witness vertex of each degree rank takes the input label of that rank
             by_rank_input = sorted(range(1, n + 1), key=lambda v: (-seq[v - 1], v))
             deg = degree_sequence(realized)
             by_rank_witness = sorted(range(1, n + 1), key=lambda v: (-deg[v - 1], v))
-            relabel = dict(zip(by_rank_witness, by_rank_input))
-            witness = RGraph(
-                n,
-                r,
-                frozenset(
-                    tuple(sorted(relabel[v] for v in edge)) for edge in realized.edges
-                ),
-            )
+            order = [w for _, w in sorted(zip(by_rank_input, by_rank_witness))]
+            witness = relabel_rgraph(realized, order)
             checks.append(
                 make_check("witness-degrees-match-input", seq, degree_sequence(witness))
             )

@@ -13,13 +13,18 @@ to the target, and each transfer is realized on the hypergraph by a
 single edge swap.  Upward: reverse saturation greedily applies the
 opposite transfers until none applies, after which relabeling by weakly
 decreasing degree leaves an r-ideal.
+
+Graphs are the case r = 2: the pairs ordered componentwise form the same
+poset, its ideals are the proper threshold graphs of
+:mod:`degpoly.threshold`, and that module builds them as ``RGraph(n, 2,
+edges)`` and tests closure with :func:`is_r_ideal`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -39,10 +44,17 @@ RSubset = tuple[int, ...]
 POSET_SIZE_BOUND = 20
 
 
+def _check_size(n: int, r: int) -> None:
+    if n < 1 or r < 1:
+        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+
+
 def r_subsets(n: int, r: int) -> tuple[RSubset, ...]:
-    """All r-element subsets of [n] as increasing tuples, lexicographic."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    """All r-element subsets of [n] as increasing tuples, lexicographic.
+
+    Empty when r > n.
+    """
+    _check_size(n, r)
     return tuple(combinations(range(1, n + 1), r))
 
 
@@ -56,24 +68,31 @@ def subset_lower_covers(subset: RSubset) -> Iterator[RSubset]:
 
 @dataclass(frozen=True)
 class RGraph:
-    """An r-uniform hypergraph on [n]; edges stored sorted."""
+    """An r-uniform hypergraph on [n]; edges stored sorted.
+
+    Each edge is r distinct ``int`` labels in [n] (``bool`` is refused),
+    given in any order.  When r > n only the empty edge set exists.
+    """
 
     n: int
     r: int
     edges: frozenset[RSubset]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        normalized = set()
-        for edge in self.edges:
-            e = tuple(sorted(edge))
+        _check_size(self.n, self.r)
+        edges = tuple(self.edges)
+        # exact types, so that bool (an int subclass) is refused; one pass
+        # over all labels keeps construction cheap on the recognize path
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            bad = next(e for e in edges if not set(map(type, e)) <= {int})
+            raise ValueError(f"edge labels must be integers: {bad!r}")
+        normalized = frozenset(map(tuple, map(sorted, edges)))
+        for e in normalized:
             if len(e) != self.r or len(set(e)) != self.r:
-                raise ValueError(f"not an {self.r}-subset: {edge!r}")
+                raise ValueError(f"not an {self.r}-subset: {e!r}")
             if not (1 <= e[0] and e[-1] <= self.n):
-                raise ValueError(f"edge {edge!r} leaves [{self.n}]")
-            normalized.add(e)
-        object.__setattr__(self, "edges", frozenset(normalized))
+                raise ValueError(f"edge {e!r} leaves [{self.n}]")
+        object.__setattr__(self, "edges", normalized)
 
 
 def degree_sequence(graph: RGraph) -> IntSequence:
@@ -149,6 +168,25 @@ def muirhead_chain(a: Sequence[int], b: Sequence[int]) -> tuple[UnitTransformati
     return tuple(chain)
 
 
+def _edge_swap(
+    edges: set[RSubset], contexts: Sequence[tuple[int, ...]], src: int, tgt: int
+) -> tuple[RSubset, RSubset] | None:
+    """The first (X + {src}, X + {tgt}) with the first an edge and the second not.
+
+    X runs over the (r-1)-sets in ``contexts`` that avoid both vertices,
+    in the order given; None when no X qualifies.
+    """
+    for ctx in contexts:
+        if src in ctx or tgt in ctx:
+            continue
+        with_src = tuple(sorted(ctx + (src,)))
+        if with_src in edges:
+            with_tgt = tuple(sorted(ctx + (tgt,)))
+            if with_tgt not in edges:
+                return with_src, with_tgt
+    return None
+
+
 def reverse_saturate(graph: RGraph) -> tuple[RGraph, tuple[int, ...]]:
     """Push degree upward in majorization until no reverse transfer applies.
 
@@ -165,30 +203,23 @@ def reverse_saturate(graph: RGraph) -> tuple[RGraph, tuple[int, ...]]:
     contexts = tuple(combinations(range(1, n + 1), r - 1))
     deg = list(degree_sequence(graph))
     budget = sum(deg) * n * comb(n, r) + 1
+    vertices = range(1, n + 1)
     for _ in range(budget):
-        move = None
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j or deg[i - 1] < deg[j - 1]:
-                    continue
-                for ctx in contexts:
-                    if i in ctx or j in ctx:
-                        continue
-                    with_i = tuple(sorted(ctx + (i,)))
-                    if with_i in edges:
-                        continue
-                    with_j = tuple(sorted(ctx + (j,)))
-                    if with_j in edges:
-                        move = (i, j, with_i, with_j)
-                        break
-                if move:
-                    break
-            if move:
-                break
+        move = next(
+            (
+                (i, j, swap)
+                for i in vertices
+                for j in vertices
+                if i != j
+                and deg[i - 1] >= deg[j - 1]
+                and (swap := _edge_swap(edges, contexts, j, i))
+            ),
+            None,
+        )
         if move is None:
-            order = tuple(sorted(range(1, n + 1), key=lambda v: (-deg[v - 1], v)))
+            order = tuple(sorted(vertices, key=lambda v: (-deg[v - 1], v)))
             return RGraph(n, r, frozenset(edges)), order
-        i, j, with_i, with_j = move
+        i, j, (with_j, with_i) = move
         edges.remove(with_j)
         edges.add(with_i)
         deg[i - 1] += 1
@@ -310,19 +341,9 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
         return None
     part, ideal = start
     edges = set(ideal)
+    contexts = tuple(combinations(range(1, n + 1), r - 1))
     for step in muirhead_chain(part, vec):
-        src, tgt = step.source, step.target
-        swap = None
-        for ctx in combinations(range(1, n + 1), r - 1):
-            if src in ctx or tgt in ctx:
-                continue
-            with_src = tuple(sorted(ctx + (src,)))
-            if with_src not in edges:
-                continue
-            with_tgt = tuple(sorted(ctx + (tgt,)))
-            if with_tgt not in edges:
-                swap = (with_src, with_tgt)
-                break
+        swap = _edge_swap(edges, contexts, step.source, step.target)
         if swap is None:
             raise AssertionError(f"degree surplus guarantees a swappable edge for {step!r}")
         edges.remove(swap[0])

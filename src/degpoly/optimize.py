@@ -37,13 +37,13 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .core import Partition, Rational, RationalVector, as_rational_vector, is_weakly_decreasing
+from .hypergraph import RGraph, r_subsets
 from .runs import pava_oracle
 from .threshold import (
-    OrderIdeal,
     Pair,
+    _pair_ideal,
     enumerate_order_ideals,
     enumerate_threshold_partitions,
-    pair_poset,
     threshold_degrees,
 )
 
@@ -64,7 +64,7 @@ class PairCosts:
     costs: Mapping[Pair, Fraction]
 
     def __post_init__(self) -> None:
-        full = {pair: Fraction(0) for pair in pair_poset(self.n)}
+        full = {pair: Fraction(0) for pair in r_subsets(self.n, 2)}
         for key, value in dict(self.costs).items():
             pair = tuple(key)
             if pair not in full:
@@ -82,10 +82,10 @@ def lift_costs(c: Sequence[Rational]) -> PairCosts:
     if not vec:
         raise ValueError("need at least one vertex cost")
     n = len(vec)
-    return PairCosts(n, {(i, j): vec[i - 1] + vec[j - 1] for i, j in pair_poset(n)})
+    return PairCosts(n, {(i, j): vec[i - 1] + vec[j - 1] for i, j in r_subsets(n, 2)})
 
 
-def max_weight_ideal(costs: PairCosts, mode: str = "max") -> OrderIdeal:
+def max_weight_ideal(costs: PairCosts, mode: str = "max") -> RGraph:
     """A maximum-weight order ideal by the window dynamic program.
 
     ``mode="max"`` breaks ties toward the dominating branch and returns
@@ -119,7 +119,7 @@ def max_weight_ideal(costs: PairCosts, mode: str = "max") -> OrderIdeal:
             i += 1
         else:
             j -= 1
-    return OrderIdeal(n, frozenset(edges))
+    return _pair_ideal(n, edges)
 
 
 def brute_force_max_weight_ideals(costs: PairCosts) -> tuple[Fraction, tuple[frozenset[Pair], ...]]:

@@ -21,8 +21,9 @@ enumeration of disjoint S, T for the unordered version.
 
 This module keeps every test exact and makes it in integers where it
 can: integer input is decided in integers, rational input is cleared
-to one common denominator and then decided in integers too, and a
-constraint evaluated at an integer point stays an integer.  It knows
+to one common denominator and then decided in integers too, a
+constraint evaluated at an integer point stays an integer, and affine
+ranks come from fraction-free integer elimination.  It knows
 the irredundant facet list for n >= 4, decides vertex adjacency from
 the block shape of the difference of two threshold partitions
 (recognized by the one peel of :mod:`degpoly.threshold`), counts edges
@@ -50,12 +51,12 @@ from .core import (
     prefix_sums,
     sort_decreasing,
 )
+from .hypergraph import r_subsets
 from .sampling import make_rng
 from .threshold import (
     Pair,
     enumerate_threshold_partitions,
     is_threshold_partition,
-    pair_poset,
 )
 
 
@@ -124,6 +125,19 @@ class FhmMembership:
         return self.member
 
 
+def _clear_denominators(values: Iterable[Rational]) -> tuple[tuple[int, ...], int]:
+    """``values`` times D, the lcm of their denominators, as ints; and D.
+
+    All-int input comes back as it is, with D = 1.
+    """
+    vec = tuple(values)
+    if all(type(v) is int for v in vec):
+        return vec, 1
+    vec = tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vec)
+    scale = lcm(*(v.denominator for v in vec))
+    return tuple(v.numerator * (scale // v.denominator) for v in vec), scale
+
+
 def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
     """Check x_1 >= ... >= x_n plus every prefix-suffix inequality, in O(n).
 
@@ -143,12 +157,7 @@ def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
     are those of x itself.  See :class:`FhmMembership` for what
     ``violations`` holds.
     """
-    vec = tuple(x)
-    scale = 1
-    if not all(type(v) is int for v in vec):
-        vec = tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vec)
-        scale = lcm(*(v.denominator for v in vec))
-        vec = tuple(v.numerator * (scale // v.denominator) for v in vec)
+    vec, scale = _clear_denominators(x)
     n = len(vec)
     if n < 1:
         raise ValueError("membership needs a nonempty vector")
@@ -383,7 +392,7 @@ def apply_incidence(
     every load must lie in [0, 1], the box whose image is the unordered
     degree-sequence region.
     """
-    pairs = pair_poset(n)
+    pairs = r_subsets(n, 2)
     if isinstance(y, Mapping):
         loads = {pair: Fraction(0) for pair in pairs}
         for key, value in y.items():
@@ -424,7 +433,7 @@ def enumerate_degree_partitions(n: int) -> frozenset[Partition]:
     """
     if not 1 <= n <= 7:
         raise ValueError(f"graph enumeration is capped at n <= 7, got n={n}")
-    pairs = pair_poset(n)
+    pairs = r_subsets(n, 2)
     deg = [0] * n
     found = {tuple(deg)}
     present = 0
@@ -442,28 +451,28 @@ def enumerate_degree_partitions(n: int) -> frozenset[Partition]:
 def affine_rank(points: Sequence[Sequence[Rational]]) -> int:
     """Size of a largest affinely independent subset, exactly.
 
-    Gaussian elimination over Fractions on the differences from the
-    first point; the affine rank is that matrix rank plus one.
+    The affine rank is the rank of the differences from the first point,
+    plus one.  Each difference row is cleared of its denominators, which
+    keeps the rank, and fraction-free (Bareiss) elimination finds that
+    rank in ``int``: each update (h * a - f * b) // prev divides exactly
+    by the previous pivot.
     """
     if not points:
         return 0
-    base = as_rational_vector(points[0])
-    rows = [
-        [Fraction(v) - b for v, b in zip(p, base)]
-        for p in points[1:]
-    ]
-    rank = 0
-    width = len(base)
-    for col in range(width):
+    base = points[0]
+    rows = [_clear_denominators([v - b for v, b in zip(p, base)])[0] for p in points[1:]]
+    rank, prev = 0, 1
+    for col in range(len(base)):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        head = rows[rank][col]
+        head = rows[rank]
+        h = head[col]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / head
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            f = rows[r][col]
+            rows[r] = [(h * a - f * b) // prev for a, b in zip(rows[r], head)]
+        prev = h
         rank += 1
     return rank + 1
 

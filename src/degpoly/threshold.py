@@ -1,11 +1,14 @@
 """Proper threshold graphs as order ideals of the pair poset.
 
 Order the C(n,2) vertex pairs componentwise: (a,b) <= (c,d) when a <= c
-and b <= d, every pair written smaller endpoint first.  The edge sets
-that are downward closed in this order are exactly the threshold graphs
-whose degree labels weakly decrease ("proper" threshold graphs), and
-their degree sequences - the threshold partitions - are the vertices of
-the degree-partition polytope handled in :mod:`degpoly.polytope`.
+and b <= d, every pair written smaller endpoint first.  This is the
+r = 2 case of the r-subset poset of :mod:`degpoly.hypergraph`, so a
+graph here is an ``RGraph(n, 2, edges)`` and closure is tested by
+:func:`degpoly.hypergraph.is_r_ideal`.  The edge sets that are downward
+closed are exactly the threshold graphs whose degree labels weakly
+decrease ("proper" threshold graphs), and their degree sequences - the
+threshold partitions - are the vertices of the degree-partition
+polytope handled in :mod:`degpoly.polytope`.
 
 There are exactly 2^(n-1) such graphs on [n]: vertex n is isolated or
 vertex 1 dominates, and either choice reduces to the same structure on
@@ -22,8 +25,7 @@ map is a bijection from ideals to partitions by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Partition,
@@ -32,6 +34,7 @@ from .core import (
     is_partition,
     is_weakly_decreasing,
 )
+from .hypergraph import RGraph, degree_sequence, is_r_ideal, r_subsets
 
 Pair = tuple[int, int]
 
@@ -41,67 +44,23 @@ ENUMERATION_BOUND = 20
 IDEAL_ENUMERATION_BOUND = 12
 
 
-def pair_poset(n: int) -> tuple[Pair, ...]:
-    """All pairs (i, j) with 1 <= i < j <= n, in lexicographic order."""
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+def _pair_ideal(n: int, edges: Iterable[Pair]) -> RGraph:
+    """``RGraph(n, 2, edges)`` for edges that a producer built downward closed.
 
-
-def pair_lower_covers(pair: Pair) -> Iterator[Pair]:
-    """The at most two pairs covered by ``pair`` in componentwise order."""
-    i, j = pair
-    if i >= 2:
-        yield (i - 1, j)
-    if j - 1 > i:
-        yield (i, j - 1)
-
-
-def _check_pairs(n: int, edges: Iterable[Sequence[int]]) -> frozenset[Pair]:
-    out = set()
-    for edge in edges:
-        pair = tuple(edge)
-        if len(pair) != 2 or not all(isinstance(v, int) for v in pair):
-            raise ValueError(f"not a vertex pair: {edge!r}")
-        i, j = pair
-        if not (1 <= i < j <= n):
-            raise ValueError(f"pair {pair!r} is not 1 <= i < j <= {n}")
-        out.add((i, j))
-    return frozenset(out)
-
-
-def is_order_ideal(n: int, edges: Iterable[Sequence[int]]) -> bool:
-    """Is the edge set downward closed in the pair poset on [n]?
-
-    Checking the one or two lower covers of each member suffices: any
-    smaller pair is reachable by single-coordinate decrements.
+    Raises ``AssertionError``, also under ``python -O``, when they are not.
     """
-    members = _check_pairs(n, edges)
-    return all(cover in members for pair in members for cover in pair_lower_covers(pair))
+    graph = RGraph(n, 2, frozenset(edges))
+    if not is_r_ideal(graph):
+        raise AssertionError(f"edge set is not downward closed on [{n}]")
+    return graph
 
 
-@dataclass(frozen=True)
-class OrderIdeal:
-    """A downward-closed set of pairs; construction validates closure."""
-
-    n: int
-    edges: frozenset[Pair]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", _check_pairs(self.n, self.edges))
-        if not is_order_ideal(self.n, self.edges):
-            raise ValueError(f"edge set is not downward closed on [{self.n}]")
-
-
-def degree_partition_of_ideal(ideal: OrderIdeal) -> Partition:
+def degree_partition_of_ideal(ideal: RGraph) -> Partition:
     """Vertex degrees of the ideal, which come out weakly decreasing."""
-    deg = [0] * ideal.n
-    for i, j in ideal.edges:
-        deg[i - 1] += 1
-        deg[j - 1] += 1
+    deg = degree_sequence(ideal)
     if not is_weakly_decreasing(deg):
-        raise AssertionError(f"ideal degrees must weakly decrease, got {tuple(deg)!r}")
-    return tuple(deg)
+        raise AssertionError(f"ideal degrees must weakly decrease, got {deg!r}")
+    return deg
 
 
 def _peel(d: Sequence[int]) -> list[tuple[int, int]] | None:
@@ -144,7 +103,7 @@ def is_threshold_partition(d: Sequence[int]) -> bool:
     return is_partition(d) and _peel(d) is not None
 
 
-def ideal_from_partition(d: Sequence[int]) -> OrderIdeal:
+def ideal_from_partition(d: Sequence[int]) -> RGraph:
     """The unique order ideal whose degree sequence is ``d``.
 
     Its edges are the dominating steps of the peel.  Raises
@@ -153,7 +112,7 @@ def ideal_from_partition(d: Sequence[int]) -> OrderIdeal:
     steps = _peel(d) if is_partition(d) else None
     if steps is None:
         raise ValueError(f"not a threshold partition: {d!r}")
-    ideal = OrderIdeal(len(d), _step_edges(steps))
+    ideal = _pair_ideal(len(d), _step_edges(steps))
     if degree_partition_of_ideal(ideal) != tuple(d):
         raise AssertionError(f"the ideal rebuilt from {tuple(d)!r} has other degrees")
     return ideal
@@ -209,7 +168,7 @@ def tp_meet(d: Sequence[int], e: Sequence[int]) -> Partition:
     return _lattice_op(d, e, min, "meet")
 
 
-def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> OrderIdeal:
+def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
     """The ideal {(i,j) : b_i + b_j >= 0} of a weakly decreasing weight vector.
 
     With ``strict=True`` only strictly positive pair sums become edges,
@@ -223,11 +182,11 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> OrderIdea
         raise ValueError(f"weights must be weakly decreasing, got {b!r}")
     n = len(vec)
     if strict:
-        edges = {(i, j) for i, j in pair_poset(n) if vec[i - 1] + vec[j - 1] > 0}
+        edges = {(i, j) for i, j in r_subsets(n, 2) if vec[i - 1] + vec[j - 1] > 0}
     else:
-        edges = {(i, j) for i, j in pair_poset(n) if vec[i - 1] + vec[j - 1] >= 0}
+        edges = {(i, j) for i, j in r_subsets(n, 2) if vec[i - 1] + vec[j - 1] >= 0}
     # decreasing weights make the pair-sum condition downward closed
-    return OrderIdeal(n, frozenset(edges))
+    return _pair_ideal(n, edges)
 
 
 def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
@@ -259,18 +218,16 @@ def proper_threshold_oracle(n: int, edges: Iterable[Sequence[int]]) -> bool:
 
     A graph is threshold exactly when repeatedly deleting a vertex that is
     isolated or adjacent to everything else empties it; properness is the
-    degree labels weakly decreasing on top of that.
+    degree labels weakly decreasing on top of that.  The edges are
+    validated as an ``RGraph(n, 2, edges)``, which raises ``ValueError``
+    on a label that is not an ``int`` in [n].
     """
-    members = _check_pairs(n, edges)
-    deg = [0] * n
-    for i, j in members:
-        deg[i - 1] += 1
-        deg[j - 1] += 1
-    if not is_weakly_decreasing(deg):
+    graph = RGraph(n, 2, edges)
+    if not is_weakly_decreasing(degree_sequence(graph)):
         return False
     alive = set(range(1, n + 1))
     adj = {v: set() for v in alive}
-    for i, j in members:
+    for i, j in graph.edges:
         adj[i].add(j)
         adj[j].add(i)
     while len(alive) > 1:

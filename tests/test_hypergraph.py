@@ -31,13 +31,16 @@ from degpoly.hypergraph import (
 )
 from degpoly.polytope import is_degree_partition
 from degpoly.sampling import make_rng
-from degpoly.threshold import enumerate_threshold_partitions
+from degpoly.threshold import enumerate_threshold_partitions, ideal_from_partition
 
 
 def test_r_subsets_lex_order():
     assert r_subsets(4, 3) == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
     assert r_subsets(3, 1) == ((1,), (2,), (3,))
     assert len(r_subsets(6, 3)) == 20
+    for n, r in ((0, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            r_subsets(n, r)
 
 
 def test_subset_lower_covers():
@@ -49,12 +52,32 @@ def test_subset_lower_covers():
 def test_rgraph_validation():
     g = RGraph(4, 2, frozenset({(2, 1)}))
     assert g.edges == frozenset({(1, 2)})  # edges normalize to sorted tuples
+    bad = (
+        (4, 2, {(1, 1)}),
+        (4, 3, {(1, 2)}),
+        (3, 2, {(1, 4)}),
+        (3, 2, {(0, 1)}),
+        (3, 2, {(1, 2.5)}),
+        (3, 2, {(True, 2)}),
+        (0, 2, set()),
+        (3, 0, set()),
+    )
+    for n, r, edges in bad:
+        with pytest.raises(ValueError):
+            RGraph(n, r, frozenset(edges))
+
+
+def test_r_above_n_leaves_only_the_empty_edge_set():
+    assert r_subsets(1, 2) == ()
+    assert r_subsets(2, 3) == ()
+    assert RGraph(1, 2, frozenset()).edges == frozenset()
     with pytest.raises(ValueError):
-        RGraph(4, 2, frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        RGraph(4, 3, frozenset({(1, 2)}))
-    with pytest.raises(ValueError):
-        RGraph(3, 2, frozenset({(1, 4)}))
+        RGraph(2, 3, frozenset({(1, 2, 3)}))
+    assert enumerate_r_ideals(1, 2) == (frozenset(),)
+    assert enumerate_r_ideal_partitions(2, 3, 0) == frozenset({(0, 0)})
+    assert realize_r_graph((0, 0), 2, 3) == RGraph(2, 3, frozenset())
+    # the one-vertex graph is the ideal of the partition (0,)
+    assert ideal_from_partition((0,)) == RGraph(1, 2, frozenset())
 
 
 def test_degree_sequence_in_label_order():
@@ -69,6 +92,7 @@ def test_is_r_ideal():
     assert not is_r_ideal(RGraph(4, 3, frozenset({(1, 2, 4)})))
     assert is_r_ideal(RGraph(4, 3, frozenset()))
     assert is_r_ideal(RGraph(4, 2, frozenset({(1, 2), (1, 3)})))
+    assert not is_r_ideal(RGraph(4, 2, frozenset({(2, 3)})))
     assert not is_r_ideal(RGraph(4, 2, frozenset({(1, 2), (3, 4)})))
 
 
@@ -86,7 +110,7 @@ def test_enumerate_r_ideals_counts():
 
 
 def test_enumerate_r_ideals_against_subset_filter():
-    for n, r in ((4, 2), (4, 3), (5, 4), (5, 2)):
+    for n, r in ((1, 2), (2, 2), (3, 2), (4, 2), (4, 3), (5, 4), (5, 2)):
         universe = r_subsets(n, r)
         expected = set()
         for size in range(len(universe) + 1):
@@ -227,6 +251,9 @@ def test_realize_r_graph_frozen_cases():
     g3 = realize_r_graph((1, 1, 1), 3, 3)
     assert g3 is not None and g3.edges == frozenset({(1, 2, 3)})
     assert realize_r_graph((0, 0, 0, 0), 4, 3) is not None
+    # each transfer swaps at the lexicographically first (r-1)-set X
+    assert realize_r_graph((2, 2, 2, 2), 4, 2).edges == frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
+    assert realize_r_graph((2, 2, 1, 1), 4, 2).edges == frozenset({(1, 2), (1, 4), (2, 3)})
 
 
 def test_realize_r_graph_matches_recognition():

@@ -427,6 +427,51 @@ def test_affine_rank():
     assert affine_rank([(F(1, 2), F(1, 3)), (F(1, 2), F(1, 3))]) == 1
 
 
+def _fraction_affine_rank(points):
+    """Gaussian elimination over Fractions: the reference for affine_rank."""
+    if not points:
+        return 0
+    rows = [[F(v) - F(b) for v, b in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank + 1
+
+
+@st.composite
+def tie_heavy_points(draw):
+    # few distinct values, and about half the points in the affine span
+    # of a few generators, so dependent rows are common; half the draws
+    # are all-int, the rest mix in fractions
+    width = draw(st.integers(min_value=1, max_value=7))
+    values = st.integers(min_value=-2, max_value=2)
+    if draw(st.booleans()):
+        values = st.one_of(values, st.sampled_from((F(1, 2), F(-1, 3), F(2, 3), F(5, 7), F(-3, 1009))))
+    vector = st.lists(values, min_size=width, max_size=width)
+    base = draw(vector)
+    generators = draw(st.lists(vector, min_size=1, max_size=width))
+    points = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        if draw(st.booleans()):
+            points.append(draw(vector))
+        else:
+            coeffs = draw(st.lists(values, min_size=len(generators), max_size=len(generators)))
+            points.append([b + sum(c * g[t] for c, g in zip(coeffs, generators)) for t, b in enumerate(base)])
+    return points
+
+
+@given(tie_heavy_points())
+def test_affine_rank_matches_fraction_elimination(points):
+    assert affine_rank(points) == _fraction_affine_rank(points)
+
+
 def test_dp3_volume():
     assert dp3_volume() == F(1, 3)
     assert 6 * dp3_volume() == 2

@@ -1,4 +1,4 @@
-"""Threshold partitions, the pair poset, and its order ideals."""
+"""Threshold partitions and the order ideals of the pair poset (r = 2)."""
 
 import os
 import subprocess
@@ -12,17 +12,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degpoly.core import bounded_partitions
+from degpoly.hypergraph import (
+    RGraph,
+    enumerate_r_ideals,
+    is_r_ideal,
+    r_subsets,
+    subset_lower_covers,
+)
 from degpoly.threshold import (
-    OrderIdeal,
     degree_partition_of_ideal,
     enumerate_order_ideals,
     enumerate_threshold_partitions,
     graph_from_weights,
     ideal_from_partition,
-    is_order_ideal,
     is_threshold_partition,
-    pair_lower_covers,
-    pair_poset,
     proper_threshold_oracle,
     threshold_degrees,
     tp_join,
@@ -45,40 +48,38 @@ TP4 = (
 
 
 def test_pair_poset_lex_order():
-    assert pair_poset(3) == ((1, 2), (1, 3), (2, 3))
-    assert len(pair_poset(6)) == 15
+    # the pair poset is the r = 2 subset poset
+    assert r_subsets(3, 2) == ((1, 2), (1, 3), (2, 3))
+    assert len(r_subsets(6, 2)) == 15
 
 
 def test_pair_lower_covers():
-    assert set(pair_lower_covers((1, 2))) == set()
-    assert set(pair_lower_covers((2, 4))) == {(1, 4), (2, 3)}
-    assert set(pair_lower_covers((1, 3))) == {(1, 2)}
+    assert set(subset_lower_covers((1, 2))) == set()
+    assert set(subset_lower_covers((2, 4))) == {(1, 4), (2, 3)}
+    assert set(subset_lower_covers((1, 3))) == {(1, 2)}
 
 
 def test_is_order_ideal():
+    # the order ideals of the pair poset are the r = 2 ideals
+    def is_order_ideal(n, edges):
+        return is_r_ideal(RGraph(n, 2, frozenset(edges)))
+
     assert is_order_ideal(4, set())
     assert is_order_ideal(4, {(1, 2)})
     assert is_order_ideal(4, {(1, 2), (1, 3), (1, 4), (2, 3)})
-    assert not is_order_ideal(4, {(1, 3)})  # missing (1,2) below it
+    assert not is_order_ideal(4, {(1, 3)})  # missing (1, 2) below it
     assert not is_order_ideal(4, {(3, 4)})
     assert not is_order_ideal(4, {(1, 2), (3, 4)})
     assert is_order_ideal(2, set())
-    with pytest.raises(ValueError):
-        is_order_ideal(3, {(2, 1)})
+    assert is_order_ideal(3, {(2, 1)})  # a reversed pair is sorted, not refused
     with pytest.raises(ValueError):
         is_order_ideal(3, {(1, 4)})
 
 
-def test_order_ideal_validates_on_construction():
-    OrderIdeal(4, frozenset({(1, 2), (1, 3)}))
-    with pytest.raises(ValueError):
-        OrderIdeal(4, frozenset({(2, 3)}))
-
-
 def test_degree_partition_of_ideal():
-    ideal = OrderIdeal(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3)}))
+    ideal = RGraph(4, 2, frozenset({(1, 2), (1, 3), (1, 4), (2, 3)}))
     assert degree_partition_of_ideal(ideal) == (3, 2, 2, 1)
-    assert degree_partition_of_ideal(OrderIdeal(3, frozenset())) == (0, 0, 0)
+    assert degree_partition_of_ideal(RGraph(3, 2, frozenset())) == (0, 0, 0)
 
 
 def test_is_threshold_partition_frozen_cases():
@@ -139,18 +140,13 @@ def test_enumerate_order_ideals_matches_partitions():
         assert len(ideals) == len(tps)
         # each ideal is read from the peel of the partition at its position
         for edges, d in zip(ideals, tps):
-            assert degree_partition_of_ideal(OrderIdeal(n, edges)) == d
+            assert degree_partition_of_ideal(RGraph(n, 2, edges)) == d
 
 
-def test_enumerate_order_ideals_against_subset_filter():
-    for n in range(1, 6):
-        poset = pair_poset(n)
-        expected = set()
-        for size in range(len(poset) + 1):
-            for subset in combinations(poset, size):
-                if is_order_ideal(n, set(subset)):
-                    expected.add(frozenset(subset))
-        assert set(enumerate_order_ideals(n)) == expected
+def test_enumerate_order_ideals_matches_r_ideal_walk():
+    # the peel and the include/exclude walk of the r-subset poset at r = 2
+    for n in range(1, 7):
+        assert set(enumerate_order_ideals(n)) == set(enumerate_r_ideals(n, 2))
 
 
 def test_lattice_operations():
@@ -252,10 +248,37 @@ def test_ideal_degree_check_raises_under_python_O():
     assert out.stdout.split() == ["raised", "1"]
 
 
+def test_producers_check_closure_under_python_O():
+    # with the closure test stubbed to fail, every producer of an ideal must
+    # raise, not an assert that -O strips
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from degpoly import optimize, threshold\n"
+        "threshold.is_r_ideal = lambda graph: False\n"
+        "calls = (\n"
+        "    lambda: threshold.ideal_from_partition((3, 2, 2, 1)),\n"
+        "    lambda: threshold.graph_from_weights((Fraction(1), Fraction(-1))),\n"
+        "    lambda: optimize.max_weight_ideal(optimize.lift_costs((1, -1, 2))),\n"
+        ")\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError:\n"
+        "        print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["raised", "1"] * 3
+
+
 def test_proper_threshold_oracle_agrees_exhaustively():
     for n in range(1, 6):
-        pairs = pair_poset(n)
+        pairs = r_subsets(n, 2)
         for size in range(len(pairs) + 1):
             for subset in combinations(pairs, size):
-                edges = set(subset)
-                assert proper_threshold_oracle(n, edges) == is_order_ideal(n, edges)
+                edges = frozenset(subset)
+                assert proper_threshold_oracle(n, edges) == is_r_ideal(RGraph(n, 2, edges))
