@@ -94,25 +94,25 @@ def make_check(
     return entry
 
 
+def _parse_list(text: str, parse: Callable[[str], Any], what: str) -> tuple:
+    """Comma-separated tokens, each read by ``parse``; ``ValueError`` names ``what``."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    try:
+        if all(tokens):
+            return tuple(map(parse, tokens))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"malformed {what} list: {text!r}")
+
+
 def parse_costs(text: str) -> tuple[Fraction, ...]:
     """Comma-separated rationals: integers or p/q."""
-    tokens = [tok.strip() for tok in text.split(",")]
-    if not tokens or any(not tok for tok in tokens):
-        raise ValueError(f"malformed cost list: {text!r}")
-    try:
-        return tuple(Fraction(tok) for tok in tokens)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed cost list: {text!r}") from None
+    return _parse_list(text, Fraction, "cost")
 
 
 def parse_int_seq(text: str) -> tuple[int, ...]:
-    tokens = [tok.strip() for tok in text.split(",")]
-    if not tokens or any(not tok for tok in tokens):
-        raise ValueError(f"malformed integer list: {text!r}")
-    try:
-        return tuple(int(tok) for tok in tokens)
-    except ValueError:
-        raise ValueError(f"malformed integer list: {text!r}") from None
+    """Comma-separated integers."""
+    return _parse_list(text, int, "integer")
 
 
 def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:

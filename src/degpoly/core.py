@@ -1,10 +1,12 @@
 """Exact arithmetic primitives for integer and rational sequences.
 
 Every quantity in this package is an ``int`` or a ``fractions.Fraction``;
-no decision anywhere is made in floating point.  This module collects the
-small sequence utilities everything else leans on: decreasing
-rearrangement, weak-decrease tests, prefix sums, the majorization
-preorder, and the enumeration of bounded partitions.
+no decision anywhere is made in floating point.  This module owns the
+input rules every entry point calls - an integer entry is exactly an
+``int``, a partition, one common denominator for rationals - and the
+sequence utilities everything else leans on: decreasing rearrangement,
+weak-decrease tests, prefix sums, the majorization preorder, and the
+enumeration of bounded partitions.
 
 Majorization compares two equal-length sequences through their sorted
 prefix sums: ``a`` majorizes ``b`` when, after sorting both in weakly
@@ -17,6 +19,7 @@ recognition theorem in :mod:`degpoly.hypergraph`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -29,6 +32,24 @@ Partition = tuple[int, ...]
 def as_rational_vector(values: Iterable[Rational]) -> RationalVector:
     """Coerce a sequence of ints/Fractions to a tuple of Fractions."""
     return tuple(Fraction(v) for v in values)
+
+
+def is_int_vector(values: Iterable) -> bool:
+    """Is every entry exactly an ``int``?  ``bool``, ``IntEnum`` and other subclasses are not."""
+    return set(map(type, values)) <= {int}
+
+
+def clear_denominators(values: Iterable[Rational]) -> tuple[IntSequence, int]:
+    """``values`` times D, the lcm of their denominators, as ints; and D.
+
+    All-int input comes back as it is, with D = 1.
+    """
+    vec = tuple(values)
+    if is_int_vector(vec):
+        return vec, 1
+    vec = tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vec)
+    scale = lcm(*(v.denominator for v in vec))
+    return tuple(v.numerator * (scale // v.denominator) for v in vec), scale
 
 
 def is_weakly_decreasing(values: Sequence[Rational]) -> bool:
@@ -72,13 +93,8 @@ def majorizes(a: Sequence[Rational], b: Sequence[Rational]) -> bool:
 
 
 def is_partition(values: Sequence) -> bool:
-    """Nonempty weakly decreasing nonnegative integers (booleans excluded)."""
-    if len(values) == 0:
-        return False
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            return False
-    return is_weakly_decreasing(values)
+    """Nonempty, weakly decreasing, nonnegative, every entry exactly an ``int``."""
+    return len(values) > 0 and is_int_vector(values) and values[-1] >= 0 and is_weakly_decreasing(values)
 
 
 def check_partition(values: Sequence, what: str = "sequence") -> Partition:

@@ -32,6 +32,7 @@ from .core import (
     IntSequence,
     Partition,
     check_partition,
+    is_int_vector,
     is_weakly_decreasing,
     majorizes,
     prefix_sums,
@@ -42,6 +43,8 @@ RSubset = tuple[int, ...]
 
 # Poset-wide enumerations stay tractable while C(n, r) is small.
 POSET_SIZE_BOUND = 20
+# The brute-force oracle refuses to try more candidate edge sets than this.
+BRUTE_FORCE_EDGE_SETS = 5_000_000
 
 
 def _check_size(n: int, r: int) -> None:
@@ -70,8 +73,8 @@ def subset_lower_covers(subset: RSubset) -> Iterator[RSubset]:
 class RGraph:
     """An r-uniform hypergraph on [n]; edges stored sorted.
 
-    Each edge is r distinct ``int`` labels in [n] (``bool`` is refused),
-    given in any order.  When r > n only the empty edge set exists.
+    Each edge is r distinct exact-``int`` labels in [n], given in any
+    order.  When r > n only the empty edge set exists.
     """
 
     n: int
@@ -81,10 +84,9 @@ class RGraph:
     def __post_init__(self) -> None:
         _check_size(self.n, self.r)
         edges = tuple(self.edges)
-        # exact types, so that bool (an int subclass) is refused; one pass
-        # over all labels keeps construction cheap on the recognize path
-        if not set(map(type, chain.from_iterable(edges))) <= {int}:
-            bad = next(e for e in edges if not set(map(type, e)) <= {int})
+        # one pass over all labels keeps construction cheap on the recognize path
+        if not is_int_vector(chain.from_iterable(edges)):
+            bad = next(e for e in edges if not is_int_vector(e))
             raise ValueError(f"edge labels must be integers: {bad!r}")
         normalized = frozenset(map(tuple, map(sorted, edges)))
         for e in normalized:
@@ -299,20 +301,24 @@ def enumerate_r_ideal_partitions(n: int, r: int, total: int) -> frozenset[Partit
     return frozenset(part for part, _ in _ideal_partitions_with_total(n, r, total))
 
 
+def _degree_query(d: Sequence[int], n: int, r: int) -> Partition | None:
+    """``d`` as a length-n partition, or None when r does not divide its total; else ``ValueError``."""
+    _check_size(n, r)
+    vec = check_partition(d, "degree partition")
+    if len(vec) != n:
+        raise ValueError(f"partition length {len(vec)} differs from n={n}")
+    return None if sum(vec) % r else vec
+
+
 def is_r_graphical_partition(d: Sequence[int], n: int, r: int) -> bool:
     """Is ``d`` the degree partition of some r-graph on [n]?
 
     True exactly when the total is divisible by r and some r-ideal
     partition with the same total majorizes ``d``.
     """
-    vec = check_partition(d, "degree partition")
-    if len(vec) != n:
-        raise ValueError(f"partition length {len(vec)} differs from n={n}")
-    total = sum(vec)
-    if total % r:
-        return False
-    return any(
-        majorizes(part, vec) for part in enumerate_r_ideal_partitions(n, r, total)
+    vec = _degree_query(d, n, r)
+    return vec is not None and any(
+        majorizes(part, vec) for part in enumerate_r_ideal_partitions(n, r, sum(vec))
     )
 
 
@@ -326,14 +332,11 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
     on the degrees guarantees such an X exists, and the first one in
     lexicographic order is taken.
     """
-    vec = check_partition(d, "degree partition")
-    if len(vec) != n:
-        raise ValueError(f"partition length {len(vec)} differs from n={n}")
-    total = sum(vec)
-    if total % r:
+    vec = _degree_query(d, n, r)
+    if vec is None:
         return None
     start = None
-    for part, ideal in _ideal_partitions_with_total(n, r, total):
+    for part, ideal in _ideal_partitions_with_total(n, r, sum(vec)):
         if majorizes(part, vec):
             start = (part, ideal)
             break
@@ -355,23 +358,18 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
     return result
 
 
-def brute_force_r_graphical(
-    d: Sequence[int], n: int, r: int, budget: int = 5_000_000
-) -> bool:
-    """Try every edge set of the right size; the slow exact oracle."""
-    vec = check_partition(d, "degree partition")
-    if len(vec) != n:
-        raise ValueError(f"partition length {len(vec)} differs from n={n}")
-    total = sum(vec)
-    if total % r:
+def brute_force_r_graphical(d: Sequence[int], n: int, r: int) -> bool:
+    """Try every edge set of the right size; the slow exact oracle, capped at BRUTE_FORCE_EDGE_SETS."""
+    vec = _degree_query(d, n, r)
+    if vec is None:
         return False
-    m = total // r
+    m = sum(vec) // r
     universe = r_subsets(n, r)
     if m > len(universe):
         return False
-    if comb(len(universe), m) > budget:
+    if comb(len(universe), m) > BRUTE_FORCE_EDGE_SETS:
         raise ValueError(
-            f"C({len(universe)}, {m}) candidate edge sets exceed the budget {budget}"
+            f"C({len(universe)}, {m}) candidate edge sets exceed the budget {BRUTE_FORCE_EDGE_SETS}"
         )
     for pick in combinations(universe, m):
         deg = [0] * n

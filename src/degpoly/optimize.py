@@ -32,11 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
-from .core import Partition, Rational, RationalVector, as_rational_vector, is_weakly_decreasing
+from .core import (
+    Partition,
+    Rational,
+    RationalVector,
+    as_rational_vector,
+    clear_denominators,
+    is_weakly_decreasing,
+)
 from .hypergraph import RGraph, r_subsets
 from .runs import pava_oracle
 from .threshold import (
@@ -162,12 +168,10 @@ def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, froz
     denominator D, so every vertex is scored by an integer dot product;
     the best value is that integer over D.
     """
-    vec = as_rational_vector(c)
-    scale = lcm(*(v.denominator for v in vec))
-    numerators = tuple(v.numerator * (scale // v.denominator) for v in vec)
+    numerators, scale = clear_denominators(c)
     best: int | None = None
     argmax: list[Partition] = []
-    for d in enumerate_threshold_partitions(len(vec)):
+    for d in enumerate_threshold_partitions(len(numerators)):
         v = sum(map(mul, numerators, d))
         if best is None or v > best:
             best, argmax = v, [d]

@@ -14,10 +14,10 @@ unordered (Koren) version, whose membership reduces to sorting.
 
 Membership takes O(n) after the sort: for each k only one l can give
 the largest excess, and one pointer finds it for every k.  A failed
-test names the violated monotone constraints, or else the single most
-violated prefix-suffix inequality.  :func:`fhm_violations` keeps the
-full O(n^2) scan as the oracle, and :func:`koren_oracle` the 3^n
-enumeration of disjoint S, T for the unordered version.
+test names one witness: the first violated monotone constraint, or
+else the most violated prefix-suffix inequality.  :func:`fhm_violations`
+keeps the full O(n^2) scan as the oracle, and :func:`koren_oracle` the
+3^n enumeration of disjoint S, T for the unordered version.
 
 This module keeps every test exact and makes it in integers where it
 can: integer input is decided in integers, rational input is cleared
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -47,11 +46,13 @@ from .core import (
     Rational,
     RationalVector,
     as_rational_vector,
-    is_weakly_decreasing,
+    clear_denominators,
+    is_int_vector,
     prefix_sums,
     sort_decreasing,
 )
 from .hypergraph import r_subsets
+from .optimize import PairCosts
 from .sampling import make_rng
 from .threshold import (
     Pair,
@@ -112,10 +113,11 @@ def fhm_inequality(n: int, k: int, l: int) -> FacetInequality:
 class FhmMembership:
     """Verdict of :func:`in_fhm_polytope` and the constraints behind it.
 
-    For a member ``violations`` is empty.  Otherwise it holds every
-    violated monotone constraint x_i >= x_{i+1} when there is one, and
-    else exactly one prefix-suffix inequality: the most violated one,
-    the smallest (k, l) among equally violated ones.
+    For a member ``violations`` is empty.  Otherwise it holds exactly
+    one witness: the first violated monotone constraint x_i >= x_{i+1}
+    (smallest i) when there is one, and else the most violated
+    prefix-suffix inequality, the smallest (k, l) among equally violated
+    ones.
     """
 
     member: bool
@@ -123,19 +125,6 @@ class FhmMembership:
 
     def __bool__(self) -> bool:
         return self.member
-
-
-def _clear_denominators(values: Iterable[Rational]) -> tuple[tuple[int, ...], int]:
-    """``values`` times D, the lcm of their denominators, as ints; and D.
-
-    All-int input comes back as it is, with D = 1.
-    """
-    vec = tuple(values)
-    if all(type(v) is int for v in vec):
-        return vec, 1
-    vec = tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vec)
-    scale = lcm(*(v.denominator for v in vec))
-    return tuple(v.numerator * (scale // v.denominator) for v in vec), scale
 
 
 def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
@@ -157,13 +146,13 @@ def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
     are those of x itself.  See :class:`FhmMembership` for what
     ``violations`` holds.
     """
-    vec, scale = _clear_denominators(x)
+    vec, scale = clear_denominators(x)
     n = len(vec)
     if n < 1:
         raise ValueError("membership needs a nonempty vector")
-    unsorted = tuple(monotone_inequality(n, i) for i in range(1, n) if vec[i - 1] < vec[i])
-    if unsorted:
-        return FhmMembership(False, unsorted)
+    ascent = next((i for i in range(1, n) if vec[i - 1] < vec[i]), None)
+    if ascent is not None:
+        return FhmMembership(False, (monotone_inequality(n, ascent),))
     # suf[l] is the sum of the last l entries
     suf = [0] * (n + 1)
     for l in range(1, n + 1):
@@ -217,8 +206,6 @@ def in_koren_polytope(x: Sequence[Rational]) -> bool:
 
     Sorts decreasingly and defers to :func:`in_fhm_polytope`.
     """
-    if len(x) < 1:
-        raise ValueError("membership needs a nonempty vector")
     return in_fhm_polytope(sort_decreasing(x)).member
 
 
@@ -249,27 +236,18 @@ def koren_oracle(x: Sequence[Rational]) -> bool:
     return True
 
 
-def _check_ints(d: Sequence[int], what: str) -> tuple[int, ...]:
-    for v in d:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{what} must be integers, got {d!r}")
-    return tuple(d)
-
-
 def is_degree_partition(d: Sequence[int]) -> bool:
     """Degree sequence of a simple graph, in weakly decreasing order."""
-    vec = _check_ints(d, "degree partition")
-    if not vec or not is_weakly_decreasing(vec):
-        return False
-    return sum(vec) % 2 == 0 and in_fhm_polytope(vec).member
+    if not is_int_vector(d):
+        raise ValueError(f"degree partition must be integers, got {d!r}")
+    return bool(d) and sum(d) % 2 == 0 and in_fhm_polytope(d).member
 
 
 def is_degree_sequence(x: Sequence[int]) -> bool:
     """Degree sequence of a simple graph, any vertex order."""
-    vec = _check_ints(x, "degree sequence")
-    if not vec:
-        return False
-    return sum(vec) % 2 == 0 and in_koren_polytope(vec)
+    if not is_int_vector(x):
+        raise ValueError(f"degree sequence must be integers, got {x!r}")
+    return bool(x) and sum(x) % 2 == 0 and in_koren_polytope(x)
 
 
 @lru_cache(maxsize=None)
@@ -394,15 +372,10 @@ def apply_incidence(
     """
     pairs = r_subsets(n, 2)
     if isinstance(y, Mapping):
-        loads = {pair: Fraction(0) for pair in pairs}
-        for key, value in y.items():
-            pair = tuple(key)
-            if pair not in loads:
-                raise ValueError(f"{pair!r} is not a pair of [{n}]")
-            loads[pair] = Fraction(value)
+        loads = PairCosts(n, y).costs
+    elif len(y) != len(pairs):
+        raise ValueError(f"expected {len(pairs)} pair loads, got {len(y)}")
     else:
-        if len(y) != len(pairs):
-            raise ValueError(f"expected {len(pairs)} pair loads, got {len(y)}")
         loads = {pair: Fraction(v) for pair, v in zip(pairs, y)}
     if check_unit_interval and any(not 0 <= v <= 1 for v in loads.values()):
         raise ValueError("pair loads must lie in [0, 1]")
@@ -455,12 +428,15 @@ def affine_rank(points: Sequence[Sequence[Rational]]) -> int:
     plus one.  Each difference row is cleared of its denominators, which
     keeps the rank, and fraction-free (Bareiss) elimination finds that
     rank in ``int``: each update (h * a - f * b) // prev divides exactly
-    by the previous pivot.
+    by the previous pivot.  Points of different lengths raise
+    ``ValueError``.
     """
     if not points:
         return 0
     base = points[0]
-    rows = [_clear_denominators([v - b for v, b in zip(p, base)])[0] for p in points[1:]]
+    if any(len(p) != len(base) for p in points):
+        raise ValueError(f"affine rank needs points of one length, got {points!r}")
+    rows = [clear_denominators([v - b for v, b in zip(p, base)])[0] for p in points[1:]]
     rank, prev = 0, 1
     for col in range(len(base)):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     Partition,
     Rational,
+    RationalVector,
     as_rational_vector,
     is_partition,
     is_weakly_decreasing,
@@ -118,28 +119,28 @@ def ideal_from_partition(d: Sequence[int]) -> RGraph:
     return ideal
 
 
-def enumerate_threshold_partitions(n: int, bound: int = ENUMERATION_BOUND) -> tuple[Partition, ...]:
+def enumerate_threshold_partitions(n: int) -> tuple[Partition, ...]:
     """All 2^(n-1) threshold partitions on [n], in recursion order.
 
     The isolated branch (append a 0) precedes the dominating branch
     (prepend n-1 and shift the rest up by one), recursively.
     """
-    if not 1 <= n <= bound:
-        raise ValueError(f"n={n} outside the enumeration bound 1..{bound}")
+    if not 1 <= n <= ENUMERATION_BOUND:
+        raise ValueError(f"n={n} outside the enumeration bound 1..{ENUMERATION_BOUND}")
     tps: list[Partition] = [(0,)]
     for m in range(2, n + 1):
         tps = [t + (0,) for t in tps] + [(m - 1,) + tuple(v + 1 for v in t) for t in tps]
     return tuple(tps)
 
 
-def enumerate_order_ideals(n: int, bound: int = IDEAL_ENUMERATION_BOUND) -> tuple[frozenset[Pair], ...]:
+def enumerate_order_ideals(n: int) -> tuple[frozenset[Pair], ...]:
     """All order ideals of the pair poset, as edge sets.
 
     Position k here is the ideal of the k-th partition from
     :func:`enumerate_threshold_partitions`, read from its peel.
     """
-    if not 1 <= n <= bound:
-        raise ValueError(f"n={n} outside the ideal enumeration bound 1..{bound}")
+    if not 1 <= n <= IDEAL_ENUMERATION_BOUND:
+        raise ValueError(f"n={n} outside the ideal enumeration bound 1..{IDEAL_ENUMERATION_BOUND}")
     return tuple(_step_edges(_peel(d)) for d in enumerate_threshold_partitions(n))
 
 
@@ -168,6 +169,16 @@ def tp_meet(d: Sequence[int], e: Sequence[int]) -> Partition:
     return _lattice_op(d, e, min, "meet")
 
 
+def _weights(b: Sequence[Rational]) -> RationalVector:
+    """``b`` as Fractions; raises ``ValueError`` unless nonempty and weakly decreasing."""
+    vec = as_rational_vector(b)
+    if not vec:
+        raise ValueError("need at least one weight")
+    if not is_weakly_decreasing(vec):
+        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
+    return vec
+
+
 def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
     """The ideal {(i,j) : b_i + b_j >= 0} of a weakly decreasing weight vector.
 
@@ -175,11 +186,7 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
     which selects the edge-minimal rather than edge-maximal version when
     zero pair sums occur.
     """
-    vec = as_rational_vector(b)
-    if not vec:
-        raise ValueError("need at least one weight")
-    if not is_weakly_decreasing(vec):
-        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
+    vec = _weights(b)
     n = len(vec)
     if strict:
         edges = {(i, j) for i, j in r_subsets(n, 2) if vec[i - 1] + vec[j - 1] > 0}
@@ -197,11 +204,7 @@ def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
     shrinks as i grows: one two-pointer sweep counts every d_i, and the
     nested prefixes are the downward closure of the edge set.
     """
-    vec = as_rational_vector(b)
-    if not vec:
-        raise ValueError("need at least one weight")
-    if not is_weakly_decreasing(vec):
-        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
+    vec = _weights(b)
     deg = []
     hi = len(vec)
     for i, bi in enumerate(vec, start=1):

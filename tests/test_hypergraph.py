@@ -271,8 +271,9 @@ def test_brute_force_r_graphical_frozen_cases():
     assert brute_force_r_graphical((3, 3, 3, 3), 4, 3)
     assert not brute_force_r_graphical((3, 1, 1, 1), 4, 3)
     assert brute_force_r_graphical((0, 0, 0), 3, 2)
+    # C(35, 7) = 6,724,520 candidate edge sets pass the cap, so it refuses before any work
     with pytest.raises(ValueError, match="budget"):
-        brute_force_r_graphical((3, 3, 3, 3, 3, 3), 6, 2, budget=10)
+        brute_force_r_graphical((3,) * 7, 7, 3)
 
 
 def test_hypergraph_text_roundtrip():

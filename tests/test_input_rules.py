@@ -1,0 +1,110 @@
+"""Every integer entry point applies the one rule of degpoly.core, and no module restates it."""
+
+import ast
+from enum import IntEnum
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from degpoly.core import check_partition, is_partition
+from degpoly.hypergraph import RGraph, is_r_graphical_partition
+from degpoly.polytope import is_degree_partition, is_degree_sequence
+from degpoly.threshold import is_threshold_partition
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "degpoly"
+
+
+class Degree(IntEnum):
+    TWO = 2
+
+
+# each equals an int, and none is exactly an int
+NOT_INTS = [True, 1.0, Fraction(2), Degree.TWO]
+
+# entry point -> a call on the degree partition d of the complete graph on len(d) vertices
+ENTRY_POINTS = {
+    "is_partition": is_partition,
+    "check_partition": check_partition,
+    "is_threshold_partition": is_threshold_partition,
+    "is_degree_partition": is_degree_partition,
+    "is_degree_sequence": is_degree_sequence,
+    "RGraph": lambda d: RGraph(len(d), 2, {(d[0], len(d))}),
+    "is_r_graphical_partition": lambda d: is_r_graphical_partition(d, len(d), 2),
+}
+
+
+def _accepts(call, d):
+    """A truthy answer; ``False`` or ``ValueError`` is a refusal."""
+    try:
+        return bool(call(d))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_refuses_what_is_not_exactly_an_int(name, value):
+    call = ENTRY_POINTS[name]
+    plain = (int(value),) * (int(value) + 1)
+    assert _accepts(call, plain)
+    assert not _accepts(call, (value,) + plain[1:])
+
+
+def _is_int(node):
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def _restated_rules(tree):
+    """(line, rule) for every int type test and every use of lcm in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            if _is_int(node.args[-1]):
+                yield node.lineno, "isinstance(_, int)"
+        elif (
+            isinstance(node, ast.Compare)
+            and getattr(getattr(node.left, "func", None), "id", None) == "type"
+            and any(map(_is_int, node.comparators))
+        ):
+            yield node.lineno, "type(_) compared with int"
+        elif isinstance(node, ast.Set) and any(map(_is_int, node.elts)):
+            yield node.lineno, "set of types {int}"
+        elif getattr(node, "id", None) == "lcm" or getattr(node, "attr", None) == "lcm":
+            yield node.lineno, "lcm"
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] == "lcm":
+            yield node.lineno, "import of lcm"
+
+
+def _scan(path):
+    return list(_restated_rules(ast.parse(path.read_text(), str(path))))
+
+
+def test_only_core_states_the_integer_and_denominator_rules():
+    modules = sorted(SRC.glob("*.py"))
+    assert SRC / "core.py" in modules
+    found = [
+        f"{path.name}:{line}: {rule}" for path in modules if path.name != "core.py" for line, rule in _scan(path)
+    ]
+    assert found == []
+    # the scan does see both rules where they live
+    assert {rule for _, rule in _scan(SRC / "core.py")} >= {"set of types {int}", "lcm", "import of lcm"}
+
+
+def test_the_scan_catches_each_form_of_a_restated_rule():
+    source = """
+from math import lcm
+import math
+isinstance(v, int)
+type(v) is int
+type(v) == int
+set(map(type, values)) <= {int}
+math.lcm(2, 3)
+"""
+    assert sorted(rule for _, rule in _restated_rules(ast.parse(source))) == [
+        "import of lcm",
+        "isinstance(_, int)",
+        "lcm",
+        "set of types {int}",
+        "type(_) compared with int",
+        "type(_) compared with int",
+    ]

@@ -23,7 +23,6 @@ from degpoly.optimize import (
 from degpoly.runs import pava_oracle, pool
 from degpoly.sampling import make_rng, random_pair_costs, random_rational_vector
 from degpoly.threshold import (
-    degree_partition_of_ideal,
     enumerate_threshold_partitions,
     graph_from_weights,
     is_threshold_partition,

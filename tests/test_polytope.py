@@ -121,7 +121,7 @@ def _check_sweep_against_scan(x):
     scan = fhm_violations(x)
     assert verdict.member == (not scan)
     if not is_weakly_decreasing(x):
-        assert verdict.violations == tuple(f for f in scan if f.kind == "monotone")
+        assert verdict.violations == (next(f for f in scan if f.kind == "monotone"),)
     elif scan:
         (witness,) = verdict.violations
         assert witness.kind == "fhm" and not witness.satisfied(x)
@@ -223,6 +223,14 @@ def test_is_degree_sequence_scales_to_20000_vertices():
     assert not verdict.member
     (witness,) = verdict.violations
     assert not witness.satisfied(star_too_big)
+
+
+def test_unsorted_input_gets_one_witness_at_20000_vertices():
+    # every adjacent pair ascends; the witness is the first monotone constraint alone
+    increasing = tuple(range(20_000))
+    verdict = in_fhm_polytope(increasing)
+    assert not verdict.member
+    assert verdict.violations == (monotone_inequality(20_000, 1),)
 
 
 def test_in_koren_polytope_frozen_cases():
@@ -425,6 +433,12 @@ def test_affine_rank():
     assert affine_rank([(0, 0), (1, 1), (2, 2)]) == 2
     assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 3
     assert affine_rank([(F(1, 2), F(1, 3)), (F(1, 2), F(1, 3))]) == 1
+
+
+def test_affine_rank_refuses_points_of_different_lengths():
+    for points in ([(0, 0, 0), (1, 0, 0), (0, 1, 5, 7)], [(0, 0, 0), (1, 0, 0), (0, 1)]):
+        with pytest.raises(ValueError, match="one length"):
+            affine_rank(points)
 
 
 def _fraction_affine_rank(points):
