@@ -26,6 +26,7 @@ from .hypergraph import (
     apply_unit_transformation,
     brute_force_r_graphical,
     degree_sequence,
+    enumerate_degree_partitions,
     enumerate_r_ideal_partitions,
     enumerate_r_ideals,
     format_hypergraph,
@@ -61,7 +62,6 @@ from .polytope import (
     dominating_sum_identity,
     dp3_volume,
     ds3_volume_estimate,
-    enumerate_degree_partitions,
     face_vertices,
     facet_inequalities,
     fhm_inequality,

@@ -18,6 +18,12 @@ Graphs are the case r = 2: the pairs ordered componentwise form the same
 poset, its ideals are the proper threshold graphs of
 :mod:`degpoly.threshold`, and that module builds them as ``RGraph(n, 2,
 edges)`` and tests closure with :func:`is_r_ideal`.
+
+The independent oracle is one brute-force walk for every r:
+:func:`enumerate_degree_partitions` visits all 2^C(n, r) edge sets in
+Gray-code order and refuses C(n, r) > 21 before it starts.  At r = 2 its
+result is the lattice-point set of :mod:`degpoly.polytope`, and
+:func:`brute_force_r_graphical` is membership in it.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ RSubset = tuple[int, ...]
 
 # Poset-wide enumerations stay tractable while C(n, r) is small.
 POSET_SIZE_BOUND = 20
-# The brute-force oracle refuses to try more candidate edge sets than this.
-BRUTE_FORCE_EDGE_SETS = 5_000_000
+# The brute-force walk visits all 2^C(n, r) edge sets; C(7, 2) = 21 keeps
+# every graph on up to seven vertices.
+BRUTE_FORCE_EDGES = 21
 
 
 def _check_size(n: int, r: int) -> None:
@@ -358,27 +365,39 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
     return result
 
 
-def brute_force_r_graphical(d: Sequence[int], n: int, r: int) -> bool:
-    """Try every edge set of the right size; the slow exact oracle, capped at BRUTE_FORCE_EDGE_SETS."""
-    vec = _degree_query(d, n, r)
-    if vec is None:
-        return False
-    m = sum(vec) // r
-    universe = r_subsets(n, r)
-    if m > len(universe):
-        return False
-    if comb(len(universe), m) > BRUTE_FORCE_EDGE_SETS:
+def enumerate_degree_partitions(n: int, r: int) -> frozenset[Partition]:
+    """Degree partitions of all 2^C(n, r) r-graphs on [n], by brute force.
+
+    Walks the edge sets of :func:`r_subsets` in Gray-code order, so each
+    step flips one edge and updates its r degrees; the distinct labelled
+    degree tuples are sorted once at the end.  Refuses C(n, r) >
+    BRUTE_FORCE_EDGES before any work.
+    """
+    _check_size(n, r)
+    if comb(n, r) > BRUTE_FORCE_EDGES:
         raise ValueError(
-            f"C({len(universe)}, {m}) candidate edge sets exceed the budget {BRUTE_FORCE_EDGE_SETS}"
+            f"brute-force enumeration needs C(n, r) <= {BRUTE_FORCE_EDGES}, got {comb(n, r)}"
         )
-    for pick in combinations(universe, m):
-        deg = [0] * n
-        for edge in pick:
-            for v in edge:
-                deg[v - 1] += 1
-        if tuple(sorted(deg, reverse=True)) == vec:
-            return True
-    return False
+    edges = r_subsets(n, r)
+    deg = [0] * n
+    seen = {tuple(deg)}
+    present = 0
+    for t in range(1, 1 << len(edges)):
+        bit = (t & -t).bit_length() - 1
+        present ^= 1 << bit
+        delta = 1 if present >> bit & 1 else -1
+        for v in edges[bit]:
+            deg[v - 1] += delta
+        seen.add(tuple(deg))
+    return frozenset(map(sort_decreasing, seen))
+
+
+def brute_force_r_graphical(d: Sequence[int], n: int, r: int) -> bool:
+    """Is ``d`` among the degree partitions of all r-graphs on [n]?  The slow exact oracle.
+
+    A total not divisible by r gives no partition, which no set holds.
+    """
+    return _degree_query(d, n, r) in enumerate_degree_partitions(n, r)
 
 
 def parse_hypergraph(text: str, r: int | None = None) -> frozenset[RSubset]:

@@ -31,6 +31,9 @@ by validating each enumerated vertex once and then testing every
 vertex pair, and spot-checks the n = 3 volume: the polytope is a
 tetrahedron of volume 1/3, and the unordered region in [0,2]^3 has
 volume 2, estimated by Monte Carlo with exact membership per sample.
+The lattice points to compare against, the degree partitions of all
+graphs, come from the brute-force walk of :mod:`degpoly.hypergraph`
+with r = 2.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .core import (
     prefix_sums,
     sort_decreasing,
 )
-from .hypergraph import r_subsets
+from .hypergraph import enumerate_degree_partitions, r_subsets
 from .optimize import PairCosts
 from .sampling import make_rng
 from .threshold import (
@@ -237,17 +240,19 @@ def koren_oracle(x: Sequence[Rational]) -> bool:
 
 
 def is_degree_partition(d: Sequence[int]) -> bool:
-    """Degree sequence of a simple graph, in weakly decreasing order."""
-    if not is_int_vector(d):
-        raise ValueError(f"degree partition must be integers, got {d!r}")
-    return bool(d) and sum(d) % 2 == 0 and in_fhm_polytope(d).member
+    """Degree sequence of a simple graph, in weakly decreasing order.
+
+    ``False`` unless every entry is exactly an ``int``.
+    """
+    return bool(d) and is_int_vector(d) and sum(d) % 2 == 0 and in_fhm_polytope(d).member
 
 
 def is_degree_sequence(x: Sequence[int]) -> bool:
-    """Degree sequence of a simple graph, any vertex order."""
-    if not is_int_vector(x):
-        raise ValueError(f"degree sequence must be integers, got {x!r}")
-    return bool(x) and sum(x) % 2 == 0 and in_koren_polytope(x)
+    """Degree sequence of a simple graph, any vertex order.
+
+    ``False`` unless every entry is exactly an ``int``.
+    """
+    return bool(x) and is_int_vector(x) and sum(x) % 2 == 0 and in_koren_polytope(x)
 
 
 @lru_cache(maxsize=None)
@@ -396,29 +401,6 @@ def face_vertices(n: int, tight: Iterable[FacetInequality]) -> tuple[Partition, 
         for d in enumerate_threshold_partitions(n)
         if all(f.tight(d) for f in constraints)
     )
-
-
-def enumerate_degree_partitions(n: int) -> frozenset[Partition]:
-    """Sorted degree sequences of all 2^C(n,2) graphs on [n] (n <= 7).
-
-    Walks edge subsets in Gray-code order so each step flips one edge and
-    touches two degrees.
-    """
-    if not 1 <= n <= 7:
-        raise ValueError(f"graph enumeration is capped at n <= 7, got n={n}")
-    pairs = r_subsets(n, 2)
-    deg = [0] * n
-    found = {tuple(deg)}
-    present = 0
-    for t in range(1, 1 << len(pairs)):
-        bit = (t & -t).bit_length() - 1
-        present ^= 1 << bit
-        delta = 1 if present & (1 << bit) else -1
-        i, j = pairs[bit]
-        deg[i - 1] += delta
-        deg[j - 1] += delta
-        found.add(tuple(sorted(deg, reverse=True)))
-    return frozenset(found)
 
 
 def affine_rank(points: Sequence[Sequence[Rational]]) -> int:

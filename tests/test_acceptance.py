@@ -24,6 +24,7 @@ from degpoly.hypergraph import (
     apply_unit_transformation,
     brute_force_r_graphical,
     degree_sequence,
+    enumerate_degree_partitions,
     is_r_graphical_partition,
     muirhead_chain,
     realize_r_graph,
@@ -41,7 +42,6 @@ from degpoly.polytope import (
     dominating_sum_identity,
     dp3_volume,
     ds3_volume_estimate,
-    enumerate_degree_partitions,
     face_vertices,
     facet_inequalities,
     in_fhm_polytope,
@@ -103,7 +103,7 @@ def test_criterion_02_lattice_point_equality(criterion):
                 for d in bounded_partitions(n, n * (n - 1), max_entry=n - 1)
                 if sum(d) % 2 == 0 and in_fhm_polytope(d).member
             )
-            assert from_polytope == enumerate_degree_partitions(n)
+            assert from_polytope == enumerate_degree_partitions(n, 2)
 
 
 def test_criterion_03_optimization_exactness(criterion):
@@ -113,7 +113,7 @@ def test_criterion_03_optimization_exactness(criterion):
     ):
         rng = make_rng(DEFAULT_SEED)
         for n in range(3, 7):
-            lattice = enumerate_degree_partitions(n)
+            lattice = enumerate_degree_partitions(n, 2)
             for _ in range(500):
                 c = random_rational_vector(rng, n)
                 d = optimal_threshold_partition(c, "max")

@@ -211,6 +211,13 @@ def test_recognize_big_r3_rejected(capsys):
     assert "C(n, r)" in err
 
 
+def test_recognize_big_r1_rejected_for_the_real_reason(capsys):
+    # r = 1 also needs the small poset; only r = 2 has its own route
+    code, report, err = run(capsys, "recognize", "--seq", ",".join("1" * 21), "--r", "1")
+    assert code == 2 and report is None
+    assert "recognition for r != 2 needs C(n, r) <= 20, got 21" in err
+
+
 def test_recognize_negative_degree(capsys):
     code, _, err = run(capsys, "recognize", "--seq", "2,-1")
     assert code == 2

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from degpoly import hypergraph
 from degpoly.core import bounded_partitions, majorizes, sort_decreasing
 from degpoly.hypergraph import (
     RGraph,
@@ -16,6 +17,7 @@ from degpoly.hypergraph import (
     apply_unit_transformation,
     brute_force_r_graphical,
     degree_sequence,
+    enumerate_degree_partitions,
     enumerate_r_ideal_partitions,
     enumerate_r_ideals,
     format_hypergraph,
@@ -271,9 +273,41 @@ def test_brute_force_r_graphical_frozen_cases():
     assert brute_force_r_graphical((3, 3, 3, 3), 4, 3)
     assert not brute_force_r_graphical((3, 1, 1, 1), 4, 3)
     assert brute_force_r_graphical((0, 0, 0), 3, 2)
-    # C(35, 7) = 6,724,520 candidate edge sets pass the cap, so it refuses before any work
-    with pytest.raises(ValueError, match="budget"):
+    # C(7, 3) = 35 edges pass the cap of the walk, so it refuses before any work
+    with pytest.raises(ValueError, match=r"C\(n, r\) <= 21, got 35"):
         brute_force_r_graphical((3,) * 7, 7, 3)
+
+
+def _degree_partitions_by_scan(n, r):
+    edges = list(combinations(range(1, n + 1), r))
+    return frozenset(
+        sort_decreasing(sum(v in e for e in pick) for v in range(1, n + 1))
+        for m in range(len(edges) + 1)
+        for pick in combinations(edges, m)
+    )
+
+
+def test_walk_matches_a_scan_of_every_edge_set():
+    cases = [(n, r) for n in range(1, 11) for r in range(1, n + 2) if comb(n, r) <= 10]
+    assert (5, 3) in cases and (10, 1) in cases and (4, 5) in cases
+    for n, r in cases:
+        assert enumerate_degree_partitions(n, r) == _degree_partitions_by_scan(n, r), (n, r)
+
+
+def test_walk_with_r_above_n_has_only_the_empty_graph():
+    for n in (1, 3, 6):
+        assert enumerate_degree_partitions(n, n + 1) == {(0,) * n}
+        assert enumerate_degree_partitions(n, n + 4) == {(0,) * n}
+
+
+def test_walk_refuses_more_than_21_edges_before_any_work(monkeypatch):
+    def no_work(n, r):
+        raise AssertionError("the walk listed edges before checking its cap")
+
+    monkeypatch.setattr(hypergraph, "r_subsets", no_work)
+    for n, r, edges in ((8, 2, 28), (7, 3, 35)):
+        with pytest.raises(ValueError, match=rf"C\(n, r\) <= 21, got {edges}"):
+            enumerate_degree_partitions(n, r)
 
 
 def test_hypergraph_text_roundtrip():

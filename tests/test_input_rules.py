@@ -51,6 +51,15 @@ def test_every_entry_point_refuses_what_is_not_exactly_an_int(name, value):
     assert not _accepts(call, (value,) + plain[1:])
 
 
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize(
+    "name", ("is_partition", "is_threshold_partition", "is_degree_partition", "is_degree_sequence")
+)
+def test_predicates_answer_false_rather_than_raise(name, value):
+    plain = (int(value),) * (int(value) + 1)
+    assert ENTRY_POINTS[name]((value,) + plain[1:]) is False
+
+
 def _is_int(node):
     return isinstance(node, ast.Name) and node.id == "int"
 
