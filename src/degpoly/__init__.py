@@ -22,8 +22,6 @@ from .core import (
 )
 from .hypergraph import (
     RGraph,
-    UnitTransformation,
-    apply_unit_transformation,
     brute_force_r_graphical,
     degree_sequence,
     enumerate_degree_partitions,
@@ -33,7 +31,6 @@ from .hypergraph import (
     is_r_graphical_partition,
     is_r_ideal,
     muirhead_chain,
-    parse_hypergraph,
     r_subsets,
     realize_r_graph,
     relabel_rgraph,
@@ -41,11 +38,7 @@ from .hypergraph import (
 )
 from .optimize import (
     Certificate,
-    PairCosts,
-    brute_force_max_weight_ideals,
     brute_force_optimal_partition,
-    lift_costs,
-    max_weight_ideal,
     objective_value,
     optimal_threshold_partition,
     optimality_certificate,
@@ -55,7 +48,6 @@ from .polytope import (
     FhmMembership,
     VolumeEstimate,
     affine_rank,
-    apply_incidence,
     are_adjacent,
     count_edges,
     dominating_count,
@@ -82,16 +74,9 @@ from .runs import (
     pava_oracle,
     pool,
 )
-from .sampling import (
-    DEFAULT_SEED,
-    make_rng,
-    random_pair_costs,
-    random_rational,
-    random_rational_vector,
-)
+from .sampling import DEFAULT_SEED, make_rng
 from .threshold import (
     degree_partition_of_ideal,
-    enumerate_order_ideals,
     enumerate_threshold_partitions,
     graph_from_weights,
     ideal_from_partition,

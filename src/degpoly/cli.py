@@ -2,7 +2,9 @@
 
 Reports go to stdout as a single JSON document; diagnostics go to
 stderr.  Exit status is 0 when every embedded check passes, 1 when some
-check fails, and 2 on usage errors.  Rationals serialize as strings like
+check fails, 2 on usage errors, and 3 when an internal invariant breaks
+(an ``AssertionError``), so a fault in the program never reads as a
+failed check.  Rationals serialize as strings like
 "3/2" (integers plainly, like "4"); sets serialize sorted.  The
 verify --seed flag defaults to a fixed constant so runs are
 reproducible.
@@ -119,6 +121,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     mode = args.mode
     # the certificate base is the projection the optimizer is read from
     cert = optimality_certificate(costs)
+    support = sorted(cert.support)
     partition = threshold_degrees(cert.base, strict=(mode == "min"))
     value = objective_value(costs, partition)
     checks = [
@@ -131,7 +134,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
         make_check(
             "certificate-support-on-optimal-plateaus",
             [],
-            sorted(i for i in cert.support if partition[i - 1] != partition[i]),
+            [i for i in support if partition[i - 1] != partition[i]],
         ),
     ]
     if args.oracle:
@@ -151,7 +154,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
             "certificate": {
                 "base": cert.base,
                 "coefficients": cert.coefficients,
-                "support": sorted(cert.support),
+                "support": support,
             },
         },
         "checks": checks,
@@ -202,17 +205,21 @@ def _suite_counts(n: int, seed: int, samples: int) -> SuiteReport:
 def _suite_facets(n: int, seed: int, samples: int) -> SuiteReport:
     facets = facet_inequalities(n)
     vertices = enumerate_threshold_partitions(n)
-    violations = sum(
-        1 for f in facets for d in vertices if not f.satisfied(d)
-    )
-    min_rank = min(
-        affine_rank([d for d in vertices if f.tight(d)]) for f in facets
-    )
+    # one evaluation per (facet, vertex) gives both the violations and the tight sets
+    violations = 0
+    tight_sets = []
+    for f in facets:
+        values = [f.value(d) for d in vertices]
+        violations += sum(v > f.rhs for v in values)
+        tight_sets.append([d for d, v in zip(vertices, values) if v == f.rhs])
+    min_rank = min(map(affine_rank, tight_sets))
 
     def violates_only(f, w):
         return not f.satisfied(w) and all(g.satisfied(w) for g in facets if g != f)
 
-    witnesses = sum(1 for f in facets if violates_only(f, irredundancy_witness(n, f)))
+    witnesses = sum(
+        1 for f, tight in zip(facets, tight_sets) if violates_only(f, irredundancy_witness(n, f, tight))
+    )
     return {}, [
         make_check(
             "facet-count",
@@ -448,6 +455,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     print(json.dumps(jsonify(report), indent=2, sort_keys=True))
     return 0 if all(c["pass"] for c in report["checks"]) else 1
 

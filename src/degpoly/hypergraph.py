@@ -126,54 +126,33 @@ def is_r_ideal(graph: RGraph) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class UnitTransformation:
-    """Move one unit of degree from ``source`` to ``target`` (1-based)."""
-
-    source: int
-    target: int
-
-
-def apply_unit_transformation(a: Sequence[int], step: UnitTransformation) -> IntSequence:
-    """Requires the source to exceed the target by at least two."""
-    src, tgt = step.source, step.target
-    if src == tgt or not (1 <= src <= len(a) and 1 <= tgt <= len(a)):
-        raise ValueError(f"bad transfer indices {step!r} for length {len(a)}")
-    if a[src - 1] < a[tgt - 1] + 2:
-        raise ValueError(
-            f"transfer needs a[{src}] >= a[{tgt}] + 2, got {a[src - 1]} and {a[tgt - 1]}"
-        )
-    out = list(a)
-    out[src - 1] -= 1
-    out[tgt - 1] += 1
-    return tuple(out)
-
-
-def muirhead_chain(a: Sequence[int], b: Sequence[int]) -> tuple[UnitTransformation, ...]:
-    """Unit transfers carrying ``a`` to a rearrangement of ``b``.
+def muirhead_chain(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Unit transfers (source, target), 1-based, carrying ``a`` to a rearrangement of ``b``.
 
     Requires ``a`` to majorize ``b``.  Each step views the current
     sequence in sorted order (ties broken by position), takes the first
     sorted position where the prefix sums strictly exceed those of the
     sorted target as the source and the first valuewise deficit as the
-    target; majorization makes the source at least two larger.
+    target; majorization makes the source at least two larger, and a
+    step that is not raises ``AssertionError``, also under ``python -O``.
     """
     if not majorizes(a, b):
         raise ValueError("chain construction needs the start to majorize the goal")
     cur = list(a)
     goal = sort_decreasing(b)
     goal_prefix = prefix_sums(goal)
-    chain: list[UnitTransformation] = []
+    chain: list[tuple[int, int]] = []
     while sort_decreasing(cur) != goal:
         order = sorted(range(len(cur)), key=lambda p: (-cur[p], p))
         vals = [cur[p] for p in order]
         val_prefix = prefix_sums(vals)
-        src_pos = next(t for t in range(len(cur)) if val_prefix[t] > goal_prefix[t])
-        tgt_pos = next(t for t in range(len(cur)) if vals[t] < goal[t])
-        step = UnitTransformation(order[src_pos] + 1, order[tgt_pos] + 1)
-        chain.append(step)
-        cur[order[src_pos]] -= 1
-        cur[order[tgt_pos]] += 1
+        src = order[next(t for t in range(len(cur)) if val_prefix[t] > goal_prefix[t])]
+        tgt = order[next(t for t in range(len(cur)) if vals[t] < goal[t])]
+        if cur[src] < cur[tgt] + 2:
+            raise AssertionError(f"transfer {src + 1} -> {tgt + 1} lacks a surplus of two in {cur!r}")
+        chain.append((src + 1, tgt + 1))
+        cur[src] -= 1
+        cur[tgt] += 1
     return tuple(chain)
 
 
@@ -352,10 +331,10 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
     part, ideal = start
     edges = set(ideal)
     contexts = tuple(combinations(range(1, n + 1), r - 1))
-    for step in muirhead_chain(part, vec):
-        swap = _edge_swap(edges, contexts, step.source, step.target)
+    for src, tgt in muirhead_chain(part, vec):
+        swap = _edge_swap(edges, contexts, src, tgt)
         if swap is None:
-            raise AssertionError(f"degree surplus guarantees a swappable edge for {step!r}")
+            raise AssertionError(f"degree surplus guarantees a swappable edge for {src} -> {tgt}")
         edges.remove(swap[0])
         edges.add(swap[1])
     result = RGraph(n, r, frozenset(edges))
@@ -400,28 +379,6 @@ def brute_force_r_graphical(d: Sequence[int], n: int, r: int) -> bool:
     return _degree_query(d, n, r) in enumerate_degree_partitions(n, r)
 
 
-def parse_hypergraph(text: str, r: int | None = None) -> frozenset[RSubset]:
-    """One edge per line: r strictly increasing 1-based labels."""
-    edges = set()
-    width = r
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            edge = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"line {lineno}: labels must be integers: {line!r}") from None
-        if width is None:
-            width = len(edge)
-        if len(edge) != width:
-            raise ValueError(f"line {lineno}: expected {width} labels, got {len(edge)}")
-        if edge[0] < 1 or any(a >= b for a, b in zip(edge, edge[1:])):
-            raise ValueError(f"line {lineno}: labels must strictly increase from 1: {line!r}")
-        edges.add(edge)
-    return frozenset(edges)
-
-
 def format_hypergraph(edges: Iterable[RSubset]) -> str:
-    """Inverse of :func:`parse_hypergraph`, edges sorted, one per line."""
+    """Edges sorted, one per line, labels separated by spaces."""
     return "\n".join(" ".join(str(v) for v in edge) for edge in sorted(edges))

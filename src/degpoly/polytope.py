@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Partition,
@@ -54,14 +54,9 @@ from .core import (
     prefix_sums,
     sort_decreasing,
 )
-from .hypergraph import enumerate_degree_partitions, r_subsets
-from .optimize import PairCosts
+from .hypergraph import enumerate_degree_partitions
 from .sampling import make_rng
-from .threshold import (
-    Pair,
-    enumerate_threshold_partitions,
-    is_threshold_partition,
-)
+from .threshold import enumerate_threshold_partitions, is_threshold_partition
 
 
 @dataclass(frozen=True)
@@ -363,34 +358,6 @@ def dominating_sum_identity(n: int) -> tuple[int, int]:
     return total, 2 ** (n - 1)
 
 
-def apply_incidence(
-    n: int,
-    y: Mapping[Pair, Rational] | Sequence[Rational],
-    check_unit_interval: bool = False,
-) -> RationalVector:
-    """Pair loads to vertex loads: x_i sums y over the pairs containing i.
-
-    ``y`` is a mapping from pairs (missing pairs count as zero) or a full
-    sequence in lexicographic pair order.  With ``check_unit_interval``
-    every load must lie in [0, 1], the box whose image is the unordered
-    degree-sequence region.
-    """
-    pairs = r_subsets(n, 2)
-    if isinstance(y, Mapping):
-        loads = PairCosts(n, y).costs
-    elif len(y) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} pair loads, got {len(y)}")
-    else:
-        loads = {pair: Fraction(v) for pair, v in zip(pairs, y)}
-    if check_unit_interval and any(not 0 <= v <= 1 for v in loads.values()):
-        raise ValueError("pair loads must lie in [0, 1]")
-    x = [Fraction(0)] * n
-    for (i, j), v in loads.items():
-        x[i - 1] += v
-        x[j - 1] += v
-    return tuple(x)
-
-
 def face_vertices(n: int, tight: Iterable[FacetInequality]) -> tuple[Partition, ...]:
     """The threshold partitions satisfying every given constraint tightly."""
     if not 4 <= n <= 10:
@@ -435,18 +402,23 @@ def affine_rank(points: Sequence[Sequence[Rational]]) -> int:
     return rank + 1
 
 
-def irredundancy_witness(n: int, facet: FacetInequality) -> RationalVector:
+def irredundancy_witness(
+    n: int, facet: FacetInequality, tight: Sequence[Partition]
+) -> RationalVector:
     """A rational point violating only the given facet.
 
-    Starts at the barycenter of the facet's tight vertices, which lies
-    strictly inside every other facet because distinct facets have
-    distinct hyperplanes, then steps outward along the facet normal by
-    half the largest exactly-safe amount.
+    ``tight`` is the facet's set of tight vertices, which the caller has
+    already found.  Starts at their barycenter, which lies strictly
+    inside every other facet because distinct facets have distinct
+    hyperplanes, then steps outward along the facet normal by half the
+    largest exactly-safe amount.  Raises ``ValueError`` when ``tight``
+    holds a point off the facet, and ``AssertionError`` when it is empty.
     """
     facets = facet_inequalities(n)
     if facet not in facets:
         raise ValueError("witness requested for a constraint outside the facet list")
-    tight = [d for d in enumerate_threshold_partitions(n) if facet.tight(d)]
+    if not all(facet.tight(d) for d in tight):
+        raise ValueError(f"every given point must be tight at {facet!r}")
     if not tight:
         raise AssertionError(f"facet {facet!r} is tight at no vertex")
     bary = tuple(Fraction(sum(col), len(tight)) for col in zip(*tight))

@@ -18,9 +18,10 @@ their degree vectors stay threshold partitions, so they form a lattice.
 The recursion is written out twice: forwards in
 :func:`enumerate_threshold_partitions`, which builds every partition,
 and backwards in one O(n) peel that decodes a given partition into its
-dominating steps.  Recognition, :func:`ideal_from_partition` and
-:func:`enumerate_order_ideals` all read that one decode, so the degree
-map is a bijection from ideals to partitions by construction.
+dominating steps.  Recognition and :func:`ideal_from_partition` both
+read that one decode, so the degree map is a bijection from ideals to
+partitions by construction; the tests hold the ideals it builds to the
+walk over all r-ideals of :mod:`degpoly.hypergraph` at r = 2.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ Pair = tuple[int, int]
 
 # Enumerations double per vertex; past ~20 vertices they stop being useful.
 ENUMERATION_BOUND = 20
-# Ideal enumeration materializes edge sets, which is heavier than tuples.
-IDEAL_ENUMERATION_BOUND = 12
 
 
 def _pair_ideal(n: int, edges: Iterable[Pair]) -> RGraph:
@@ -131,17 +130,6 @@ def enumerate_threshold_partitions(n: int) -> tuple[Partition, ...]:
     for m in range(2, n + 1):
         tps = [t + (0,) for t in tps] + [(m - 1,) + tuple(v + 1 for v in t) for t in tps]
     return tuple(tps)
-
-
-def enumerate_order_ideals(n: int) -> tuple[frozenset[Pair], ...]:
-    """All order ideals of the pair poset, as edge sets.
-
-    Position k here is the ideal of the k-th partition from
-    :func:`enumerate_threshold_partitions`, read from its peel.
-    """
-    if not 1 <= n <= IDEAL_ENUMERATION_BOUND:
-        raise ValueError(f"n={n} outside the ideal enumeration bound 1..{IDEAL_ENUMERATION_BOUND}")
-    return tuple(_step_edges(_peel(d)) for d in enumerate_threshold_partitions(n))
 
 
 def _lattice_op(

@@ -21,7 +21,6 @@ import pytest
 
 from degpoly.core import bounded_partitions, majorizes, sort_decreasing
 from degpoly.hypergraph import (
-    apply_unit_transformation,
     brute_force_r_graphical,
     degree_sequence,
     enumerate_degree_partitions,
@@ -49,8 +48,9 @@ from degpoly.polytope import (
     is_degree_partition,
 )
 from degpoly.runs import average_runs, pava_oracle, pool
-from degpoly.sampling import DEFAULT_SEED, make_rng, random_rational_vector
+from degpoly.sampling import DEFAULT_SEED, make_rng
 from degpoly.threshold import enumerate_threshold_partitions, tp_join
+from rational_data import random_rational_vector
 
 F = Fraction
 
@@ -192,7 +192,7 @@ def test_criterion_07_facets(criterion):
         for n in (4, 5):
             facets = facet_inequalities(n)
             for f in facets:
-                witness = irredundancy_witness(n, f)
+                witness = irredundancy_witness(n, f, face_vertices(n, [f]))
                 assert not f.satisfied(witness)
                 assert all(g.satisfied(witness) for g in facets if g != f)
 
@@ -250,8 +250,12 @@ def test_criterion_11_muirhead_and_realization(criterion):
                 continue
             built += 1
             cur = tuple(a)
-            for step in muirhead_chain(a, b):
-                nxt = apply_unit_transformation(cur, step)
+            for src, tgt in muirhead_chain(a, b):
+                assert cur[src - 1] >= cur[tgt - 1] + 2
+                nxt = list(cur)
+                nxt[src - 1] -= 1
+                nxt[tgt - 1] += 1
+                nxt = tuple(nxt)
                 assert majorizes(cur, nxt) and sorted(cur) != sorted(nxt)
                 assert majorizes(nxt, b)
                 cur = nxt

@@ -7,7 +7,6 @@ import pytest
 
 from degpoly import optimize
 from degpoly.cli import jsonify, main, make_check, parse_costs
-from degpoly.hypergraph import parse_hypergraph
 from degpoly.sampling import DEFAULT_SEED
 from fractions import Fraction
 
@@ -170,9 +169,8 @@ def test_recognize_graphical_with_witness(capsys):
     assert report["result"]["graphical"] is True
     assert report["result"]["degree_partition"] == [2, 1, 1]
     assert report["result"]["witness_edges"] == [[1, 2], [1, 3]]
-    # witness text reparses to the same edge set
-    parsed = parse_hypergraph(report["result"]["witness_text"], r=2)
-    assert sorted(parsed) == [(1, 2), (1, 3)]
+    # witness text is the same edge list, one edge per line
+    assert report["result"]["witness_text"] == "1 2\n1 3"
     assert {check["name"] for check in report["checks"]} == {
         "sorted-unsorted-agreement",
         "realization-matches-verdict",
@@ -275,12 +273,25 @@ def test_irredundancy_check_counts_only_true_witnesses(capsys, monkeypatch):
     # the zero vector satisfies every facet, so it witnesses none of them
     import degpoly.cli as cli_module
 
-    monkeypatch.setattr(cli_module, "irredundancy_witness", lambda n, facet: (Fraction(0),) * n)
+    monkeypatch.setattr(cli_module, "irredundancy_witness", lambda n, facet, tight: (Fraction(0),) * n)
     code, report, _ = run(capsys, "verify", "--n", "4", "--suite", "facets")
     assert code == 1
     failed = [check for check in report["checks"] if not check["pass"]]
     assert [check["name"] for check in failed] == ["facet-irredundancy-witnesses"]
     assert failed[0]["actual"] == 0
+
+
+def test_internal_error_exits_3_not_as_a_failed_check(capsys, monkeypatch):
+    import degpoly.cli as cli_module
+
+    def broken(n):
+        raise AssertionError("the enumeration at n=3 holds repeated vertices")
+
+    monkeypatch.setattr(cli_module, "count_edges", broken)
+    code, report, err = run(capsys, "verify", "--n", "3", "--suite", "counts")
+    assert code == 3
+    assert report is None
+    assert err == "internal error: the enumeration at n=3 holds repeated vertices\n"
 
 
 def test_rebound_command_is_honoured_after_first_call(capsys, monkeypatch):

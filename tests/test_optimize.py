@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 
 import pytest
 from hypothesis import given
@@ -11,85 +10,24 @@ from hypothesis import strategies as st
 from degpoly.core import as_rational_vector, is_weakly_decreasing
 from degpoly.optimize import (
     Certificate,
-    PairCosts,
-    brute_force_max_weight_ideals,
     brute_force_optimal_partition,
-    lift_costs,
-    max_weight_ideal,
     objective_value,
     optimal_threshold_partition,
     optimality_certificate,
 )
 from degpoly.runs import pava_oracle, pool
-from degpoly.sampling import make_rng, random_pair_costs, random_rational_vector
+from degpoly.sampling import make_rng
 from degpoly.threshold import (
+    degree_partition_of_ideal,
     enumerate_threshold_partitions,
     graph_from_weights,
     is_threshold_partition,
     tp_join,
     tp_meet,
 )
+from rational_data import random_rational_vector
 
 F = Fraction
-
-
-def test_pair_costs_normalization():
-    costs = PairCosts(3, {(1, 2): F(1)})
-    assert costs.costs[(1, 3)] == 0
-    assert costs.weight({(1, 2), (1, 3)}) == F(1)
-    with pytest.raises(ValueError):
-        PairCosts(3, {(2, 1): F(1)})
-    with pytest.raises(ValueError):
-        PairCosts(3, {(1, 4): F(1)})
-
-
-def test_lift_costs():
-    lifted = lift_costs(as_rational_vector((1, -1, 2)))
-    assert lifted.costs == {(1, 2): F(0), (1, 3): F(3), (2, 3): F(1)}
-
-
-def test_max_weight_ideal_worked_example():
-    costs = PairCosts(3, {(1, 2): F(1), (1, 3): F(-2), (2, 3): F(5)})
-    ideal = max_weight_ideal(costs)
-    assert costs.weight(ideal.edges) == F(4)
-    assert ideal.edges == frozenset({(1, 2), (1, 3), (2, 3)})
-
-
-def test_max_weight_ideal_against_brute_force_seeded():
-    rng = make_rng(11)
-    for _ in range(100):
-        n = rng.randint(1, 6)
-        costs = PairCosts(n, random_pair_costs(rng, n))
-        best, argmax = brute_force_max_weight_ideals(costs)
-        for mode in ("max", "min"):
-            ideal = max_weight_ideal(costs, mode)
-            assert costs.weight(ideal.edges) == best
-            assert ideal.edges in argmax
-
-
-def test_max_weight_ideal_mode_picks_lattice_extremes():
-    rng = make_rng(12)
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        costs = PairCosts(n, random_pair_costs(rng, n))
-        _, argmax = brute_force_max_weight_ideals(costs)
-        union = frozenset().union(*argmax)
-        intersection = reduce(frozenset.intersection, argmax)
-        assert max_weight_ideal(costs, "max").edges == union
-        assert max_weight_ideal(costs, "min").edges == intersection
-
-
-def test_brute_force_argmax_closed_under_union_and_intersection():
-    # integer cost grid, exhaustive: the maximizers always form a sublattice
-    for n in (3, 4):
-        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        for grid in product((-1, 0, 1), repeat=len(pairs)):
-            costs = PairCosts(n, dict(zip(pairs, map(F, grid))))
-            _, argmax = brute_force_max_weight_ideals(costs)
-            union = frozenset().union(*argmax)
-            intersection = reduce(frozenset.intersection, argmax)
-            assert union in argmax
-            assert intersection in argmax
 
 
 def test_objective_value():
@@ -118,6 +56,9 @@ def test_optimal_threshold_partition_against_brute_force_seeded():
             d = optimal_threshold_partition(c, mode)
             assert objective_value(c, d) == best
             assert d in argmax
+            # the oracles: the graph that the pooled costs cut out has the same degrees
+            pooled_graph = graph_from_weights(pool(c).vector, strict=(mode == "min"))
+            assert degree_partition_of_ideal(pooled_graph) == d
         assert optimal_threshold_partition(c, "max") == reduce(tp_join, sorted(argmax))
         assert optimal_threshold_partition(c, "min") == reduce(tp_meet, sorted(argmax))
 
@@ -157,19 +98,6 @@ def test_strictly_increasing_costs_make_unique_optimum_ties():
     _, argmax = brute_force_optimal_partition(c)
     for d in argmax:
         assert len(set(d)) == 1
-
-
-def test_dp_agrees_with_pooled_weights():
-    # the ideal the DP picks equals the graph cut out by the pooled costs
-    rng = make_rng(15)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        c = random_rational_vector(rng, n)
-        pooled = pool(c).vector
-        ideal_max = max_weight_ideal(lift_costs(c), "max")
-        ideal_min = max_weight_ideal(lift_costs(c), "min")
-        assert ideal_max.edges == graph_from_weights(pooled).edges
-        assert ideal_min.edges == graph_from_weights(pooled, strict=True).edges
 
 
 def test_optimality_certificate_frozen_example():
@@ -247,14 +175,13 @@ def test_certificate_dataclass_validation():
         Certificate(
             base=(F(1), F(0)),
             coefficients=(F(1), F(1)),  # wrong length: must be n-1
-            support=frozenset(),
         )
     with pytest.raises(ValueError):
-        Certificate(base=(F(1), F(0)), coefficients=(F(-1),), support=frozenset({1}))
+        Certificate(base=(F(1), F(0)), coefficients=(F(-1),))
+    # the support is read off the coefficients, so it cannot disagree with them
+    assert Certificate(base=(F(2), F(1), F(1)), coefficients=(F(0), F(3))).support == frozenset({2})
 
 
 def test_mode_validation():
     with pytest.raises(ValueError):
         optimal_threshold_partition(as_rational_vector((1,)), "median")
-    with pytest.raises(ValueError):
-        max_weight_ideal(PairCosts(2, {}), "median")

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degpoly.core import (
-    as_rational_vector,
     bounded_partitions,
     is_weakly_decreasing,
     sort_decreasing,
@@ -19,7 +18,6 @@ from degpoly.core import (
 from degpoly.polytope import (
     FacetInequality,
     affine_rank,
-    apply_incidence,
     are_adjacent,
     count_edges,
     dominating_count,
@@ -39,8 +37,9 @@ from degpoly.polytope import (
     koren_oracle,
     monotone_inequality,
 )
-from degpoly.sampling import DEFAULT_SEED, make_rng, random_rational_vector
-from degpoly.threshold import enumerate_threshold_partitions, ideal_from_partition
+from degpoly.sampling import DEFAULT_SEED, make_rng
+from degpoly.threshold import enumerate_threshold_partitions
+from rational_data import random_rational_vector
 
 F = Fraction
 
@@ -310,11 +309,17 @@ def test_facets_valid_and_irredundant():
             assert all(f.satisfied(d) for d in vertices)
             tight = [d for d in vertices if f.tight(d)]
             assert affine_rank(tight) >= n
-            witness = irredundancy_witness(n, f)
+            witness = irredundancy_witness(n, f, tight)
             assert not f.satisfied(witness)
             for other in facets:
                 if other is not f:
                     assert other.satisfied(witness)
+    f = facet_inequalities(4)[0]
+    off_facet = next(d for d in enumerate_threshold_partitions(4) if not f.tight(d))
+    with pytest.raises(ValueError, match="tight"):
+        irredundancy_witness(4, f, [off_facet])
+    with pytest.raises(AssertionError, match="tight at no vertex"):
+        irredundancy_witness(4, f, [])
 
 
 def test_are_adjacent_block_shapes():
@@ -369,27 +374,6 @@ def test_dominating_count_and_identity():
     for n in range(2, 13):
         total, expected = dominating_sum_identity(n)
         assert total == expected == 2 ** (n - 1)
-
-
-def test_apply_incidence():
-    assert apply_incidence(3, {(1, 2): 1, (1, 3): 1}) == (F(2), F(1), F(1))
-    assert apply_incidence(3, {pair: F(1, 2) for pair in ((1, 2), (1, 3), (2, 3))}) == (
-        F(1),
-        F(1),
-        F(1),
-    )
-    # full sequence in lex pair order works too
-    assert apply_incidence(3, (1, 1, 0)) == (F(2), F(1), F(1))
-    with pytest.raises(ValueError):
-        apply_incidence(3, {(1, 2): 2}, check_unit_interval=True)
-
-
-def test_apply_incidence_surjects_onto_vertices():
-    # each threshold partition is the incidence image of its ideal
-    for n in range(2, 7):
-        for d in enumerate_threshold_partitions(n):
-            chi = {pair: 1 for pair in ideal_from_partition(d).edges}
-            assert apply_incidence(n, chi) == as_rational_vector(d)
 
 
 def test_face_vertices():

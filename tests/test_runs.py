@@ -14,7 +14,8 @@ from degpoly.runs import (
     pava_oracle,
     pool,
 )
-from degpoly.sampling import make_rng, random_rational_vector
+from degpoly.sampling import make_rng
+from rational_data import random_rational_vector
 
 F = Fraction
 WORKED = (1, 2, 4, 5, 2, 3, 1, 2, 3)

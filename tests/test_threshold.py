@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from degpoly.core import bounded_partitions
 from degpoly.hypergraph import (
     RGraph,
+    degree_sequence,
     enumerate_r_ideals,
     is_r_ideal,
     r_subsets,
@@ -21,7 +22,6 @@ from degpoly.hypergraph import (
 )
 from degpoly.threshold import (
     degree_partition_of_ideal,
-    enumerate_order_ideals,
     enumerate_threshold_partitions,
     graph_from_weights,
     ideal_from_partition,
@@ -104,9 +104,10 @@ def test_is_threshold_partition_exhaustive():
 def test_ideal_from_partition_roundtrip():
     ideal = ideal_from_partition((3, 2, 2, 1))
     assert ideal.edges == frozenset({(1, 2), (1, 3), (1, 4), (2, 3)})
+    # claim (i) at the vertices: the degree map sends the ideal back to d itself
     for n in range(1, 9):
         for d in enumerate_threshold_partitions(n):
-            assert degree_partition_of_ideal(ideal_from_partition(d)) == d
+            assert degree_sequence(ideal_from_partition(d)) == d
     with pytest.raises(ValueError):
         ideal_from_partition((2, 2, 1, 1))
 
@@ -129,24 +130,16 @@ def test_enumerate_threshold_partitions_counts_and_validity():
 def test_enumeration_bound_enforced():
     with pytest.raises(ValueError):
         enumerate_threshold_partitions(21)
-    with pytest.raises(ValueError):
-        enumerate_order_ideals(13)
 
 
-def test_enumerate_order_ideals_matches_partitions():
+def test_peel_ideals_match_r_ideal_walk():
+    # the peel's ideals, one per threshold partition, are exactly the ideals
+    # the include/exclude walk of the r-subset poset finds at r = 2
     for n in range(1, 7):
-        ideals = enumerate_order_ideals(n)
         tps = enumerate_threshold_partitions(n)
+        ideals = {ideal_from_partition(d).edges for d in tps}
         assert len(ideals) == len(tps)
-        # each ideal is read from the peel of the partition at its position
-        for edges, d in zip(ideals, tps):
-            assert degree_partition_of_ideal(RGraph(n, 2, edges)) == d
-
-
-def test_enumerate_order_ideals_matches_r_ideal_walk():
-    # the peel and the include/exclude walk of the r-subset poset at r = 2
-    for n in range(1, 7):
-        assert set(enumerate_order_ideals(n)) == set(enumerate_r_ideals(n, 2))
+        assert ideals == set(enumerate_r_ideals(n, 2))
 
 
 def test_lattice_operations():
@@ -254,12 +247,11 @@ def test_producers_check_closure_under_python_O():
     script = (
         "import sys\n"
         "from fractions import Fraction\n"
-        "from degpoly import optimize, threshold\n"
+        "from degpoly import threshold\n"
         "threshold.is_r_ideal = lambda graph: False\n"
         "calls = (\n"
         "    lambda: threshold.ideal_from_partition((3, 2, 2, 1)),\n"
         "    lambda: threshold.graph_from_weights((Fraction(1), Fraction(-1))),\n"
-        "    lambda: optimize.max_weight_ideal(optimize.lift_costs((1, -1, 2))),\n"
         ")\n"
         "for call in calls:\n"
         "    try:\n"
@@ -272,7 +264,7 @@ def test_producers_check_closure_under_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["raised", "1"] * 3
+    assert out.stdout.split() == ["raised", "1"] * 2
 
 
 def test_proper_threshold_oracle_agrees_exhaustively():
