@@ -294,6 +294,44 @@ def test_internal_error_exits_3_not_as_a_failed_check(capsys, monkeypatch):
     assert err == "internal error: the enumeration at n=3 holds repeated vertices\n"
 
 
+@pytest.mark.parametrize(
+    "dependency, argv",
+    [
+        ("optimality_certificate", ("optimize", "--costs", "1,-1,2")),
+        ("is_degree_sequence", ("recognize", "--seq", "2,1,1", "--r", "2")),
+    ],
+)
+def test_internal_error_exits_3_from_every_command(capsys, monkeypatch, dependency, argv):
+    import degpoly.cli as cli_module
+
+    def broken(*args, **kwargs):
+        raise AssertionError(f"{dependency} broke")
+
+    monkeypatch.setattr(cli_module, dependency, broken)
+    code, report, err = run(capsys, *argv)
+    assert (code, report, err) == (3, None, f"internal error: {dependency} broke\n")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_facets_suite_hands_each_facet_its_tight_vertices(capsys, monkeypatch, n):
+    import degpoly.cli as cli_module
+    from degpoly.polytope import face_vertices
+
+    calls = []
+    real = cli_module.irredundancy_witness
+
+    def recorded(n, facet, tight):
+        calls.append((facet, tight))
+        return real(n, facet, tight)
+
+    monkeypatch.setattr(cli_module, "irredundancy_witness", recorded)
+    code, _, _ = run(capsys, "verify", "--n", str(n), "--suite", "facets")
+    assert code == 0
+    assert [facet for facet, _ in calls] == list(cli_module.facet_inequalities(n))
+    for facet, tight in calls:
+        assert sorted(tight) == sorted(face_vertices(n, [facet]))
+
+
 def test_rebound_command_is_honoured_after_first_call(capsys, monkeypatch):
     # a cmd_* rebound after the first call, as bench/spans.py does, is the one that runs
     import degpoly.cli as cli_module

@@ -134,6 +134,14 @@ def test_muirhead_chain_frozen_examples():
         muirhead_chain((2, 2, 2), (4, 2, 0))
 
 
+def test_muirhead_chain_refuses_a_step_without_surplus(monkeypatch):
+    # (3, 3, 0, 0) does not majorize (4, 1, 1, 0); with the entry check forced
+    # to pass, the first transfer lacks its surplus and the chain refuses it
+    monkeypatch.setattr(hypergraph, "majorizes", lambda a, b: True)
+    with pytest.raises(AssertionError, match="lacks a surplus of two"):
+        muirhead_chain((3, 3, 0, 0), (4, 1, 1, 0))
+
+
 def test_muirhead_chain_reaches_target_with_strict_progress():
     rng = make_rng(31)
     for _ in range(200):

@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from degpoly.core import as_rational_vector, is_weakly_decreasing
+from degpoly.hypergraph import RGraph, degree_sequence, enumerate_r_ideals
 from degpoly.optimize import (
     Certificate,
     brute_force_optimal_partition,
@@ -56,11 +58,64 @@ def test_optimal_threshold_partition_against_brute_force_seeded():
             d = optimal_threshold_partition(c, mode)
             assert objective_value(c, d) == best
             assert d in argmax
-            # the oracles: the graph that the pooled costs cut out has the same degrees
-            pooled_graph = graph_from_weights(pool(c).vector, strict=(mode == "min"))
-            assert degree_partition_of_ideal(pooled_graph) == d
         assert optimal_threshold_partition(c, "max") == reduce(tp_join, sorted(argmax))
         assert optimal_threshold_partition(c, "min") == reduce(tp_meet, sorted(argmax))
+
+
+def _tied_costs(rng, n):
+    # small halves, so zero pair sums and so both extremes differ often
+    return tuple(F(rng.randint(-3, 3), 2) for _ in range(n))
+
+
+def test_optimizer_agrees_with_pooled_weights():
+    # the graph that the pooled costs cut out has the optimizer's degrees
+    rng = make_rng(15)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        c = _tied_costs(rng, n)
+        pooled = pool(c).vector
+        assert degree_partition_of_ideal(graph_from_weights(pooled)) == optimal_threshold_partition(c, "max")
+        assert degree_partition_of_ideal(graph_from_weights(pooled, strict=True)) == optimal_threshold_partition(
+            c, "min"
+        )
+
+
+def test_brute_force_argmax_closed_under_union_and_intersection():
+    # integer cost grid, exhaustive: the maximizers always form a sublattice
+    for n in (3, 4, 5):
+        for c in product((-1, 0, 1), repeat=n):
+            _, argmax = brute_force_optimal_partition(c)
+            for d in argmax:
+                for e in argmax:
+                    assert tp_join(d, e) in argmax
+                    assert tp_meet(d, e) in argmax
+
+
+def test_objective_is_the_lifted_pair_weight_of_its_ideal():
+    # sum c_i d_i over the degrees of an ideal is the sum of c_i + c_j over its edges
+    rng = make_rng(11)
+    for n in range(1, 7):
+        c = random_rational_vector(rng, n)
+        for edges in enumerate_r_ideals(n, 2):
+            degrees = degree_sequence(RGraph(n, 2, edges))
+            assert objective_value(c, degrees) == sum((c[i - 1] + c[j - 1] for i, j in edges), F(0))
+
+
+def test_optimizer_matches_the_best_ideal_of_the_r_ideal_walk():
+    # a second oracle: score every order ideal of the pair poset by its lifted weight;
+    # the union and intersection of the best ideals are the two extreme optimizers
+    rng = make_rng(12)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        c = _tied_costs(rng, n)
+        weights = {edges: sum((c[i - 1] + c[j - 1] for i, j in edges), F(0)) for edges in enumerate_r_ideals(n, 2)}
+        best = max(weights.values())
+        argmax = [edges for edges, w in weights.items() if w == best]
+        union = frozenset().union(*argmax)
+        intersection = reduce(frozenset.intersection, argmax)
+        assert union in argmax and intersection in argmax
+        assert degree_sequence(RGraph(n, 2, union)) == optimal_threshold_partition(c, "max")
+        assert degree_sequence(RGraph(n, 2, intersection)) == optimal_threshold_partition(c, "min")
 
 
 def test_optimal_threshold_partition_scales_to_20000_vertices():

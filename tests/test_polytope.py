@@ -314,6 +314,9 @@ def test_facets_valid_and_irredundant():
             for other in facets:
                 if other is not f:
                     assert other.satisfied(witness)
+
+
+def test_irredundancy_witness_refuses_a_wrong_tight_set():
     f = facet_inequalities(4)[0]
     off_facet = next(d for d in enumerate_threshold_partitions(4) if not f.tight(d))
     with pytest.raises(ValueError, match="tight"):
