@@ -3,7 +3,8 @@
 Every quantity in this package is an ``int`` or a ``fractions.Fraction``;
 no decision anywhere is made in floating point.  This module owns the
 input rules every entry point calls - an integer entry is exactly an
-``int``, a partition, one common denominator for rationals - and the
+``int``, a partition, one common denominator for rationals, or their
+per-entry (numerator, denominator) pairs for cross products - and the
 sequence utilities everything else leans on: decreasing rearrangement,
 weak-decrease tests, prefix sums, the majorization preorder, and the
 enumeration of bounded partitions.
@@ -39,6 +40,11 @@ def is_int_vector(values: Iterable) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def _exact(value: Rational) -> Rational:
+    """``value`` itself when it is an ``int`` or ``Fraction``, else ``Fraction(value)``."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
 def clear_denominators(values: Iterable[Rational]) -> tuple[IntSequence, int]:
     """``values`` times D, the lcm of their denominators, as ints; and D.
 
@@ -47,9 +53,19 @@ def clear_denominators(values: Iterable[Rational]) -> tuple[IntSequence, int]:
     vec = tuple(values)
     if is_int_vector(vec):
         return vec, 1
-    vec = tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vec)
+    vec = tuple(map(_exact, vec))
     scale = lcm(*(v.denominator for v in vec))
     return tuple(v.numerator * (scale // v.denominator) for v in vec), scale
+
+
+def as_ratios(values: Iterable[Rational]) -> tuple[tuple[int, int], ...]:
+    """Each value as (numerator, denominator) in lowest terms, with no common denominator formed."""
+    return tuple((v.numerator, v.denominator) for v in map(_exact, values))
+
+
+def ratios_decrease(ratios: Sequence[tuple[int, int]]) -> bool:
+    """Do the rationals p/q of :func:`as_ratios` weakly decrease?  Tested as p*s >= r*q."""
+    return all(p * s >= r * q for (p, q), (r, s) in zip(ratios, ratios[1:]))
 
 
 def is_weakly_decreasing(values: Sequence[Rational]) -> bool:

@@ -13,6 +13,10 @@ hand: c equals its projection plus a nonnegative rational combination of
 the adjacent-difference vectors v_i = e_{i+1} - e_i, supported only
 where the optimal partition has d_i = d_{i+1}.
 
+The route runs in ``int``: integer PAVA blocks over one common
+denominator D, a cross-product sweep, and an integer objective over D.
+``Fraction`` objects are built only for what a report prints.
+
 The brute-force oracle, :func:`brute_force_optimal_partition`, scores
 every vertex and returns the whole argmax set, so the tests and
 ``optimize --oracle`` can pin the optimizer and both extremes down
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -31,11 +34,11 @@ from .core import (
     Partition,
     Rational,
     RationalVector,
-    as_rational_vector,
+    as_ratios,
     clear_denominators,
-    is_weakly_decreasing,
+    ratios_decrease,
 )
-from .runs import pava_oracle
+from .runs import _pava_blocks, pava_oracle
 from .threshold import enumerate_threshold_partitions, threshold_degrees
 
 MODES = ("max", "min")
@@ -48,11 +51,11 @@ def _check_mode(mode: str) -> str:
 
 
 def objective_value(c: Sequence[Rational], d: Sequence[int]) -> Fraction:
-    """The linear functional sum(c_i * d_i)."""
-    vec = as_rational_vector(c)
-    if len(vec) != len(d):
+    """The linear functional sum(c_i * d_i), as an integer dot product over D."""
+    numerators, scale = clear_denominators(c)
+    if len(numerators) != len(d):
         raise ValueError("cost vector and partition lengths differ")
-    return sum((ci * di for ci, di in zip(vec, d)), Fraction(0))
+    return Fraction(sum(map(mul, numerators, d)), scale)
 
 
 def optimal_threshold_partition(c: Sequence[Rational], mode: str = "max") -> Partition:
@@ -96,9 +99,9 @@ class Certificate:
     def __post_init__(self) -> None:
         if len(self.coefficients) != max(len(self.base) - 1, 0):
             raise ValueError("need one coefficient per adjacent pair of base entries")
-        if not is_weakly_decreasing(self.base):
+        if not ratios_decrease(as_ratios(self.base)):
             raise ValueError("certificate base must be weakly decreasing")
-        if any(a < 0 for a in self.coefficients):
+        if any(a.numerator < 0 for a in self.coefficients):
             raise ValueError("certificate coefficients must be nonnegative")
 
     @property
@@ -123,10 +126,22 @@ def optimality_certificate(c: Sequence[Rational]) -> Certificate:
     the block mean, and they vanish at block ends, so the support only
     touches positions where consecutive entries of the projection (hence
     of the optimal partition) coincide.
+
+    With c = C/D, the m-th coefficient of a PAVA block of total T and size
+    S is (m*T - S*P_m)/(S*D), P_m the sum of its first m numerators.
     """
-    vec = as_rational_vector(c)
-    if not vec:
+    numerators, scale = clear_denominators(c)
+    if not numerators:
         raise ValueError("cannot certify an empty vector")
-    base = pava_oracle(vec)
-    alpha = tuple(accumulate(b - ci for b, ci in zip(base[:-1], vec)))
-    return Certificate(base=base, coefficients=alpha)
+    base: list[Fraction] = []
+    alpha: list[Fraction] = []
+    start = 0
+    for total, size in _pava_blocks(numerators):
+        denominator = size * scale
+        base.extend([Fraction(total, denominator)] * size)
+        prefix = 0
+        for m, value in enumerate(numerators[start : start + size], start=1):
+            prefix += value
+            alpha.append(Fraction(m * total - size * prefix, denominator))
+        start += size
+    return Certificate(base=tuple(base), coefficients=tuple(alpha[:-1]))

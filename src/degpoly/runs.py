@@ -8,11 +8,12 @@ weakly decreasing vectors.  That projection is what turns a vertex cost
 vector into an optimizing threshold graph in :mod:`degpoly.optimize`.
 
 The same projection is classical isotonic (here antitonic) regression,
-so the module carries two independent implementations.  ``pava_oracle``
-merges adjacent violating blocks in one linear pass and is the route
-:mod:`degpoly.optimize` takes; ``pool`` iterates run averaging, the
-paper's operator, and serves as its oracle.  The test suite holds them
-bit-for-bit equal.
+so the module carries two independent implementations.  A
+pool-adjacent-violators kernel merges adjacent violating blocks of the
+integer numerators C of c = C/D in one linear pass; ``pava_oracle`` and
+:mod:`degpoly.optimize` read their results off its blocks.  ``pool``
+iterates run averaging, the paper's operator, and serves as their
+oracle.  The test suite holds them bit-for-bit equal.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Rational, RationalVector, as_rational_vector, is_weakly_decreasing
+from .core import Rational, RationalVector, as_rational_vector, clear_denominators, is_weakly_decreasing
 
 
 def descent_set(c: Sequence[Rational]) -> frozenset[int]:
@@ -87,28 +88,37 @@ def pool(c: Sequence[Rational]) -> PoolResult:
     raise AssertionError(f"averaging failed to stabilize within {limit} rounds: {c!r}")
 
 
-def pava_oracle(c: Sequence[Rational]) -> RationalVector:
-    """Antitonic regression by pool-adjacent-violators.
+def _pava_blocks(numerators: Sequence[int]) -> list[tuple[int, int]]:
+    """Antitonic regression of C by pool-adjacent-violators, as (total, size) blocks.
 
-    Scans left to right keeping a stack of (sum, size) blocks whose means
-    must stay weakly decreasing; a violation merges blocks.  Each entry is
-    pushed once and merged at most once, so the pass is linear in n.  This
-    is the hot route of :mod:`degpoly.optimize` (the name predates that);
-    it is kept textually independent of :func:`pool`, its oracle, so the
-    two can cross-check each other.
+    Scans left to right keeping a stack of blocks, each an ``int`` total
+    of numerators and its size, whose means total/size must stay weakly
+    decreasing; a violation merges blocks.  Means compare as cross
+    products, so the pass runs in ``int``.  Each entry is pushed once and
+    merged at most once, so it is linear in n.
     """
-    if not c:
-        raise ValueError("cannot project an empty vector")
-    blocks: list[list[Fraction | int]] = []  # [block total, block size]
-    for value in c:
-        total, size = Fraction(value), 1
-        # means compare as cross products to stay in integer-sized arithmetic
+    blocks: list[tuple[int, int]] = []
+    for total in numerators:
+        size = 1
         while blocks and blocks[-1][0] * size < total * blocks[-1][1]:
             prev_total, prev_size = blocks.pop()
             total += prev_total
             size += prev_size
-        blocks.append([total, size])
+        blocks.append((total, size))
+    return blocks
+
+
+def pava_oracle(c: Sequence[Rational]) -> RationalVector:
+    """The projection of c = C/D onto the weakly decreasing vectors.
+
+    A kernel block of total T and size S is one ``Fraction(T, S*D)``,
+    repeated S times.  Kept textually independent of :func:`pool`, its
+    oracle, so the two can cross-check each other.
+    """
+    numerators, scale = clear_denominators(c)
+    if not numerators:
+        raise ValueError("cannot project an empty vector")
     out: list[Fraction] = []
-    for total, size in blocks:
-        out.extend([Fraction(total, size)] * size)
+    for total, size in _pava_blocks(numerators):
+        out.extend([Fraction(total, size * scale)] * size)
     return tuple(out)

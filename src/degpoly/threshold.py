@@ -31,10 +31,11 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     Partition,
     Rational,
-    RationalVector,
+    as_ratios,
     as_rational_vector,
     is_partition,
     is_weakly_decreasing,
+    ratios_decrease,
 )
 from .hypergraph import RGraph, degree_sequence, is_r_ideal, r_subsets
 
@@ -157,24 +158,19 @@ def tp_meet(d: Sequence[int], e: Sequence[int]) -> Partition:
     return _lattice_op(d, e, min, "meet")
 
 
-def _weights(b: Sequence[Rational]) -> RationalVector:
-    """``b`` as Fractions; raises ``ValueError`` unless nonempty and weakly decreasing."""
-    vec = as_rational_vector(b)
-    if not vec:
-        raise ValueError("need at least one weight")
-    if not is_weakly_decreasing(vec):
-        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
-    return vec
-
-
 def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
     """The ideal {(i,j) : b_i + b_j >= 0} of a weakly decreasing weight vector.
 
     With ``strict=True`` only strictly positive pair sums become edges,
     which selects the edge-minimal rather than edge-maximal version when
-    zero pair sums occur.
+    zero pair sums occur.  Every pair sum is formed in ``Fraction``: this
+    is the oracle of :func:`threshold_degrees`.
     """
-    vec = _weights(b)
+    vec = as_rational_vector(b)
+    if not vec:
+        raise ValueError("need at least one weight")
+    if not is_weakly_decreasing(vec):
+        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
     n = len(vec)
     if strict:
         edges = {(i, j) for i, j in r_subsets(n, 2) if vec[i - 1] + vec[j - 1] > 0}
@@ -191,12 +187,21 @@ def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
     or > 0 when ``strict``) form a prefix 1..hi of [n], and hi only
     shrinks as i grows: one two-pointer sweep counts every d_i, and the
     nested prefixes are the downward closure of the edge set.
+
+    With b_i = p_i/q_i, q_i > 0, b_i + b_j has the sign of p_i q_j + p_j q_i:
+    the sweep and its input check run in ``int``, with no common denominator.
     """
-    vec = _weights(b)
+    ratios = as_ratios(b)
+    if not ratios:
+        raise ValueError("need at least one weight")
+    if not ratios_decrease(ratios):
+        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
+    # a pair is dropped when its integer cross sum is below 0, or below 1 when strict
+    floor = 1 if strict else 0
     deg = []
-    hi = len(vec)
-    for i, bi in enumerate(vec, start=1):
-        while hi and (bi + vec[hi - 1] <= 0 if strict else bi + vec[hi - 1] < 0):
+    hi = len(ratios)
+    for i, (p, q) in enumerate(ratios, start=1):
+        while hi and p * ratios[hi - 1][1] + ratios[hi - 1][0] * q < floor:
             hi -= 1
         deg.append(hi - 1 if i <= hi else hi)
     if not is_weakly_decreasing(deg):

@@ -1,8 +1,9 @@
 """Seeded small rationals for the tests.
 
-Numerators lie in [-100, 100] and denominators in [1, 10]; the narrow
-ranges make ties, zero pair sums and boundary cases show up at useful
-rates.
+Numerators lie in [-100, 100] and denominators in [1, 10].  Ties and
+zero pair sums are rare in these draws, so a test that must separate
+the max and min optimizers needs tie-heavy costs of its own, such as
+small halves.
 """
 
 import random

@@ -48,15 +48,16 @@ def test_optimize_min_mode(capsys):
 
 
 def test_optimize_projects_once_per_op(capsys, monkeypatch):
-    # the certificate's base is the projection the partition is read from
+    # the certificate's base is the projection the partition is read from,
+    # and the certificate is built from one run of the integer PAVA kernel
     calls = []
-    real = optimize.pava_oracle
+    real = optimize._pava_blocks
 
-    def counted(c):
-        calls.append(len(c))
-        return real(c)
+    def counted(numerators):
+        calls.append(len(numerators))
+        return real(numerators)
 
-    monkeypatch.setattr(optimize, "pava_oracle", counted)
+    monkeypatch.setattr(optimize, "_pava_blocks", counted)
     for mode in ("max", "min"):
         for extra in ((), ("--oracle",)):
             calls.clear()

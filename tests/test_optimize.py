@@ -48,11 +48,18 @@ def test_optimal_threshold_partition_frozen_examples():
     assert optimal_threshold_partition(two, "min") == (0, 0)
 
 
+def _tied_costs(rng, n):
+    # small halves, so zero pair sums and so both extremes differ often
+    return tuple(F(rng.randint(-3, 3), 2) for _ in range(n))
+
+
 def test_optimal_threshold_partition_against_brute_force_seeded():
+    # every other draw is tie-heavy: without zero pair sums the max and min
+    # optimizers coincide, and a mode mix-up would pass unseen
     rng = make_rng(13)
-    for _ in range(120):
+    for k in range(120):
         n = rng.randint(1, 6)
-        c = random_rational_vector(rng, n)
+        c = _tied_costs(rng, n) if k % 2 else random_rational_vector(rng, n)
         best, argmax = brute_force_optimal_partition(c)
         for mode in ("max", "min"):
             d = optimal_threshold_partition(c, mode)
@@ -60,11 +67,6 @@ def test_optimal_threshold_partition_against_brute_force_seeded():
             assert d in argmax
         assert optimal_threshold_partition(c, "max") == reduce(tp_join, sorted(argmax))
         assert optimal_threshold_partition(c, "min") == reduce(tp_meet, sorted(argmax))
-
-
-def _tied_costs(rng, n):
-    # small halves, so zero pair sums and so both extremes differ often
-    return tuple(F(rng.randint(-3, 3), 2) for _ in range(n))
 
 
 def test_optimizer_agrees_with_pooled_weights():
@@ -167,15 +169,53 @@ def test_optimality_certificate_frozen_example():
     assert cert.support == frozenset({1})
 
 
-# small integers make ties and multi-round pooling frequent
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=20))
+# small values make ties and multi-round pooling frequent; the rationals
+# mix denominators 1, 2, 3 and 6, so blocks pool entries over unequal denominators
+_tied_mixed_costs = st.lists(st.integers(-3, 3), min_size=1, max_size=20) | st.lists(
+    st.integers(-3, 3) | st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 6))), min_size=1, max_size=20
+)
+
+
+@given(_tied_mixed_costs)
 def test_closed_form_certificate_matches_pava(c):
     cert = optimality_certificate(c)
-    assert cert.base == pava_oracle(c)
+    b = pool(c).vector
+    assert cert.base == b == pava_oracle(c)
+    # alpha_i = sum_{t <= i} (b_t - c_t), written out in Fraction
+    alpha, running = [], F(0)
+    for bt, ct in zip(b[:-1], c):
+        running += bt - ct
+        alpha.append(running)
+    assert cert.coefficients == tuple(alpha)
+    # a zero coefficient is Fraction(0), which a report prints as "0", not 0
+    assert all(type(a) is Fraction for a in cert.base + cert.coefficients)
     assert cert.reconstruct() == as_rational_vector(c)
     assert all(a >= 0 for a in cert.coefficients)
     d = optimal_threshold_partition(c)
     assert all(d[i - 1] == d[i] for i in cert.support)
+    assert type(objective_value(c, d)) is Fraction
+
+
+def test_pairwise_coprime_denominators_frozen_example():
+    # the first 12 primes as denominators: pooling takes 4 rounds, and the
+    # middle block's mean has a denominator of 35 bits
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    c = tuple(F(p, q) for p, q in zip((1, -2, 4, -3, 9, -1, 5, -7, 11, 13, -17, 2), primes))
+    pooled = pool(c)
+    assert pooled.rounds == 4
+    middle = F(4199652467, 29113619535)
+    assert pooled.vector == (F(1, 2),) + (middle,) * 9 + (F(-567, 2294),) * 2
+    cert = optimality_certificate(c)
+    assert cert.base == pooled.vector == pava_oracle(c)
+    assert cert.reconstruct() == c
+    assert sorted(cert.support) == [2, 3, 4, 5, 6, 7, 8, 9, 11]
+    for mode, strict in (("max", False), ("min", True)):
+        d = optimal_threshold_partition(c, mode)
+        assert d == (11,) + (9,) * 9 + (1, 1)
+        assert d == degree_partition_of_ideal(graph_from_weights(pooled.vector, strict))
+    best, argmax = brute_force_optimal_partition(c)
+    assert argmax == {(11,) + (9,) * 9 + (1, 1)}
+    assert objective_value(c, (11,) + (9,) * 9 + (1, 1)) == best == F(41283922837909, 2473579378270)
 
 
 # a palette of at most 3 costs makes ties common; denominators up to 1000 make the lcm large

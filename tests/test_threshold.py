@@ -174,11 +174,15 @@ def test_graph_from_weights():
         graph_from_weights((F(0), F(1)))
 
 
-# few distinct values, symmetric about 0: ties and zero pair sums are common
+# few distinct values, symmetric about 0: ties and zero pair sums are common,
+# and halves, thirds and sixths put pair sums such as 1/2 - 1/3 one sixth off
+# zero, where the sweep's cross products compare unequal denominators
 tie_heavy_weights = st.lists(
     st.one_of(
         st.integers(min_value=-2, max_value=2),
         st.sampled_from((F(-3, 2), F(-1, 2), F(1, 2), F(3, 2))),
+        st.sampled_from((F(-4, 3), F(-2, 3), F(-1, 3), F(1, 3), F(2, 3), F(4, 3))),
+        st.sampled_from((F(-5, 6), F(-1, 6), F(1, 6), F(5, 6))),
     ),
     min_size=1,
     max_size=20,
