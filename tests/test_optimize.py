@@ -209,13 +209,13 @@ def test_pairwise_coprime_denominators_frozen_example():
     assert cert.base == pooled.vector == pava_oracle(c)
     assert cert.reconstruct() == c
     assert sorted(cert.support) == [2, 3, 4, 5, 6, 7, 8, 9, 11]
+    optimum = (11,) + (9,) * 9 + (1, 1)
     for mode, strict in (("max", False), ("min", True)):
-        d = optimal_threshold_partition(c, mode)
-        assert d == (11,) + (9,) * 9 + (1, 1)
-        assert d == degree_partition_of_ideal(graph_from_weights(pooled.vector, strict))
+        assert optimal_threshold_partition(c, mode) == optimum
+        assert degree_partition_of_ideal(graph_from_weights(pooled.vector, strict)) == optimum
     best, argmax = brute_force_optimal_partition(c)
-    assert argmax == {(11,) + (9,) * 9 + (1, 1)}
-    assert objective_value(c, (11,) + (9,) * 9 + (1, 1)) == best == F(41283922837909, 2473579378270)
+    assert argmax == {optimum}
+    assert objective_value(c, optimum) == best == F(41283922837909, 2473579378270)
 
 
 # a palette of at most 3 costs makes ties common; denominators up to 1000 make the lcm large
