@@ -129,7 +129,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
         make_check(
             "certificate-coefficients-nonnegative",
             [],
-            [a for a in cert.coefficients if a.numerator < 0],
+            [a for a in cert.coefficients if a < 0],
         ),
         make_check(
             "certificate-support-on-optimal-plateaus",

@@ -63,11 +63,6 @@ def as_ratios(values: Iterable[Rational]) -> tuple[tuple[int, int], ...]:
     return tuple((v.numerator, v.denominator) for v in map(_exact, values))
 
 
-def ratios_decrease(ratios: Sequence[tuple[int, int]]) -> bool:
-    """Do the rationals p/q of :func:`as_ratios` weakly decrease?  Tested as p*s >= r*q."""
-    return all(p * s >= r * q for (p, q), (r, s) in zip(ratios, ratios[1:]))
-
-
 def is_weakly_decreasing(values: Sequence[Rational]) -> bool:
     return all(a >= b for a, b in zip(values, values[1:]))
 

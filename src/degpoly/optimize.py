@@ -30,15 +30,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .core import (
-    Partition,
-    Rational,
-    RationalVector,
-    as_ratios,
-    clear_denominators,
-    ratios_decrease,
-)
-from .runs import _pava_blocks, pava_oracle
+from . import runs
+from .core import Partition, Rational, RationalVector, clear_denominators, is_weakly_decreasing
+from .runs import pava_oracle
 from .threshold import enumerate_threshold_partitions, threshold_degrees
 
 MODES = ("max", "min")
@@ -99,9 +93,9 @@ class Certificate:
     def __post_init__(self) -> None:
         if len(self.coefficients) != max(len(self.base) - 1, 0):
             raise ValueError("need one coefficient per adjacent pair of base entries")
-        if not ratios_decrease(as_ratios(self.base)):
+        if not is_weakly_decreasing(self.base):
             raise ValueError("certificate base must be weakly decreasing")
-        if any(a.numerator < 0 for a in self.coefficients):
+        if any(a < 0 for a in self.coefficients):
             raise ValueError("certificate coefficients must be nonnegative")
 
     @property
@@ -136,7 +130,7 @@ def optimality_certificate(c: Sequence[Rational]) -> Certificate:
     base: list[Fraction] = []
     alpha: list[Fraction] = []
     start = 0
-    for total, size in _pava_blocks(numerators):
+    for total, size in runs._pava_blocks(numerators):
         denominator = size * scale
         base.extend([Fraction(total, denominator)] * size)
         prefix = 0

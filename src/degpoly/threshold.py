@@ -35,7 +35,6 @@ from .core import (
     as_rational_vector,
     is_partition,
     is_weakly_decreasing,
-    ratios_decrease,
 )
 from .hypergraph import RGraph, degree_sequence, is_r_ideal, r_subsets
 
@@ -194,7 +193,7 @@ def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
     ratios = as_ratios(b)
     if not ratios:
         raise ValueError("need at least one weight")
-    if not ratios_decrease(ratios):
+    if any(p * s < r * q for (p, q), (r, s) in zip(ratios, ratios[1:])):
         raise ValueError(f"weights must be weakly decreasing, got {b!r}")
     # a pair is dropped when its integer cross sum is below 0, or below 1 when strict
     floor = 1 if strict else 0

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from degpoly import optimize
+from degpoly import runs
 from degpoly.cli import jsonify, main, make_check, parse_costs
 from degpoly.sampling import DEFAULT_SEED
 from fractions import Fraction
@@ -49,15 +49,16 @@ def test_optimize_min_mode(capsys):
 
 def test_optimize_projects_once_per_op(capsys, monkeypatch):
     # the certificate's base is the projection the partition is read from,
-    # and the certificate is built from one run of the integer PAVA kernel
+    # and the certificate is built from one run of the integer PAVA kernel;
+    # every projection, pava_oracle's included, goes through runs._pava_blocks
     calls = []
-    real = optimize._pava_blocks
+    real = runs._pava_blocks
 
     def counted(numerators):
         calls.append(len(numerators))
         return real(numerators)
 
-    monkeypatch.setattr(optimize, "_pava_blocks", counted)
+    monkeypatch.setattr(runs, "_pava_blocks", counted)
     for mode in ("max", "min"):
         for extra in ((), ("--oracle",)):
             calls.clear()
