@@ -25,7 +25,6 @@ from .hypergraph import (
     brute_force_r_graphical,
     degree_sequence,
     enumerate_degree_partitions,
-    enumerate_r_ideal_partitions,
     enumerate_r_ideals,
     format_hypergraph,
     is_r_graphical_partition,
@@ -67,14 +66,10 @@ from .polytope import (
 )
 from .runs import (
     PoolResult,
-    RunDecomposition,
-    ascending_runs,
     average_runs,
-    descent_set,
     pava_oracle,
     pool,
 )
-from .sampling import DEFAULT_SEED, make_rng
 from .threshold import (
     degree_partition_of_ideal,
     enumerate_threshold_partitions,

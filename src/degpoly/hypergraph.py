@@ -264,9 +264,13 @@ def enumerate_r_ideals(n: int, r: int) -> tuple[frozenset[RSubset], ...]:
     return tuple(out)
 
 
-def _ideal_partitions_with_total(n: int, r: int, total: int) -> list[tuple[Partition, frozenset[RSubset]]]:
-    if total < 0 or total % r:
-        return []
+def _majorizing_ideal(vec: Partition, n: int, r: int) -> tuple[Partition, frozenset[RSubset]] | None:
+    """The lexicographically least r-ideal partition with the total of ``vec`` that majorizes it.
+
+    Returned with the first enumerated ideal of that partition, or None
+    when no r-ideal partition majorizes ``vec``.
+    """
+    total = sum(vec)
     picks: dict[Partition, frozenset[RSubset]] = {}
     for ideal in enumerate_r_ideals(n, r):
         if len(ideal) * r != total:
@@ -279,12 +283,7 @@ def _ideal_partitions_with_total(n: int, r: int, total: int) -> list[tuple[Parti
         if not is_weakly_decreasing(part):
             raise AssertionError(f"ideal degrees must weakly decrease, got {part!r}")
         picks.setdefault(part, ideal)
-    return sorted(picks.items())
-
-
-def enumerate_r_ideal_partitions(n: int, r: int, total: int) -> frozenset[Partition]:
-    """Degree sequences of the r-ideals with the given degree total."""
-    return frozenset(part for part, _ in _ideal_partitions_with_total(n, r, total))
+    return next(((part, ideal) for part, ideal in sorted(picks.items()) if majorizes(part, vec)), None)
 
 
 def _degree_query(d: Sequence[int], n: int, r: int) -> Partition | None:
@@ -303,9 +302,7 @@ def is_r_graphical_partition(d: Sequence[int], n: int, r: int) -> bool:
     partition with the same total majorizes ``d``.
     """
     vec = _degree_query(d, n, r)
-    return vec is not None and any(
-        majorizes(part, vec) for part in enumerate_r_ideal_partitions(n, r, sum(vec))
-    )
+    return vec is not None and _majorizing_ideal(vec, n, r) is not None
 
 
 def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
@@ -319,13 +316,7 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
     lexicographic order is taken.
     """
     vec = _degree_query(d, n, r)
-    if vec is None:
-        return None
-    start = None
-    for part, ideal in _ideal_partitions_with_total(n, r, sum(vec)):
-        if majorizes(part, vec):
-            start = (part, ideal)
-            break
+    start = None if vec is None else _majorizing_ideal(vec, n, r)
     if start is None:
         return None
     part, ideal = start

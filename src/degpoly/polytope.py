@@ -38,6 +38,7 @@ with r = 2.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +56,6 @@ from .core import (
     sort_decreasing,
 )
 from .hypergraph import enumerate_degree_partitions
-from .sampling import make_rng
 from .threshold import enumerate_threshold_partitions, is_threshold_partition
 
 
@@ -344,18 +344,17 @@ def dominating_count(d: Sequence[int]) -> int:
     return m
 
 
-def dominating_sum_identity(n: int) -> tuple[int, int]:
-    """(sum of dominating counts over dominating-vertex partitions, 2^(n-1)).
+def dominating_sum_identity(n: int) -> int:
+    """The sum of dominating counts over the dominating-vertex partitions.
 
-    The two components are equal for every n; the caller gets both so the
-    identity stays checkable rather than assumed.
+    The paper's identity makes it 2^(n-1); the caller compares the two,
+    so the identity stays checkable rather than assumed.
     """
-    total = sum(
+    return sum(
         dominating_count(d)
         for d in enumerate_threshold_partitions(n)
         if d[0] == n - 1
     )
-    return total, 2 ** (n - 1)
 
 
 def face_vertices(n: int, tight: Iterable[FacetInequality]) -> tuple[Partition, ...]:
@@ -499,7 +498,7 @@ def _koren3_scaled(a: int, b: int, c: int) -> bool:
     )
 
 
-def ds3_volume_estimate(samples: int = 1_000_000, seed: int | None = None) -> VolumeEstimate:
+def ds3_volume_estimate(samples: int, seed: int) -> VolumeEstimate:
     """Monte Carlo volume of the unordered degree region inside [0,2]^3.
 
     Every membership decision is exact: coordinates are dyadic rationals
@@ -512,7 +511,7 @@ def ds3_volume_estimate(samples: int = 1_000_000, seed: int | None = None) -> Vo
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     hits = 0
     checked = min(_CROSS_CHECK_SAMPLES, samples)
     for idx in range(samples):

@@ -1,10 +1,10 @@
-"""Ascending runs, run averaging, and projection onto decreasing vectors.
+"""Run averaging and projection onto decreasing vectors.
 
-A rational vector c splits at its descents (positions with c_i > c_{i+1})
-into maximal weakly ascending runs.  Replacing every entry by the average
-of its run is a sum-preserving contraction; iterating it stabilizes after
-at most n-1 rounds at the Euclidean projection of c onto the cone of
-weakly decreasing vectors.  That projection is what turns a vertex cost
+A rational vector c splits where c_i > c_{i+1} into maximal weakly
+ascending runs.  Replacing every entry by the average of its run is a
+sum-preserving contraction; iterating it stabilizes after at most n-1
+rounds at the Euclidean projection of c onto the cone of weakly
+decreasing vectors.  That projection is what turns a vertex cost
 vector into an optimizing threshold graph in :mod:`degpoly.optimize`.
 
 The same projection is classical isotonic (here antitonic) regression,
@@ -18,50 +18,28 @@ oracle.  The test suite holds them bit-for-bit equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core import Rational, RationalVector, as_rational_vector, clear_denominators, is_weakly_decreasing
 
 
-def descent_set(c: Sequence[Rational]) -> frozenset[int]:
-    """1-based positions i with c_i > c_{i+1}.  Ties are not descents."""
-    return frozenset(i for i in range(1, len(c)) if c[i - 1] > c[i])
-
-
-@dataclass(frozen=True)
-class RunDecomposition:
-    """Maximal ascending runs of a vector, as 1-based index blocks."""
-
-    runs: tuple[tuple[int, ...], ...]
-    descents: frozenset[int]
-
-
-def ascending_runs(c: Sequence[Rational]) -> RunDecomposition:
-    """Split [1..n] into maximal weakly ascending runs of ``c``."""
-    if not c:
-        raise ValueError("cannot decompose an empty vector")
-    descents = descent_set(c)
-    runs: list[tuple[int, ...]] = []
-    block = [1]
-    for i in range(2, len(c) + 1):
-        if i - 1 in descents:
-            runs.append(tuple(block))
-            block = [i]
-        else:
-            block.append(i)
-    runs.append(tuple(block))
-    return RunDecomposition(runs=tuple(runs), descents=descents)
-
-
 def average_runs(c: Sequence[Rational]) -> RationalVector:
-    """Replace every entry by the mean of its ascending run."""
+    """Replace every entry by the mean of its ascending run.
+
+    The runs are the maximal weakly ascending blocks: one pass splits
+    where c_i > c_{i+1}, and ties do not split.
+    """
     vec = as_rational_vector(c)
+    if not vec:
+        raise ValueError("cannot average an empty vector")
     out: list[Fraction] = []
-    for run in ascending_runs(vec).runs:
-        mean = Fraction(sum(vec[i - 1] for i in run), len(run))
-        out.extend([mean] * len(run))
+    start = 0
+    for end in range(1, len(vec) + 1):
+        if end == len(vec) or vec[end - 1] > vec[end]:
+            mean = Fraction(sum(vec[start:end]), end - start)
+            out.extend([mean] * (end - start))
+            start = end
     return tuple(out)
 
 

@@ -1,18 +1,24 @@
 """The names the benchmark uses still exist in the library.
 
 ``bench/spans.py`` patches functions by name and reads ``cache_info`` of
-cached ones, and ``bench/selftest.py`` and ``bench/sweep.py`` import
-degpoly names and call module attributes; a renamed or deleted function
-would otherwise surface only when those scripts run.  The files are
-read, not imported, so nothing is written next to them.
+cached ones, ``bench/selftest.py`` and ``bench/sweep.py`` import
+degpoly names and call module attributes, and ``bench/workloads.py``
+checks the verify reports by their check names and result fields; a
+renamed or deleted function, check or field would otherwise surface
+only when those scripts run.  The files are read, not imported, so
+nothing is written next to them.
 """
 
 import ast
 import importlib
+import json
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import pytest
+
+from degpoly.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
@@ -76,3 +82,35 @@ runs.no_such_pool(costs)
 polytope.in_fhm_polytope(d)
 """
     assert _unresolved(source) == ["degpoly.hypergraph.no_such_oracle", "degpoly.runs.no_such_pool"]
+
+
+def _bench_module(name: str, monkeypatch) -> ModuleType:
+    """``bench/<name>.py`` run from its source text, registered as ``name`` for this test only."""
+    path = BENCH / f"{name}.py"
+    module = ModuleType(name)
+    monkeypatch.setitem(sys.modules, name, module)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+def test_verify_reports_carry_what_the_benchmark_checks(monkeypatch, capsys):
+    _bench_module("oracles", monkeypatch)
+    workloads = _bench_module("workloads", monkeypatch)
+    # fewer Monte Carlo samples keep the volume3 op short; the check reads the same constant
+    workloads.VOLUME_SAMPLES = 100
+    verify = workloads.WORKLOADS["verify"]
+    first_of_shape = {}
+    for op in workloads.ops_for(verify, 1):
+        first_of_shape.setdefault(op.shape, op)
+    suites = {op.data for op in first_of_shape.values() if op.argv[0] == "verify"}
+    assert suites == set(workloads.VERIFY_SUITES) | {("volume3", 1)}
+    for op in first_of_shape.values():
+        main(list(op.argv))
+        report = json.loads(capsys.readouterr().out)
+        suite, arg = op.data
+        if suite == "volume3":
+            assert {"exact_volume", "seed", "samples"} <= report["result"].keys()
+        elif op.argv[0] == "verify":
+            names = {check["name"] for check in report["checks"]}
+            assert names == set(workloads.expected_actuals(suite, arg)), op.argv
+        assert verify.check(op, report) is None, op.argv

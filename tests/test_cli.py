@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 from degpoly import runs
-from degpoly.cli import jsonify, main, make_check, parse_costs
-from degpoly.sampling import DEFAULT_SEED
+from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_costs
 from fractions import Fraction
 
 

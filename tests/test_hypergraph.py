@@ -1,6 +1,7 @@
 """r-graph degree sequences: recognition, chains, and realization."""
 
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -16,7 +17,6 @@ from degpoly.hypergraph import (
     brute_force_r_graphical,
     degree_sequence,
     enumerate_degree_partitions,
-    enumerate_r_ideal_partitions,
     enumerate_r_ideals,
     format_hypergraph,
     is_r_graphical_partition,
@@ -29,7 +29,6 @@ from degpoly.hypergraph import (
     subset_lower_covers,
 )
 from degpoly.polytope import is_degree_partition
-from degpoly.sampling import make_rng
 from degpoly.threshold import enumerate_threshold_partitions, ideal_from_partition
 
 
@@ -73,7 +72,6 @@ def test_r_above_n_leaves_only_the_empty_edge_set():
     with pytest.raises(ValueError):
         RGraph(2, 3, frozenset({(1, 2, 3)}))
     assert enumerate_r_ideals(1, 2) == (frozenset(),)
-    assert enumerate_r_ideal_partitions(2, 3, 0) == frozenset({(0, 0)})
     assert realize_r_graph((0, 0), 2, 3) == RGraph(2, 3, frozenset())
     # the one-vertex graph is the ideal of the partition (0,)
     assert ideal_from_partition((0,)) == RGraph(1, 2, frozenset())
@@ -119,11 +117,22 @@ def test_enumerate_r_ideals_against_subset_filter():
         assert set(enumerate_r_ideals(n, r)) == expected
 
 
-def test_enumerate_r_ideal_partitions():
-    assert enumerate_r_ideal_partitions(4, 3, 3) == frozenset({(1, 1, 1, 0)})
-    assert enumerate_r_ideal_partitions(4, 3, 6) == frozenset({(2, 2, 1, 1)})
-    assert enumerate_r_ideal_partitions(4, 3, 5) == frozenset()
-    assert enumerate_r_ideal_partitions(3, 3, 3) == frozenset({(1, 1, 1)})
+def test_realizable_partitions_of_a_total_lie_below_its_ideal_partitions():
+    # (n, r, total) -> the r-ideal partitions of that total
+    frozen = {
+        (4, 3, 3): {(1, 1, 1, 0)},
+        (4, 3, 6): {(2, 2, 1, 1)},
+        (4, 3, 5): set(),
+        (3, 3, 3): {(1, 1, 1)},
+        (2, 3, 0): {(0, 0)},
+    }
+    for (n, r, total), ideal_parts in frozen.items():
+        same_total = [d for d in bounded_partitions(n, total) if sum(d) == total]
+        realizable = {d for d in same_total if is_r_graphical_partition(d, n, r)}
+        assert realizable == {d for d in same_total if any(majorizes(p, d) for p in ideal_parts)}
+        for part in ideal_parts:
+            # the least majorizing ideal partition is the partition itself, realized by its ideal
+            assert is_r_ideal(realize_r_graph(part, n, r))
 
 
 def test_muirhead_chain_frozen_examples():
@@ -143,7 +152,7 @@ def test_muirhead_chain_refuses_a_step_without_surplus(monkeypatch):
 
 
 def test_muirhead_chain_reaches_target_with_strict_progress():
-    rng = make_rng(31)
+    rng = random.Random(31)
     for _ in range(200):
         n = rng.randint(1, 7)
         b = sorted((rng.randint(0, 6) for _ in range(n)), reverse=True)
@@ -188,7 +197,7 @@ def test_reverse_saturate_frozen_example():
 
 
 def test_reverse_saturate_climbs_to_an_ideal():
-    rng = make_rng(32)
+    rng = random.Random(32)
     cases = [(4, 2), (5, 2), (4, 3), (5, 3), (6, 2)]
     for n, r in cases:
         universe = r_subsets(n, r)
@@ -252,6 +261,9 @@ def test_realize_r_graph_frozen_cases():
     # each transfer swaps at the lexicographically first (r-1)-set X
     assert realize_r_graph((2, 2, 2, 2), 4, 2).edges == frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
     assert realize_r_graph((2, 2, 1, 1), 4, 2).edges == frozenset({(1, 2), (1, 4), (2, 3)})
+    # the walk starts from the lexicographically least majorizing ideal partition,
+    # (3, 2, 2, 2, 0) here rather than (3, 3, 1, 1, 1)
+    assert realize_r_graph((2, 2, 2, 2, 1), 5, 3).edges == frozenset({(1, 2, 4), (1, 3, 4), (2, 3, 5)})
 
 
 def test_realize_r_graph_matches_recognition():

@@ -1,5 +1,6 @@
 """Linear optimization over threshold partitions and its certificates."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -18,7 +19,6 @@ from degpoly.optimize import (
     optimality_certificate,
 )
 from degpoly.runs import pava_oracle, pool
-from degpoly.sampling import make_rng
 from degpoly.threshold import (
     degree_partition_of_ideal,
     enumerate_threshold_partitions,
@@ -56,7 +56,7 @@ def _tied_costs(rng, n):
 def test_optimal_threshold_partition_against_brute_force_seeded():
     # every other draw is tie-heavy: without zero pair sums the max and min
     # optimizers coincide, and a mode mix-up would pass unseen
-    rng = make_rng(13)
+    rng = random.Random(13)
     for k in range(120):
         n = rng.randint(1, 6)
         c = _tied_costs(rng, n) if k % 2 else random_rational_vector(rng, n)
@@ -71,7 +71,7 @@ def test_optimal_threshold_partition_against_brute_force_seeded():
 
 def test_optimizer_agrees_with_pooled_weights():
     # the graph that the pooled costs cut out has the optimizer's degrees
-    rng = make_rng(15)
+    rng = random.Random(15)
     for _ in range(60):
         n = rng.randint(1, 6)
         c = _tied_costs(rng, n)
@@ -95,7 +95,7 @@ def test_brute_force_argmax_closed_under_union_and_intersection():
 
 def test_objective_is_the_lifted_pair_weight_of_its_ideal():
     # sum c_i d_i over the degrees of an ideal is the sum of c_i + c_j over its edges
-    rng = make_rng(11)
+    rng = random.Random(11)
     for n in range(1, 7):
         c = random_rational_vector(rng, n)
         for edges in enumerate_r_ideals(n, 2):
@@ -106,7 +106,7 @@ def test_objective_is_the_lifted_pair_weight_of_its_ideal():
 def test_optimizer_matches_the_best_ideal_of_the_r_ideal_walk():
     # a second oracle: score every order ideal of the pair poset by its lifted weight;
     # the union and intersection of the best ideals are the two extreme optimizers
-    rng = make_rng(12)
+    rng = random.Random(12)
     for _ in range(60):
         n = rng.randint(1, 6)
         c = _tied_costs(rng, n)
@@ -128,7 +128,7 @@ def test_optimal_threshold_partition_scales_to_20000_vertices():
     a_min = optimal_threshold_partition(alternating, "min")
     assert a_max == (n - 1,) + (n - 2,) * (n - 2) + (1,)
     assert a_min == (n - 2,) + (1,) * (n - 2) + (0,)
-    c = random_rational_vector(make_rng(18), n)
+    c = random_rational_vector(random.Random(18), n)
     d_max, d_min = optimal_threshold_partition(c, "max"), optimal_threshold_partition(c, "min")
     assert all(is_threshold_partition(d) for d in (a_max, a_min, d_max, d_min))
     assert all(hi >= lo for hi, lo in zip(d_max, d_min))
@@ -139,7 +139,7 @@ def test_optimal_threshold_partition_scales_to_20000_vertices():
 
 def test_ascending_costs_force_plateaus():
     # wherever c_i <= c_{i+1}, every reported optimizer has d_i = d_{i+1}
-    rng = make_rng(14)
+    rng = random.Random(14)
     for _ in range(80):
         n = rng.randint(2, 6)
         c = random_rational_vector(rng, n)
@@ -234,7 +234,7 @@ def test_brute_force_optimal_partition_matches_objective_value_scan(c):
 
 
 def test_certificate_soundness_seeded():
-    rng = make_rng(16)
+    rng = random.Random(16)
     for _ in range(150):
         n = rng.randint(1, 8)
         c = random_rational_vector(rng, n)
@@ -251,7 +251,7 @@ def test_certificate_proves_optimality_exhaustively():
     # value of the base functional dominates c on every vertex: for any
     # threshold partition d, c . d <= base . d because the correction
     # terms alpha_i (d_{i+1} - d_i) are <= 0 on decreasing d
-    rng = make_rng(17)
+    rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(2, 6)
         c = random_rational_vector(rng, n)

@@ -1,5 +1,6 @@
-"""Descents, run averaging, and the pooling projection."""
+"""Run averaging and the pooling projection."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degpoly.core import as_rational_vector, is_weakly_decreasing
-from degpoly.runs import (
-    ascending_runs,
-    average_runs,
-    descent_set,
-    pava_oracle,
-    pool,
-)
-from degpoly.sampling import make_rng
+from degpoly.runs import average_runs, pava_oracle, pool
 from rational_data import random_rational_vector
 
 F = Fraction
@@ -27,30 +21,24 @@ rational_vectors = st.lists(
 ).map(tuple)
 
 
-def test_descent_set_worked_example():
-    assert descent_set(WORKED) == frozenset({4, 6})
-    # ties are not descents
-    assert descent_set((2, 2, 1)) == frozenset({2})
-    assert descent_set((1, 1, 1)) == frozenset()
-
-
-def test_ascending_runs_worked_example():
-    dec = ascending_runs(WORKED)
-    assert dec.runs == ((1, 2, 3, 4), (5, 6), (7, 8, 9))
-    assert dec.descents == frozenset({4, 6})
-
-
-def test_ascending_runs_rejects_empty():
-    with pytest.raises(ValueError):
-        ascending_runs(())
-
-
 def test_average_runs_worked_example():
     once = average_runs(WORKED)
     assert once == as_rational_vector((3, 3, 3, 3, F(5, 2), F(5, 2), 2, 2, 2))
     twice = average_runs(once)
     assert is_weakly_decreasing(twice)
     assert twice == once  # already decreasing after one round here
+
+
+def test_average_runs_splits_only_at_strict_descents():
+    # ties do not end a run: 1, 1, 2 is one run
+    assert average_runs((1, 1, 2, 0)) == (F(4, 3), F(4, 3), F(4, 3), F(0))
+    assert average_runs((2, 2, 1)) == (F(2), F(2), F(1))
+    assert average_runs((1, 1, 1)) == (F(1), F(1), F(1))
+
+
+def test_average_runs_rejects_empty():
+    with pytest.raises(ValueError):
+        average_runs(())
 
 
 def test_average_runs_preserves_sum():
@@ -95,7 +83,7 @@ def test_pool_output_is_decreasing_and_sum_preserving(vec):
 
 
 def test_pool_matches_pava_on_seeded_vectors():
-    rng = make_rng(99)
+    rng = random.Random(99)
     for _ in range(300):
         n = rng.randint(1, 12)
         vec = random_rational_vector(rng, n)
@@ -105,7 +93,7 @@ def test_pool_matches_pava_on_seeded_vectors():
 def test_pool_is_nearest_decreasing_point():
     # squared distance from c to pool(c) never exceeds distance to any
     # other weakly decreasing vector
-    rng = make_rng(7)
+    rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(1, 8)
         c = random_rational_vector(rng, n)
