@@ -3,12 +3,15 @@
 Reports go to stdout as a single JSON document; diagnostics go to
 stderr.  Exit status is 0 when every embedded check passes, 1 when some
 check fails, 2 on usage errors, and 3 when an internal invariant breaks
-(an ``AssertionError``), so a fault in the program never reads as a
-failed check.  Rationals serialize as strings like
-"3/2" (integers plainly, like "4"); sets serialize sorted.  The one
-randomized suite, volume3, samples from ``random.Random(--seed)``, and
---seed defaults to ``DEFAULT_SEED``, so identical flags give identical
-reports.
+(an ``AssertionError``, or a ``ValueError`` raised once ``optimize`` or
+``recognize`` has validated its input), so a fault in the program never
+reads as a failed check or a bad flag.  A ``recognize`` verdict is graph
+membership for r = 2 and the majorization chain's realization for any
+other r; only r = 2 with C(n, 2) <= 20 checks one against the other.
+Rationals serialize as strings like "3/2" (integers plainly, like "4");
+sets serialize sorted.  The one randomized suite, volume3, samples from
+``random.Random(--seed)``, and --seed defaults to ``DEFAULT_SEED``, so
+identical flags give identical reports.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .core import bounded_partitions, sort_decreasing
 from .hypergraph import (
@@ -118,35 +122,40 @@ def parse_int_seq(text: str) -> tuple[int, ...]:
     return _parse_list(text, int, "integer")
 
 
+@contextmanager
+def _validated() -> Iterator[None]:
+    """The inputs are validated, so a ``ValueError`` from here on is the program's fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise AssertionError(str(exc)) from exc
+
+
 def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     costs = parse_costs(args.costs)
     mode = args.mode
-    # the certificate base is the projection the optimizer is read from
-    cert = optimality_certificate(costs)
-    support = sorted(cert.support)
-    partition = threshold_degrees(cert.base, strict=(mode == "min"))
-    value = objective_value(costs, partition)
-    checks = [
-        make_check("certificate-reconstructs-costs", costs, cert.reconstruct()),
-        make_check(
-            "certificate-coefficients-nonnegative",
-            [],
-            [a for a in cert.coefficients if a < 0],
-        ),
-        make_check(
-            "certificate-support-on-optimal-plateaus",
-            [],
-            [i for i in support if partition[i - 1] != partition[i]],
-        ),
-    ]
-    if args.oracle:
-        if len(costs) > 16:
-            raise ValueError("--oracle enumerates every vertex and is capped at n <= 16")
-        best, argmax = brute_force_optimal_partition(costs)
-        extreme = reduce(tp_join if mode == "max" else tp_meet, sorted(argmax))
-        checks.append(make_check("oracle-value-agreement", best, value))
-        checks.append(make_check("oracle-extreme-optimizer", extreme, partition))
-        checks.append(make_check("oracle-argmax-contains-output", True, partition in argmax))
+    if args.oracle and len(costs) > 16:
+        raise ValueError("--oracle enumerates every vertex and is capped at n <= 16")
+    with _validated():
+        # the certificate base is the projection the optimizer is read from
+        cert = optimality_certificate(costs)
+        support = sorted(cert.support)
+        partition = threshold_degrees(cert.base, strict=(mode == "min"))
+        value = objective_value(costs, partition)
+        checks = [
+            make_check("certificate-reconstructs-costs", costs, cert.reconstruct()),
+            make_check(
+                "certificate-support-on-optimal-plateaus",
+                [],
+                [i for i in support if partition[i - 1] != partition[i]],
+            ),
+        ]
+        if args.oracle:
+            best, argmax = brute_force_optimal_partition(costs)
+            extreme = reduce(tp_join if mode == "max" else tp_meet, sorted(argmax))
+            checks.append(make_check("oracle-value-agreement", best, value))
+            checks.append(make_check("oracle-extreme-optimizer", extreme, partition))
+            checks.append(make_check("oracle-argmax-contains-output", True, partition in argmax))
     return {
         "command": "optimize",
         "inputs": {"costs": costs, "mode": mode, "oracle": bool(args.oracle)},
@@ -366,29 +375,20 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
     r = args.r
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    sorted_d = sort_decreasing(seq)
-    checks = []
     small_poset = comb(n, r) <= POSET_SIZE_BOUND
-    if r == 2:
-        graphical = is_degree_sequence(seq)
-        checks.append(
-            make_check(
-                "sorted-unsorted-agreement", is_degree_partition(sorted_d), graphical
-            )
+    if r != 2 and not small_poset:
+        raise ValueError(
+            f"recognition for r != 2 needs C(n, r) <= {POSET_SIZE_BOUND}, got {comb(n, r)}"
         )
-    else:
-        if not small_poset:
-            raise ValueError(
-                f"recognition for r != 2 needs C(n, r) <= {POSET_SIZE_BOUND}, got {comb(n, r)}"
-            )
-        graphical = is_r_graphical_partition(sorted_d, n, r)
-    witness_edges = None
-    witness_text = None
-    if small_poset:
-        realized = realize_r_graph(sorted_d, n, r)
-        checks.append(
-            make_check("realization-matches-verdict", graphical, realized is not None)
-        )
+    witness_edges = witness_text = None
+    with _validated():
+        sorted_d = sort_decreasing(seq)
+        realized = realize_r_graph(sorted_d, n, r) if small_poset else None
+        graphical = is_degree_sequence(seq) if r == 2 else realized is not None
+        checks = []
+        if r == 2 and small_poset:
+            # polytope membership against majorization: the one pair of independent routes
+            checks.append(make_check("realization-matches-verdict", graphical, realized is not None))
         if realized is not None:
             # permute labels so the witness degrees equal the input order:
             # the witness vertex of each degree rank takes the input label of that rank
@@ -397,9 +397,7 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
             by_rank_witness = sorted(range(1, n + 1), key=lambda v: (-deg[v - 1], v))
             order = [w for _, w in sorted(zip(by_rank_input, by_rank_witness))]
             witness = relabel_rgraph(realized, order)
-            checks.append(
-                make_check("witness-degrees-match-input", seq, degree_sequence(witness))
-            )
+            checks.append(make_check("witness-degrees-match-input", seq, degree_sequence(witness)))
             witness_edges = sorted(witness.edges)
             witness_text = format_hypergraph(witness_edges)
     return {

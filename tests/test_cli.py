@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from degpoly import runs
+from degpoly import hypergraph, polytope, runs
 from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_costs
 from fractions import Fraction
 
@@ -173,7 +173,6 @@ def test_recognize_graphical_with_witness(capsys):
     # witness text is the same edge list, one edge per line
     assert report["result"]["witness_text"] == "1 2\n1 3"
     assert {check["name"] for check in report["checks"]} == {
-        "sorted-unsorted-agreement",
         "realization-matches-verdict",
         "witness-degrees-match-input",
     }
@@ -202,6 +201,44 @@ def test_recognize_r3(capsys):
     code, report, _ = run(capsys, "recognize", "--seq", "3,1,1,1", "--r", "3")
     assert code == 0
     assert report["result"]["graphical"] is False
+
+
+@pytest.mark.parametrize(
+    "seq, r, memberships, majorizations",
+    [
+        # r = 2: one membership sweep, and one majorizing-ideal table where
+        # C(n, 2) <= 20 and none past it; an odd total needs neither
+        ("2,1,1", 2, 1, 1),
+        ("3,1,0", 2, 1, 1),
+        ("2,1,0", 2, 0, 0),
+        ("4,3,3,2,2,2,2", 2, 1, 0),
+        ("6,1,1,1,1,1,1", 2, 1, 0),
+        ("4,3,3,2,2,2,1", 2, 0, 0),
+        # r = 3: the realization is the verdict, so one table and no membership,
+        # and neither for a total that 3 does not divide
+        ("2,2,1,1", 3, 0, 1),
+        ("3,1,1,1", 3, 0, 1),
+        ("3,3,3,3,3,3", 3, 0, 1),
+        ("2,1,1,1", 3, 0, 0),
+    ],
+)
+def test_recognize_reaches_each_verdict_by_one_route(capsys, monkeypatch, seq, r, memberships, majorizations):
+    calls = {"in_fhm_polytope": 0, "_majorizing_ideal": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(polytope, "in_fhm_polytope")
+    counted(hypergraph, "_majorizing_ideal")
+    code, report, _ = run(capsys, "recognize", "--seq", seq, "--r", str(r))
+    assert code == 0
+    assert calls == {"in_fhm_polytope": memberships, "_majorizing_ideal": majorizations}
 
 
 def test_recognize_big_r3_rejected(capsys):
@@ -311,6 +348,30 @@ def test_internal_error_exits_3_from_every_command(capsys, monkeypatch, dependen
     monkeypatch.setattr(cli_module, dependency, broken)
     code, report, err = run(capsys, *argv)
     assert (code, report, err) == (3, None, f"internal error: {dependency} broke\n")
+
+
+def test_value_error_past_input_validation_exits_3(capsys, monkeypatch):
+    import degpoly.cli as cli_module
+
+    # increasing blocks make Certificate refuse its base: a fault of the kernel, not of --costs
+    monkeypatch.setattr(runs, "_pava_blocks", lambda numerators: [(t, 1) for t in sorted(numerators)])
+    code, report, err = run(capsys, "optimize", "--costs", "1,2,3")
+    assert (code, report, err) == (3, None, "internal error: certificate base must be weakly decreasing\n")
+
+    def broken(d, n, r):
+        raise ValueError(f"partition length {n + 1} differs from n={n}")
+
+    monkeypatch.setattr(cli_module, "realize_r_graph", broken)
+    code, report, err = run(capsys, "recognize", "--seq", "2,1,1")
+    assert (code, report, err) == (3, None, "internal error: partition length 4 differs from n=3\n")
+
+
+def test_oracle_cap_is_checked_before_any_projection(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runs, "_pava_blocks", lambda numerators: calls.append(numerators))
+    code, report, err = run(capsys, "optimize", "--costs", ",".join("1" * 17), "--oracle")
+    assert (code, report, err) == (2, None, "error: --oracle enumerates every vertex and is capped at n <= 16\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [4, 5])

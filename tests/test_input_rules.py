@@ -1,4 +1,7 @@
-"""Every integer entry point applies the one rule of degpoly.core, and no module restates it."""
+"""Every integer entry point applies the one rule of degpoly.core, and no module restates it.
+
+No module states an invariant as a bare ``assert`` either, which ``python -O`` would strip.
+"""
 
 import ast
 from enum import IntEnum
@@ -117,3 +120,26 @@ math.lcm(2, 3)
         "type(_) compared with int",
         "type(_) compared with int",
     ]
+
+
+def _bare_asserts(tree):
+    """Lines of ``assert`` statements; ``python -O`` drops them."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_module_states_an_invariant_as_a_bare_assert():
+    modules = sorted(SRC.rglob("*.py"))
+    assert SRC / "cli.py" in modules
+    found = [f"{path.name}:{line}" for path in modules for line in _bare_asserts(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_assert_scan_catches_a_bare_assert():
+    source = """
+assert n > 0, "n must be positive"
+if n < 0:
+    raise AssertionError("an explicit raise survives python -O")
+def f():
+    assert n
+"""
+    assert _bare_asserts(ast.parse(source)) == [2, 6]
