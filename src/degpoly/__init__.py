@@ -49,7 +49,6 @@ from .polytope import (
     affine_rank,
     are_adjacent,
     count_edges,
-    dominating_count,
     dominating_sum_identity,
     dp3_volume,
     ds3_volume_estimate,

@@ -3,11 +3,13 @@
 Reports go to stdout as a single JSON document; diagnostics go to
 stderr.  Exit status is 0 when every embedded check passes, 1 when some
 check fails, 2 on usage errors, and 3 when an internal invariant breaks
-(an ``AssertionError``, or a ``ValueError`` raised once ``optimize`` or
-``recognize`` has validated its input), so a fault in the program never
-reads as a failed check or a bad flag.  A ``recognize`` verdict is graph
-membership for r = 2 and the majorization chain's realization for any
-other r; only r = 2 with C(n, 2) <= 20 checks one against the other.
+(an ``AssertionError``, or a ``ValueError`` raised once a command has
+validated its input), so a fault in the program never reads as a failed
+check or a bad flag.  ``verify`` refuses an n outside its suite's range
+and a nonpositive --samples before any suite runs.  A ``recognize``
+verdict is graph membership for r = 2 and the majorization chain's
+realization for any other r; only r = 2 with C(n, 2) <= 20 checks one
+against the other.
 Rationals serialize as strings like "3/2" (integers plainly, like "4");
 sets serialize sorted.  The one randomized suite, volume3, samples from
 ``random.Random(--seed)``, and --seed defaults to ``DEFAULT_SEED``, so
@@ -177,6 +179,26 @@ def _edge_count_formula(n: int) -> int:
     return 2 ** (n - 2) * (2 * n - 3)
 
 
+def _edge_count_check(n: int) -> dict[str, Any]:
+    """The enumerated edge count against the closed form: counts and edges suites."""
+    return make_check(
+        "edge-count",
+        _edge_count_formula(n),
+        count_edges(n),
+        formula="2^(n-2)*(2n-3)",
+    )
+
+
+def _facet_count_check(n: int, count: int) -> dict[str, Any]:
+    """The length of the facet list against the closed form: counts and facets suites."""
+    return make_check(
+        "facet-count",
+        (n * n - 3 * n + 12) // 2,
+        count,
+        formula="(n^2-3n+12)/2",
+    )
+
+
 def _suite_counts(n: int, seed: int, samples: int) -> SuiteReport:
     checks = [
         make_check(
@@ -185,22 +207,10 @@ def _suite_counts(n: int, seed: int, samples: int) -> SuiteReport:
             len(enumerate_threshold_partitions(n)),
             formula="2^(n-1)",
         ),
-        make_check(
-            "edge-count",
-            _edge_count_formula(n),
-            count_edges(n),
-            formula="2^(n-2)*(2n-3)",
-        ),
+        _edge_count_check(n),
     ]
     if n >= 4:
-        checks.append(
-            make_check(
-                "facet-count",
-                (n * n - 3 * n + 12) // 2,
-                len(facet_inequalities(n)),
-                formula="(n^2-3n+12)/2",
-            )
-        )
+        checks.append(_facet_count_check(n, len(facet_inequalities(n))))
     checks.append(
         make_check(
             "dominating-sum-identity",
@@ -231,12 +241,7 @@ def _suite_facets(n: int, seed: int, samples: int) -> SuiteReport:
         1 for f, tight in zip(facets, tight_sets) if violates_only(f, irredundancy_witness(n, f, tight))
     )
     return {}, [
-        make_check(
-            "facet-count",
-            (n * n - 3 * n + 12) // 2,
-            len(facets),
-            formula="(n^2-3n+12)/2",
-        ),
+        _facet_count_check(n, len(facets)),
         make_check("facet-validity-violations", 0, violations),
         make_check(
             "min-tight-affine-rank",
@@ -250,14 +255,7 @@ def _suite_facets(n: int, seed: int, samples: int) -> SuiteReport:
 
 
 def _suite_edges(n: int, seed: int, samples: int) -> SuiteReport:
-    checks = [
-        make_check(
-            "edge-count",
-            _edge_count_formula(n),
-            count_edges(n),
-            formula="2^(n-2)*(2n-3)",
-        )
-    ]
+    checks = [_edge_count_check(n)]
     if n >= 4:
         checks.append(
             make_check(
@@ -310,8 +308,6 @@ def _suite_hypergraph(n: int, seed: int, samples: int) -> SuiteReport:
 
 
 def _suite_volume3(n: int, seed: int, samples: int) -> SuiteReport:
-    if samples < 1:
-        raise ValueError("--samples must be positive")
     exact = dp3_volume()
     estimate = ds3_volume_estimate(samples=samples, seed=seed)
     tolerance = Fraction(1, 25)
@@ -358,7 +354,10 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     lo, hi, run_suite = SUITES[suite]
     if not lo <= n <= hi:
         raise ValueError(f"suite {suite!r} supports {lo} <= n <= {hi}, got n={n}")
-    extra, checks = run_suite(n, args.seed, args.samples)
+    if args.samples < 1:
+        raise ValueError("--samples must be positive")
+    with _validated():
+        extra, checks = run_suite(n, args.seed, args.samples)
     return {
         "command": "verify",
         "inputs": {"n": n, "suite": suite, "seed": args.seed, "samples": args.samples},
@@ -435,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--suite", choices=SUITES, required=True)
     ver.add_argument("--samples", type=int, default=1_000_000,
-                     help="volume3 only: Monte Carlo sample count")
+                     help="volume3 only: Monte Carlo sample count (must be positive)")
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="volume3 only: Monte Carlo seed")
     ver.set_defaults(run=cmd_verify)

@@ -319,6 +319,19 @@ def test_irredundancy_check_counts_only_true_witnesses(capsys, monkeypatch):
     assert failed[0]["actual"] == 0
 
 
+def test_dropped_facet_fails_only_the_facet_count(capsys, monkeypatch):
+    # the report holds the one length check of the facet list
+    import degpoly.cli as cli_module
+
+    real = cli_module.facet_inequalities
+    monkeypatch.setattr(cli_module, "facet_inequalities", lambda n: real(n)[:-1])
+    for suite in ("counts", "facets"):
+        code, report, _ = run(capsys, "verify", "--n", "5", "--suite", suite)
+        assert code == 1
+        failed = [check for check in report["checks"] if not check["pass"]]
+        assert [(check["name"], check["actual"]) for check in failed] == [("facet-count", 10)]
+
+
 def test_internal_error_exits_3_not_as_a_failed_check(capsys, monkeypatch):
     import degpoly.cli as cli_module
 
@@ -364,6 +377,28 @@ def test_value_error_past_input_validation_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "realize_r_graph", broken)
     code, report, err = run(capsys, "recognize", "--seq", "2,1,1")
     assert (code, report, err) == (3, None, "internal error: partition length 4 differs from n=3\n")
+
+    def refused(n):
+        raise ValueError(f"the edge count needs n >= 3, got n={n - 1}")
+
+    monkeypatch.setattr(cli_module, "count_edges", refused)
+    for suite in ("counts", "edges"):
+        code, report, err = run(capsys, "verify", "--n", "3", "--suite", suite)
+        assert (code, report, err) == (3, None, "internal error: the edge count needs n >= 3, got n=2\n")
+
+
+def test_nonpositive_samples_are_refused_before_any_suite_work(capsys, monkeypatch):
+    import degpoly.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "ds3_volume_estimate", lambda samples, seed: calls.append(samples))
+    for samples in ("0", "-5"):
+        code, report, err = run(capsys, "verify", "--n", "3", "--suite", "volume3", "--samples", samples)
+        assert (code, report, err) == (2, None, "error: --samples must be positive\n")
+    # refused for every suite, not only the one that samples
+    code, report, err = run(capsys, "verify", "--n", "3", "--suite", "counts", "--samples", "0")
+    assert (code, report, err) == (2, None, "error: --samples must be positive\n")
+    assert calls == []
 
 
 def test_oracle_cap_is_checked_before_any_projection(capsys, monkeypatch):

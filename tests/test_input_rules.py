@@ -1,9 +1,11 @@
 """Every integer entry point applies the one rule of degpoly.core, and no module restates it.
 
-No module states an invariant as a bare ``assert`` either, which ``python -O`` would strip.
+No module states an invariant as a bare ``assert`` either, which ``python -O`` would strip,
+and ``cli.py`` builds each named check in one place.
 """
 
 import ast
+from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -143,3 +145,32 @@ def f():
     assert n
 """
     assert _bare_asserts(ast.parse(source)) == [2, 6]
+
+
+def _check_names(tree):
+    """The string literal named as each check: ``make_check``'s first argument."""
+    return [
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "make_check"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ]
+
+
+def test_each_check_name_is_built_in_one_place():
+    names = _check_names(ast.parse((SRC / "cli.py").read_text()))
+    assert "edge-count" in names
+    assert [name for name, count in Counter(names).items() if count > 1] == []
+
+
+def test_the_check_name_scan_catches_a_repeated_name():
+    source = """
+make_check("edge-count", 1, 1)
+make_check(f"r{r}-agreement", 1, 1)
+checks.append(make_check("edge-count", 2, count_edges(n), formula="E(n)"))
+make_check(name, 1, 1)
+"""
+    assert _check_names(ast.parse(source)) == ["edge-count", "edge-count"]

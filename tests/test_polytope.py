@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,6 @@ from degpoly.polytope import (
     affine_rank,
     are_adjacent,
     count_edges,
-    dominating_count,
     dominating_sum_identity,
     dp3_volume,
     ds3_volume_estimate,
@@ -370,12 +370,12 @@ def test_count_edges_formula_and_enumeration():
 
 
 def test_dominating_count_and_identity():
-    assert dominating_count((2, 2, 2)) == 3
-    assert dominating_count((2, 1, 1)) == 1
-    assert dominating_count((3, 3, 2, 2)) == 2
-    with pytest.raises(ValueError):
-        dominating_count((1, 1, 0))  # no dominating vertex
-    for n in range(2, 13):
+    # every entry equal to n - 1 leads its threshold partition, so counting
+    # them counts the leading run: the dominating count
+    for n in range(1, 9):
+        for d in enumerate_threshold_partitions(n):
+            assert d.count(n - 1) == len(list(takewhile(lambda v: v == n - 1, d)))
+    for n in range(1, 13):
         assert dominating_sum_identity(n) == 2 ** (n - 1)
 
 

@@ -127,9 +127,16 @@ def test_enumerate_threshold_partitions_counts_and_validity():
         assert all(is_threshold_partition(d) for d in tps)
 
 
-def test_enumeration_bound_enforced():
+def test_enumeration_bound_enforced(monkeypatch):
+    import degpoly.threshold as threshold
+
     with pytest.raises(ValueError):
         enumerate_threshold_partitions(21)
+    # n equal to the bound is admitted, one past it is not
+    monkeypatch.setattr(threshold, "ENUMERATION_BOUND", 5)
+    assert len(enumerate_threshold_partitions(5)) == 2**4
+    with pytest.raises(ValueError, match="outside the enumeration bound 1..5"):
+        enumerate_threshold_partitions(6)
 
 
 def test_peel_ideals_match_r_ideal_walk():
