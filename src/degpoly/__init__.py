@@ -58,7 +58,6 @@ from .polytope import (
     in_fhm_polytope,
     in_koren_polytope,
     irredundancy_witness,
-    is_degree_partition,
     is_degree_sequence,
     koren_oracle,
     monotone_inequality,
@@ -77,8 +76,6 @@ from .threshold import (
     is_threshold_partition,
     proper_threshold_oracle,
     threshold_degrees,
-    tp_join,
-    tp_meet,
 )
 
 __version__ = "0.1.0"

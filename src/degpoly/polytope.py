@@ -17,7 +17,9 @@ the largest excess, and one pointer finds it for every k.  A failed
 test names one witness: the first violated monotone constraint, or
 else the most violated prefix-suffix inequality.  :func:`fhm_violations`
 keeps the full O(n^2) scan as the oracle, and :func:`koren_oracle` the
-3^n enumeration of disjoint S, T for the unordered version.
+3^n enumeration of disjoint S, T for the unordered version.  The one
+graph degree test, :func:`is_degree_sequence`, is unordered membership
+plus an even integer sum, so it takes sorted input as it takes any.
 
 This module keeps every test exact and makes it in integers where it
 can: integer input is decided in integers, rational input is cleared
@@ -122,9 +124,6 @@ class FhmMembership:
 
     member: bool
     violations: tuple[FacetInequality, ...]
-
-    def __bool__(self) -> bool:
-        return self.member
 
 
 def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
@@ -234,14 +233,6 @@ def koren_oracle(x: Sequence[Rational]) -> bool:
         if ns + nt and lhs > ns * (n - 1 - nt):
             return False
     return True
-
-
-def is_degree_partition(d: Sequence[int]) -> bool:
-    """Degree sequence of a simple graph, in weakly decreasing order.
-
-    ``False`` unless every entry is exactly an ``int``.
-    """
-    return bool(d) and is_int_vector(d) and sum(d) % 2 == 0 and in_fhm_polytope(d).member
 
 
 def is_degree_sequence(x: Sequence[int]) -> bool:
@@ -445,11 +436,6 @@ class VolumeEstimate:
     samples: int
     hits: int
     estimate: Fraction
-
-    @property
-    def value(self) -> float:
-        """The estimate as a float, for display only."""
-        return float(self.estimate)
 
 
 # Samples are dyadic rationals k / 2^30 in [0, 2); membership clears the

@@ -13,7 +13,9 @@ polytope handled in :mod:`degpoly.polytope`.
 There are exactly 2^(n-1) such graphs on [n]: vertex n is isolated or
 vertex 1 dominates, and either choice reduces to the same structure on
 n-1 vertices (Chvatal and Hammer, 1977).  Componentwise max and min of
-their degree vectors stay threshold partitions, so they form a lattice.
+their degree vectors stay threshold partitions, so they form a lattice;
+no function spells that out, because the one reader, ``optimize
+--oracle``, takes the column max or min of its argmax set directly.
 
 The recursion is written out twice: forwards in
 :func:`enumerate_threshold_partitions`, which builds every partition,
@@ -26,7 +28,7 @@ walk over all r-ideals of :mod:`degpoly.hypergraph` at r = 2.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Partition,
@@ -130,31 +132,6 @@ def enumerate_threshold_partitions(n: int) -> tuple[Partition, ...]:
     for m in range(2, n + 1):
         tps = [t + (0,) for t in tps] + [(m - 1,) + tuple(v + 1 for v in t) for t in tps]
     return tuple(tps)
-
-
-def _lattice_op(
-    d: Sequence[int], e: Sequence[int], pick: Callable[[int, int], int], word: str
-) -> Partition:
-    for arg in (d, e):
-        if not is_threshold_partition(arg):
-            raise ValueError(f"{word} argument must be a threshold partition, got {tuple(arg)!r}")
-    if len(d) != len(e):
-        raise ValueError(f"{word} needs partitions of the same length")
-    a, b = tuple(d), tuple(e)
-    out = tuple(map(pick, a, b))
-    if not is_threshold_partition(out):
-        raise AssertionError(f"{word} of {a!r} and {b!r} is not a threshold partition: {out!r}")
-    return out
-
-
-def tp_join(d: Sequence[int], e: Sequence[int]) -> Partition:
-    """Componentwise max of two threshold partitions (their lattice join)."""
-    return _lattice_op(d, e, max, "join")
-
-
-def tp_meet(d: Sequence[int], e: Sequence[int]) -> Partition:
-    """Componentwise min of two threshold partitions (their lattice meet)."""
-    return _lattice_op(d, e, min, "meet")
 
 
 def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:

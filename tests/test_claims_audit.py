@@ -8,8 +8,9 @@ does not count).  A script under ``bench/`` counts too, and in
 ``bench/spans.py`` so do the names in its strings, because its span
 tables name the functions they patch.  The only other public names are
 the oracles in ``ORACLES``, each mapped to the route the tests check
-with it.  Code that none of these reach is a third route or a dead one,
-and should be deleted with its tests.
+with it; that route, the first word of its description, must be a
+public top-level ``def`` of the package.  Code that none of these reach
+is a third route or a dead one, and should be deleted with its tests.
 """
 
 import ast
@@ -67,6 +68,16 @@ def test_every_public_name_is_used_or_an_oracle():
     found = set(unused(modules, bench))
     assert sorted(found - ORACLES.keys()) == [], "public names that no module, bench script or oracle list uses"
     assert sorted(ORACLES.keys() - found) == [], "ORACLES entries that are gone or that the program now uses"
+
+
+def test_each_oracle_names_a_route_that_exists():
+    # the first word of a description is the fast route the oracle checks; a deleted route leaves a stale entry
+    routes = set()
+    for path in (ROOT / "src" / "degpoly").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        routes.update(n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_"))
+    named = {oracle: text.split(":")[0].split()[0] for oracle, text in ORACLES.items()}
+    assert {oracle: route for oracle, route in named.items() if route not in routes} == {}, "ORACLES routes that are gone"
 
 
 def test_the_claims_scan_catches_unused_names():

@@ -1,6 +1,9 @@
 """The degpoly command line: JSON reports, exit codes, seeds."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,6 +310,19 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     assert failed and failed[0]["name"] == "monte-carlo-within-tolerance"
 
 
+def test_argmax_not_closed_under_max_fails_only_the_extreme_check(capsys, monkeypatch):
+    # the column max of a set that is no lattice is no optimizer: a failed check, not exit 3
+    import degpoly.cli as cli_module
+
+    monkeypatch.setattr(
+        cli_module, "brute_force_optimal_partition", lambda costs: (Fraction(4), frozenset({(2, 2, 2), (3, 1, 1)}))
+    )
+    code, report, _ = run(capsys, "optimize", "--costs", "1,-1,2", "--oracle")
+    assert code == 1
+    failed = [check for check in report["checks"] if not check["pass"]]
+    assert [(check["name"], check["expected"]) for check in failed] == [("oracle-extreme-optimizer", [3, 2, 2])]
+
+
 def test_irredundancy_check_counts_only_true_witnesses(capsys, monkeypatch):
     # the zero vector satisfies every facet, so it witnesses none of them
     import degpoly.cli as cli_module
@@ -446,6 +462,36 @@ def test_golden_reports_byte_identical(capsys, case):
     code = main(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
+
+
+def test_golden_reports_byte_identical_under_python_O():
+    # invariants raise rather than assert, so stripping asserts changes no report
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from degpoly.cli import main\n"
+        "replayed = []\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    replayed.append({'argv': argv, 'exit': code, 'stdout': out.getvalue()})\n"
+        "print(json.dumps([sys.flags.optimize, replayed]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-B", "-O", "-c", script],
+        input=json.dumps([case["argv"] for case in GOLDEN]),
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    optimize, replayed = json.loads(done.stdout)
+    assert optimize == 1
+    assert len(replayed) == len(GOLDEN)
+    for case, got in zip(GOLDEN, replayed):
+        assert got == case, " ".join(case["argv"])
 
 
 def test_jsonify():

@@ -28,7 +28,7 @@ from degpoly.hypergraph import (
     reverse_saturate,
     subset_lower_covers,
 )
-from degpoly.polytope import is_degree_partition
+from degpoly.polytope import is_degree_sequence
 from degpoly.threshold import enumerate_threshold_partitions, ideal_from_partition
 
 
@@ -247,7 +247,7 @@ def test_recognition_agrees_with_brute_force():
 def test_r2_recognition_matches_graph_membership():
     for n in (4, 5):
         for d in bounded_partitions(n, 2 * comb(n, 2)):
-            assert is_r_graphical_partition(d, n, 2) == is_degree_partition(d)
+            assert is_r_graphical_partition(d, n, 2) == is_degree_sequence(d)
 
 
 def test_realize_r_graph_frozen_cases():

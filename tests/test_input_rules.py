@@ -14,7 +14,7 @@ import pytest
 
 from degpoly.core import check_partition, is_partition
 from degpoly.hypergraph import RGraph, is_r_graphical_partition
-from degpoly.polytope import is_degree_partition, is_degree_sequence
+from degpoly.polytope import is_degree_sequence
 from degpoly.threshold import is_threshold_partition
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "degpoly"
@@ -32,7 +32,6 @@ ENTRY_POINTS = {
     "is_partition": is_partition,
     "check_partition": check_partition,
     "is_threshold_partition": is_threshold_partition,
-    "is_degree_partition": is_degree_partition,
     "is_degree_sequence": is_degree_sequence,
     "RGraph": lambda d: RGraph(len(d), 2, {(d[0], len(d))}),
     "is_r_graphical_partition": lambda d: is_r_graphical_partition(d, len(d), 2),
@@ -57,9 +56,7 @@ def test_every_entry_point_refuses_what_is_not_exactly_an_int(name, value):
 
 
 @pytest.mark.parametrize("value", NOT_INTS, ids=repr)
-@pytest.mark.parametrize(
-    "name", ("is_partition", "is_threshold_partition", "is_degree_partition", "is_degree_sequence")
-)
+@pytest.mark.parametrize("name", ("is_partition", "is_threshold_partition", "is_degree_sequence"))
 def test_predicates_answer_false_rather_than_raise(name, value):
     plain = (int(value),) * (int(value) + 1)
     assert ENTRY_POINTS[name]((value,) + plain[1:]) is False

@@ -24,8 +24,6 @@ from degpoly.threshold import (
     enumerate_threshold_partitions,
     graph_from_weights,
     is_threshold_partition,
-    tp_join,
-    tp_meet,
 )
 from rational_data import random_rational_vector
 
@@ -65,8 +63,9 @@ def test_optimal_threshold_partition_against_brute_force_seeded():
             d = optimal_threshold_partition(c, mode)
             assert objective_value(c, d) == best
             assert d in argmax
-        assert optimal_threshold_partition(c, "max") == reduce(tp_join, sorted(argmax))
-        assert optimal_threshold_partition(c, "min") == reduce(tp_meet, sorted(argmax))
+        # the extremes of the argmax set are its column max and column min
+        assert optimal_threshold_partition(c, "max") == tuple(max(col) for col in zip(*argmax))
+        assert optimal_threshold_partition(c, "min") == tuple(min(col) for col in zip(*argmax))
 
 
 def test_optimizer_agrees_with_pooled_weights():
@@ -89,8 +88,13 @@ def test_brute_force_argmax_closed_under_union_and_intersection():
             _, argmax = brute_force_optimal_partition(c)
             for d in argmax:
                 for e in argmax:
-                    assert tp_join(d, e) in argmax
-                    assert tp_meet(d, e) in argmax
+                    join = tuple(max(col) for col in zip(d, e))
+                    meet = tuple(min(col) for col in zip(d, e))
+                    assert is_threshold_partition(join) and is_threshold_partition(meet)
+                    assert all(j >= x >= m for j, x, m in zip(join, d, meet))
+                    assert all(j >= y >= m for j, y, m in zip(join, e, meet))
+                    assert join in argmax
+                    assert meet in argmax
 
 
 def test_objective_is_the_lifted_pair_weight_of_its_ideal():
@@ -216,6 +220,19 @@ def test_pairwise_coprime_denominators_frozen_example():
     best, argmax = brute_force_optimal_partition(c)
     assert argmax == {optimum}
     assert objective_value(c, optimum) == best == F(41283922837909, 2473579378270)
+
+
+def _complement(d):
+    """phi(d) = (n - 1) - reverse(d): the degrees of the complement graph, relabelled to decrease."""
+    return tuple(len(d) - 1 - v for v in reversed(d))
+
+
+@given(_tied_mixed_costs)
+def test_complementation_swaps_the_extreme_optimizers(c):
+    # c . phi(e) = (n - 1) sum(c) + (-reverse(c)) . e, and phi reverses the componentwise order
+    mirrored = tuple(-v for v in reversed(c))
+    for mode, other in (("max", "min"), ("min", "max")):
+        assert optimal_threshold_partition(c, mode) == _complement(optimal_threshold_partition(mirrored, other))
 
 
 # a palette of at most 3 costs makes ties common; denominators up to 1000 make the lcm large
