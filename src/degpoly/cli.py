@@ -10,6 +10,10 @@ and a nonpositive --samples before any suite runs.  A ``recognize``
 verdict is graph membership for r = 2 and the majorization chain's
 realization for any other r; only r = 2 with C(n, 2) <= 20 checks one
 against the other.
+``optimize`` reads each ``p/q`` cost token with ``int`` (any other
+token is left to ``Fraction``, which accepts or refuses it), clears the
+denominators once, and reads the partition, the value and the
+certificate checks off the same integers.
 Rationals serialize as strings like "3/2" (integers plainly, like "4");
 sets serialize sorted.  The one randomized suite, volume3, samples from
 ``random.Random(--seed)``, and --seed defaults to ``DEFAULT_SEED``, so
@@ -26,7 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Any, Callable, Iterator, Sequence
 
-from .core import bounded_partitions, sort_decreasing
+from .core import bounded_partitions, clear_denominators, sort_decreasing
 from .hypergraph import (
     POSET_SIZE_BOUND,
     degree_sequence,
@@ -52,7 +56,7 @@ from .polytope import (
     irredundancy_witness,
     is_degree_sequence,
 )
-from .threshold import enumerate_threshold_partitions, threshold_degrees
+from .threshold import _degree_sweep, enumerate_threshold_partitions
 
 DEFAULT_SEED = 1729
 
@@ -107,9 +111,25 @@ def _parse_list(text: str, parse: Callable[[str], Any], what: str) -> tuple:
     raise ValueError(f"malformed {what} list: {text!r}")
 
 
+def _parse_rational(token: str) -> Fraction:
+    """``[+-]?digits(/digits)?`` in ASCII digits is read with ``int``; ``Fraction(token)`` reads or refuses the rest.
+
+    Only the numerator takes a sign: ``int("-2")`` would accept the
+    denominator of "1/-2", which ``Fraction`` refuses.
+    """
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isascii() and digits.isdecimal():
+        if not slash:
+            return Fraction(int(num))
+        if den.isascii() and den.isdecimal():
+            return Fraction(int(num), int(den))
+    return Fraction(token)
+
+
 def parse_costs(text: str) -> tuple[Fraction, ...]:
     """Comma-separated rationals: integers or p/q."""
-    return _parse_list(text, Fraction, "cost")
+    return _parse_list(text, _parse_rational, "cost")
 
 
 def parse_int_seq(text: str) -> tuple[int, ...]:
@@ -132,13 +152,20 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     if args.oracle and len(costs) > 16:
         raise ValueError("--oracle enumerates every vertex and is capped at n <= 16")
     with _validated():
-        # the certificate base is the projection the optimizer is read from
-        cert = optimality_certificate(costs)
+        # c = C/D, cleared once: the certificate, the sweep and the value all read C and D
+        numerators, scale = clear_denominators(costs)
+        cert = optimality_certificate(numerators, scale)
         support = sorted(cert.support)
-        partition = threshold_degrees(cert.base, strict=(mode == "min"))
-        value = objective_value(costs, partition)
+        # the sweep reads each entry's block (T, S): its mean T/(S*D) without the positive factor D
+        partition = _degree_sweep(cert.entry_blocks(), strict=(mode == "min"))
+        value = objective_value(numerators, partition, scale)
         checks = [
-            make_check("certificate-reconstructs-costs", costs, cert.reconstruct()),
+            make_check(
+                "certificate-reconstructs-costs",
+                [],
+                cert.misfits(numerators),
+                formula="c_t = base_t + alpha_(t-1) - alpha_t, alpha_0 = alpha_n = 0",
+            ),
             make_check(
                 "certificate-support-on-optimal-plateaus",
                 [],

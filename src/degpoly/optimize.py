@@ -15,7 +15,14 @@ where the optimal partition has d_i = d_{i+1}.
 
 The route runs in ``int``: integer PAVA blocks over one common
 denominator D, a cross-product sweep, and an integer objective over D.
-``Fraction`` objects are built only for what a report prints.
+The certificate is held the same way, as D, the kernel's (total T,
+size S) blocks and integer coefficient numerators A over S*D; its
+invariants and :meth:`Certificate.misfits`, one integer identity per
+entry that says c is rebuilt exactly, are tested on those integers.
+A caller that has cleared the denominators passes C and D on as
+``scale``, so they are cleared once.  ``Fraction`` objects are built
+only for what a report prints, and :meth:`Certificate.reconstruct`
+rebuilds c in ``Fraction`` as the tests' oracle.
 
 The brute-force oracle, :func:`brute_force_optimal_partition`, scores
 every vertex and returns the whole argmax set, so the tests and
@@ -31,7 +38,7 @@ from operator import mul
 from typing import Sequence
 
 from . import runs
-from .core import Partition, Rational, RationalVector, clear_denominators, is_weakly_decreasing
+from .core import IntSequence, Partition, Rational, RationalVector, clear_denominators, is_int_vector
 from .runs import pava_oracle
 from .threshold import enumerate_threshold_partitions, threshold_degrees
 
@@ -44,9 +51,25 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def objective_value(c: Sequence[Rational], d: Sequence[int]) -> Fraction:
-    """The linear functional sum(c_i * d_i), as an integer dot product over D."""
-    numerators, scale = clear_denominators(c)
+def _over_one_denominator(c: Sequence[Rational], scale: int | None) -> tuple[IntSequence, int]:
+    """(C, D) with c = C/D: :func:`clear_denominators` of ``c``, or ``c`` itself over ``scale``.
+
+    A caller that has cleared the denominators already passes the integer
+    numerators and their D as ``scale``, so they are cleared once.
+    """
+    if scale is None:
+        return clear_denominators(c)
+    if scale < 1 or not is_int_vector(c):
+        raise ValueError(f"numerators over a scale must be ints over a positive D, got scale {scale!r}")
+    return tuple(c), scale
+
+
+def objective_value(c: Sequence[Rational], d: Sequence[int], scale: int | None = None) -> Fraction:
+    """The linear functional sum(c_i * d_i), as an integer dot product over D.
+
+    With ``scale`` given, ``c`` holds the integer numerators over that D.
+    """
+    numerators, scale = _over_one_denominator(c, scale)
     if len(numerators) != len(d):
         raise ValueError("cost vector and partition lengths differ")
     return Fraction(sum(map(mul, numerators, d)), scale)
@@ -85,25 +108,73 @@ def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, froz
 
 @dataclass(frozen=True)
 class Certificate:
-    """c = base + sum alpha_i (e_{i+1} - e_i), base decreasing, alpha >= 0."""
+    """c = base + sum alpha_i (e_{i+1} - e_i), base decreasing, alpha >= 0, all over one D.
 
-    base: RationalVector
-    coefficients: tuple[Fraction, ...]  # alpha_1 .. alpha_{n-1}
+    The base is ``blocks``: a block of total T and size S is the mean
+    T/(S*D), repeated S times, with D = ``scale``.  ``numerators`` are
+    A_1 .. A_{n-1}, and alpha_t = A_t/(S*D) for S the size of entry t's
+    block.  Every check runs on these integers; ``base``,
+    ``coefficients`` and ``support`` are views of them.
+    """
+
+    scale: int
+    blocks: tuple[tuple[int, int], ...]
+    numerators: tuple[int, ...]  # A_1 .. A_{n-1}
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) != max(len(self.base) - 1, 0):
+        if self.scale < 1 or any(size < 1 for _, size in self.blocks):
+            raise ValueError("certificate scale and block sizes must be positive")
+        if len(self.numerators) != max(sum(size for _, size in self.blocks) - 1, 0):
             raise ValueError("need one coefficient per adjacent pair of base entries")
-        if not is_weakly_decreasing(self.base):
+        # block means T/(S*D) weakly decrease: compared as cross products, D cancels
+        if any(t * s < u * r for (t, r), (u, s) in zip(self.blocks, self.blocks[1:])):
             raise ValueError("certificate base must be weakly decreasing")
-        if any(a < 0 for a in self.coefficients):
+        if min(self.numerators, default=0) < 0:
             raise ValueError("certificate coefficients must be nonnegative")
+
+    def entry_blocks(self) -> list[tuple[int, int]]:
+        """Each entry's block (T, S), entry by entry."""
+        return [block for block in self.blocks for _ in range(block[1])]
+
+    @property
+    def base(self) -> RationalVector:
+        out: list[Fraction] = []
+        for total, size in self.blocks:
+            out.extend([Fraction(total, size * self.scale)] * size)
+        return tuple(out)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """alpha_1 .. alpha_{n-1}."""
+        return tuple(Fraction(a, size * self.scale) for a, (_, size) in zip(self.numerators, self.entry_blocks()))
 
     @property
     def support(self) -> frozenset[int]:
         """The positions i (1-based) whose coefficient alpha_i is nonzero."""
-        return frozenset(i for i, a in enumerate(self.coefficients, start=1) if a)
+        return frozenset(i for i, a in enumerate(self.numerators, start=1) if a)
+
+    def misfits(self, costs: Sequence[int]) -> list[int]:
+        """The positions t (1-based) where c_t = base_t + alpha_{t-1} - alpha_t fails.
+
+        ``costs`` are the numerators C of c = C/D over this certificate's D,
+        and alpha_0 = alpha_n = 0.  With entry t in a block (T, S) and entry
+        t-1 in a block of size S', the identity times S*S'*D reads
+        S'*(T - A_t) + S*A_{t-1} = S*S'*C_t, which is tested in ``int``.
+        """
+        entries = self.entry_blocks()
+        if len(costs) != len(entries):
+            raise ValueError("cost vector and certificate lengths differ")
+        a = (0, *self.numerators, 0)
+        out = []
+        before = 1  # S' at t = 1, where A_0 = 0 makes any S' > 0 do
+        for t, ((total, size), cost) in enumerate(zip(entries, costs), start=1):
+            if before * (total - a[t]) + size * a[t - 1] != size * before * cost:
+                out.append(t)
+            before = size
+        return out
 
     def reconstruct(self) -> RationalVector:
+        """base + sum alpha_i (e_{i+1} - e_i) in ``Fraction``: the oracle of :meth:`misfits`."""
         out = list(self.base)
         for i, alpha in enumerate(self.coefficients, start=1):
             out[i - 1] -= alpha
@@ -111,7 +182,7 @@ class Certificate:
         return tuple(out)
 
 
-def optimality_certificate(c: Sequence[Rational]) -> Certificate:
+def optimality_certificate(c: Sequence[Rational], scale: int | None = None) -> Certificate:
     """The certificate in closed form: b = pava_oracle(c), alpha = prefix sums of b - c.
 
     Entry k of sum alpha_i (e_{i+1} - e_i) is alpha_{k-1} - alpha_k, so
@@ -122,20 +193,19 @@ def optimality_certificate(c: Sequence[Rational]) -> Certificate:
     of the optimal partition) coincide.
 
     With c = C/D, the m-th coefficient of a PAVA block of total T and size
-    S is (m*T - S*P_m)/(S*D), P_m the sum of its first m numerators.
+    S is A = m*T - S*P_m over S*D, P_m the sum of its first m numerators.
+    With ``scale`` given, ``c`` holds the integer numerators C over that D.
     """
-    numerators, scale = clear_denominators(c)
+    numerators, scale = _over_one_denominator(c, scale)
     if not numerators:
         raise ValueError("cannot certify an empty vector")
-    base: list[Fraction] = []
-    alpha: list[Fraction] = []
+    blocks = runs._pava_blocks(numerators)
+    alpha: list[int] = []
     start = 0
-    for total, size in runs._pava_blocks(numerators):
-        denominator = size * scale
-        base.extend([Fraction(total, denominator)] * size)
+    for total, size in blocks:
         prefix = 0
         for m, value in enumerate(numerators[start : start + size], start=1):
             prefix += value
-            alpha.append(Fraction(m * total - size * prefix, denominator))
+            alpha.append(m * total - size * prefix)
         start += size
-    return Certificate(base=tuple(base), coefficients=tuple(alpha[:-1]))
+    return Certificate(scale=scale, blocks=tuple(blocks), numerators=tuple(alpha[:-1]))

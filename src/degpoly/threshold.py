@@ -156,22 +156,16 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
     return _pair_ideal(n, edges)
 
 
-def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
-    """The degrees of :func:`graph_from_weights`, without building its edges.
+def _degree_sweep(ratios: Sequence[tuple[int, int]], strict: bool) -> Partition:
+    """Degrees of the pair-sum ideal of weakly decreasing weights b_i = p_i/q_i, q_i > 0.
 
-    ``b`` weakly decreases, so the partners j of vertex i (b_i + b_j >= 0,
-    or > 0 when ``strict``) form a prefix 1..hi of [n], and hi only
-    shrinks as i grows: one two-pointer sweep counts every d_i, and the
-    nested prefixes are the downward closure of the edge set.
-
-    With b_i = p_i/q_i, q_i > 0, b_i + b_j has the sign of p_i q_j + p_j q_i:
-    the sweep and its input check run in ``int``, with no common denominator.
+    b_i + b_j has the sign of the integer p_i q_j + p_j q_i.  The partners
+    j of vertex i (that sign >= 0, or > 0 when ``strict``) form a prefix
+    1..hi of [n], and hi only shrinks as i grows: one two-pointer sweep
+    counts every d_i, and the nested prefixes are the downward closure of
+    the edge set.  The weights need not be in lowest terms, and scaling
+    them all by one positive factor changes no sign.
     """
-    ratios = as_ratios(b)
-    if not ratios:
-        raise ValueError("need at least one weight")
-    if any(p * s < r * q for (p, q), (r, s) in zip(ratios, ratios[1:])):
-        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
     # a pair is dropped when its integer cross sum is below 0, or below 1 when strict
     floor = 1 if strict else 0
     deg = []
@@ -183,6 +177,21 @@ def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
     if not is_weakly_decreasing(deg):
         raise AssertionError(f"threshold degrees must weakly decrease, got {tuple(deg)!r}")
     return tuple(deg)
+
+
+def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
+    """The degrees of :func:`graph_from_weights`, without building its edges.
+
+    Each b_i is taken as its reduced p_i/q_i, so the input check and the
+    two-pointer sweep run on integer cross products, with no common
+    denominator formed.
+    """
+    ratios = as_ratios(b)
+    if not ratios:
+        raise ValueError("need at least one weight")
+    if any(p * s < r * q for (p, q), (r, s) in zip(ratios, ratios[1:])):
+        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
+    return _degree_sweep(ratios, strict)
 
 
 def proper_threshold_oracle(n: int, edges: Iterable[Sequence[int]]) -> bool:

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from degpoly import hypergraph, polytope, runs
+from degpoly import core, hypergraph, polytope, runs
 from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_costs
 from fractions import Fraction
 
@@ -67,6 +69,63 @@ def test_optimize_projects_once_per_op(capsys, monkeypatch):
             code, report, _ = run(capsys, "optimize", "--costs", "3,-1/2,2,0,-4,5/3", "--mode", mode, *extra)
             assert code == 0
             assert calls == [6], (mode, extra)
+
+
+def test_optimize_clears_denominators_once_per_op(capsys, monkeypatch):
+    # c = C/D is cleared once and C and D are passed on; only the oracle clears its own
+    calls = []
+    real = core.clear_denominators
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("degpoly") and getattr(module, "clear_denominators", None) is real:
+            monkeypatch.setattr(module, "clear_denominators", counted)
+    for mode in ("max", "min"):
+        for extra, clears in (((), 1), (("--oracle",), 2)):
+            calls.clear()
+            code, report, _ = run(capsys, "optimize", "--costs", "3,-1/2,2,0,-4,5/3", "--mode", mode, *extra)
+            assert code == 0
+            assert len(calls) == clears, (mode, extra)
+
+
+_RECONSTRUCTS = "certificate-reconstructs-costs"
+_PLATEAUS = "certificate-support-on-optimal-plateaus"
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize(
+    "block, delta, costs, code, failed",
+    [
+        (-1, -1, "3,-1/2,2,0,-4,5/3", 1, [_RECONSTRUCTS]),
+        (-1, -1, "1,-1,2,-2,1/2,-1/2", 3, "internal error: certificate coefficients must be nonnegative\n"),
+        (-1, -1, "1,3,2,0", 1, [_RECONSTRUCTS]),
+        (0, 1, "3,-1/2,2,0,-4,5/3", 1, [_RECONSTRUCTS, _PLATEAUS]),
+        (0, 1, "1,-1,2,-2,1/2,-1/2", 1, [_RECONSTRUCTS, _PLATEAUS]),
+        (0, 1, "1,3,2,0", 1, [_RECONSTRUCTS]),
+    ],
+    ids=[f"{end}-{costs}" for end in ("last-1", "first+1") for costs in ("mixed", "alternating", "1,3,2,0")],
+)
+def test_a_wrong_block_total_from_the_kernel_is_caught(capsys, monkeypatch, mode, block, delta, costs, code, failed):
+    # the last block's total one too small, or the first block's one too large:
+    # every case fails a check (exit 1) or a certificate invariant (exit 3)
+    real = runs._pava_blocks
+
+    def patched(numerators):
+        blocks = real(numerators)
+        total, size = blocks[block]
+        blocks[block] = (total + delta, size)
+        return blocks
+
+    monkeypatch.setattr(runs, "_pava_blocks", patched)
+    got, report, err = run(capsys, "optimize", "--costs", costs, "--mode", mode)
+    assert got == code
+    if report is None:
+        assert err == failed
+    else:
+        assert [check["name"] for check in report["checks"] if not check["pass"]] == failed
 
 
 def test_optimize_fractional_costs(capsys):
@@ -520,3 +579,49 @@ def test_parse_costs():
         parse_costs("")
     with pytest.raises(ValueError):
         parse_costs("1;2")
+
+
+def _fraction_or_none(token):
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _parse_costs_or_none(token):
+    try:
+        (value,) = parse_costs(token)
+    except ValueError:
+        return None
+    assert type(value) is Fraction
+    return value
+
+
+# one token, no commas: characters a rational's spelling can hold, and well-formed p/q
+_cost_tokens = st.text(alphabet="0123456789+-/.e_ ", max_size=8) | st.from_regex(
+    r"\A ?[+-]?[0-9]{1,4}(/[+-]?[0-9]{1,4})? ?\Z"
+)
+
+
+@given(_cost_tokens)
+def test_parse_costs_reads_each_token_as_fraction_does(token):
+    # p/q tokens are read with int; Fraction(token) is the oracle for every token
+    assert _parse_costs_or_none(token) == _fraction_or_none(token)
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        ("1/-2", None),  # int("-2") would take the denominator's sign; Fraction refuses it
+        ("1.5", Fraction(3, 2)),
+        ("1e3", Fraction(1000)),
+        (" 3/4 ", Fraction(3, 4)),
+        ("1/0", None),
+        ("+-1", None),
+        ("-6/4", Fraction(-3, 2)),
+        ("+007", Fraction(7)),
+        ("1_000", Fraction(1000)),
+    ],
+)
+def test_parse_costs_frozen_tokens(token, value):
+    assert _parse_costs_or_none(token) == _fraction_or_none(token) == value

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from degpoly.core import as_rational_vector, is_weakly_decreasing
+from degpoly.core import as_rational_vector, clear_denominators, is_weakly_decreasing
 from degpoly.hypergraph import RGraph, degree_sequence, enumerate_r_ideals
 from degpoly.optimize import (
     Certificate,
@@ -283,15 +283,67 @@ def test_certificate_proves_optimality_exhaustively():
 
 
 def test_certificate_dataclass_validation():
-    with pytest.raises(ValueError):
-        Certificate(
-            base=(F(1), F(0)),
-            coefficients=(F(1), F(1)),  # wrong length: must be n-1
-        )
-    with pytest.raises(ValueError):
-        Certificate(base=(F(1), F(0)), coefficients=(F(-1),))
+    # base (1, 1/2, 1/2) over D = 2: blocks (2, 1) and (2, 2); alpha = (0, 3/2) is A = (0, 6) over S*D = 4
+    cert = Certificate(scale=2, blocks=((2, 1), (2, 2)), numerators=(0, 6))
+    assert cert.base == (F(1), F(1, 2), F(1, 2))
+    assert cert.coefficients == (F(0), F(3, 2))
+    with pytest.raises(ValueError, match="one coefficient per adjacent pair"):
+        Certificate(scale=2, blocks=((2, 1), (2, 2)), numerators=(0, 6, 0))  # wrong length: must be n-1
+    with pytest.raises(ValueError, match="must be weakly decreasing"):
+        Certificate(scale=2, blocks=((1, 2), (1, 1)), numerators=(0, 0))  # means 1/4 then 1/2
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        Certificate(scale=1, blocks=((1, 1), (0, 1)), numerators=(-1,))
+    for scale, blocks in ((0, ((1, 1),)), (1, ((1, 1), (0, 0)))):
+        with pytest.raises(ValueError, match="must be positive"):
+            Certificate(scale=scale, blocks=blocks, numerators=())
     # the support is read off the coefficients, so it cannot disagree with them
-    assert Certificate(base=(F(2), F(1), F(1)), coefficients=(F(0), F(3))).support == frozenset({2})
+    assert Certificate(scale=1, blocks=((2, 1), (2, 2)), numerators=(0, 3)).support == frozenset({2})
+
+
+def test_misfits_catch_a_wrong_total_at_either_end():
+    # costs (1, 3, 2, 0): blocks (4, 2), (2, 1), (0, 1) and A = (2, 0, 0)
+    c = (1, 3, 2, 0)
+    cert = optimality_certificate(c)
+    assert (cert.blocks, cert.numerators) == (((4, 2), (2, 1), (0, 1)), (2, 0, 0))
+    assert cert.misfits(c) == []
+    # a first block whose total is one too large ends on A_2 = 2, not 0: the next
+    # block's first entry must read that A_2, not a fresh 0
+    first = Certificate(scale=1, blocks=((5, 2), (2, 1), (0, 1)), numerators=(3, 2, 0))
+    assert first.misfits(c) == [3]
+    # a last block one too small: entry n reads alpha_n = 0, not the A_4 = -1 the blocks would give
+    last = Certificate(scale=1, blocks=((4, 2), (2, 1), (-1, 1)), numerators=(2, 0, 0))
+    assert last.misfits(c) == [4]
+    with pytest.raises(ValueError):
+        first.misfits(c[:-1])
+
+
+@given(_tied_mixed_costs, st.data())
+def test_misfits_are_the_entries_reconstruct_gets_wrong(c, data):
+    # the integer identity per entry against the Fraction reconstruction, on costs
+    # with some numerators moved: misfits lists exactly the entries that differ
+    numerators, scale = clear_denominators(c)
+    cert = optimality_certificate(c)
+    assert cert.scale == scale and cert.misfits(numerators) == []
+    moved = data.draw(st.lists(st.integers(-2, 2), min_size=len(c), max_size=len(c)))
+    other = [v + m for v, m in zip(numerators, moved)]
+    rebuilt = cert.reconstruct()
+    assert cert.misfits(other) == [t for t, (v, r) in enumerate(zip(other, rebuilt), start=1) if F(v, scale) != r]
+
+
+@given(_tied_mixed_costs)
+def test_numerators_over_a_scale_give_what_the_costs_give(c):
+    numerators, scale = clear_denominators(c)
+    assert optimality_certificate(numerators, scale) == optimality_certificate(c)
+    d = optimal_threshold_partition(c)
+    assert objective_value(numerators, d, scale) == objective_value(c, d)
+
+
+def test_numerators_over_a_scale_must_be_ints_over_a_positive_scale():
+    for c, scale in (((F(1, 2), 1), 2), ((1, 2), 0), ((True, 1), 1)):
+        with pytest.raises(ValueError):
+            optimality_certificate(c, scale)
+        with pytest.raises(ValueError):
+            objective_value(c, (1, 1), scale)
 
 
 def test_mode_validation():

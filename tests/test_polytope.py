@@ -162,13 +162,43 @@ def test_membership_is_invariant_under_complementation(x, in_order):
     assert in_fhm_polytope(x).member == in_fhm_polytope(_complement(x)).member
 
 
+def _image(n, f):
+    """The constraint phi maps f to: prefix-suffix (k, l) to (l, k), monotone i to n - i."""
+    return fhm_inequality(n, f.l, f.k) if f.kind == "fhm" else monotone_inequality(n, n - f.i)
+
+
+def _excess(f, x):
+    return f.value(x) - f.rhs
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10).flatmap(_degree_like), st.booleans())
+def test_membership_witness_maps_under_complementation(x, in_order):
+    # the image of x's witness is violated at phi(x) by the same excess; for a
+    # prefix-suffix witness that excess is also the excess of phi(x)'s own witness,
+    # the largest one.  On ties each side reports its own smallest pair, so the
+    # excesses are compared, not the pairs
+    if in_order:
+        x = sort_decreasing(x)
+    n, image = len(x), _complement(x)
+    verdict = in_fhm_polytope(x)
+    if verdict.member:
+        return
+    (witness,) = verdict.violations
+    excess = _excess(witness, x)
+    assert excess > 0
+    assert _excess(_image(n, witness), image) == excess
+    if witness.kind == "fhm":
+        (own,) = in_fhm_polytope(image).violations
+        assert own.kind == "fhm" and _excess(own, image) == excess
+
+
 @pytest.mark.parametrize("n", range(4, 12))
 def test_facet_list_is_closed_under_complementation(n):
     # phi maps prefix-suffix inequality (k, l) to (l, k) and monotone i to n - i
     facets = set(facet_inequalities(n))
     for f in facets:
-        image = fhm_inequality(n, f.l, f.k) if f.kind == "fhm" else monotone_inequality(n, n - f.i)
-        assert image in facets
+        assert _image(n, f) in facets
 
 
 _PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1)))

@@ -21,6 +21,7 @@ from degpoly.hypergraph import (
     subset_lower_covers,
 )
 from degpoly.threshold import (
+    _degree_sweep,
     degree_partition_of_ideal,
     enumerate_threshold_partitions,
     graph_from_weights,
@@ -210,6 +211,14 @@ tie_heavy_weights = st.lists(
 @given(tie_heavy_weights, st.booleans())
 def test_threshold_degrees_match_graph_from_weights(b, strict):
     assert threshold_degrees(b, strict) == degree_partition_of_ideal(graph_from_weights(b, strict))
+
+
+@given(tie_heavy_weights, st.booleans(), st.lists(st.integers(1, 7), min_size=20, max_size=20), st.integers(1, 30))
+def test_sweep_reads_unreduced_ratios_without_their_common_factor(b, strict, factors, common):
+    # the optimizer hands the sweep each entry's block (T, S), and T/S is b_i times
+    # the common denominator D: not in lowest terms, and scaled by a positive factor
+    ratios = [(F(v).numerator * m * common, F(v).denominator * m) for v, m in zip(b, factors)]
+    assert _degree_sweep(ratios, strict) == threshold_degrees(b, strict)
 
 
 def test_threshold_degrees():
