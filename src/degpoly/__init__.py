@@ -38,7 +38,6 @@ from .hypergraph import (
 from .optimize import (
     Certificate,
     brute_force_optimal_partition,
-    objective_value,
     optimal_threshold_partition,
     optimality_certificate,
 )
@@ -75,7 +74,6 @@ from .threshold import (
     ideal_from_partition,
     is_threshold_partition,
     proper_threshold_oracle,
-    threshold_degrees,
 )
 
 __version__ = "0.1.0"

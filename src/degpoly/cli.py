@@ -11,9 +11,9 @@ verdict is graph membership for r = 2 and the majorization chain's
 realization for any other r; only r = 2 with C(n, 2) <= 20 checks one
 against the other.
 ``optimize`` reads each ``p/q`` cost token with ``int`` (any other
-token is left to ``Fraction``, which accepts or refuses it), clears the
-denominators once, and reads the partition, the value and the
-certificate checks off the same integers.
+token is left to ``Fraction``, which accepts or refuses it) and builds
+one optimality certificate, which clears the denominators once; the
+partition, the value and the certificate checks are all read off it.
 Rationals serialize as strings like "3/2" (integers plainly, like "4");
 sets serialize sorted.  The one randomized suite, volume3, samples from
 ``random.Random(--seed)``, and --seed defaults to ``DEFAULT_SEED``, so
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Any, Callable, Iterator, Sequence
 
-from .core import bounded_partitions, clear_denominators, sort_decreasing
+from .core import bounded_partitions, sort_decreasing
 from .hypergraph import (
     POSET_SIZE_BOUND,
     degree_sequence,
@@ -40,11 +40,7 @@ from .hypergraph import (
     realize_r_graph,
     relabel_rgraph,
 )
-from .optimize import (
-    brute_force_optimal_partition,
-    objective_value,
-    optimality_certificate,
-)
+from .optimize import brute_force_optimal_partition, optimality_certificate
 from .polytope import (
     affine_rank,
     count_edges,
@@ -56,7 +52,7 @@ from .polytope import (
     irredundancy_witness,
     is_degree_sequence,
 )
-from .threshold import _degree_sweep, enumerate_threshold_partitions
+from .threshold import enumerate_threshold_partitions
 
 DEFAULT_SEED = 1729
 
@@ -152,18 +148,16 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     if args.oracle and len(costs) > 16:
         raise ValueError("--oracle enumerates every vertex and is capped at n <= 16")
     with _validated():
-        # c = C/D, cleared once: the certificate, the sweep and the value all read C and D
-        numerators, scale = clear_denominators(costs)
-        cert = optimality_certificate(numerators, scale)
+        # the certificate clears c = C/D once; the partition and the value are read off it
+        cert = optimality_certificate(costs)
+        partition = cert.optimizer(mode)
+        value = cert.value(partition)
         support = sorted(cert.support)
-        # the sweep reads each entry's block (T, S): its mean T/(S*D) without the positive factor D
-        partition = _degree_sweep(cert.entry_blocks(), strict=(mode == "min"))
-        value = objective_value(numerators, partition, scale)
         checks = [
             make_check(
                 "certificate-reconstructs-costs",
                 [],
-                cert.misfits(numerators),
+                cert.misfits(),
                 formula="c_t = base_t + alpha_(t-1) - alpha_t, alpha_0 = alpha_n = 0",
             ),
             make_check(

@@ -3,8 +3,7 @@
 Every quantity in this package is an ``int`` or a ``fractions.Fraction``;
 no decision anywhere is made in floating point.  This module owns the
 input rules every entry point calls - an integer entry is exactly an
-``int``, a partition, one common denominator for rationals, or their
-per-entry (numerator, denominator) pairs for cross products - and the
+``int``, a partition, and one common denominator for rationals - and the
 sequence utilities everything else leans on: decreasing rearrangement,
 weak-decrease tests, prefix sums, the majorization preorder, and the
 enumeration of bounded partitions.
@@ -56,11 +55,6 @@ def clear_denominators(values: Iterable[Rational]) -> tuple[IntSequence, int]:
     vec = tuple(map(_exact, vec))
     scale = lcm(*(v.denominator for v in vec))
     return tuple(v.numerator * (scale // v.denominator) for v in vec), scale
-
-
-def as_ratios(values: Iterable[Rational]) -> tuple[tuple[int, int], ...]:
-    """Each value as (numerator, denominator) in lowest terms, with no common denominator formed."""
-    return tuple((v.numerator, v.denominator) for v in map(_exact, values))
 
 
 def is_weakly_decreasing(values: Sequence[Rational]) -> bool:

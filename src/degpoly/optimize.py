@@ -2,10 +2,9 @@
 
 The optimizer maximizes sum(c_i * d_i) over threshold partitions d.
 The projection b of c onto the weakly decreasing vectors, computed by
-pool-adjacent-violators (:func:`degpoly.runs.pava_oracle`), gives the
+pool-adjacent-violators (:func:`degpoly.runs._pava_blocks`), gives the
 optimizer in time linear in n: one two-pointer sweep counts the partners
-j of each vertex with b_i + b_j >= 0 (strict > for the minimal variant;
-:func:`degpoly.threshold.threshold_degrees`).
+j of each vertex with b_i + b_j >= 0 (strict > for the minimal variant).
 Iterated run averaging (:func:`degpoly.runs.pool`) and the explicit edge
 set (:func:`degpoly.threshold.graph_from_weights`) are the oracles the
 tests hold this route to.  A certificate makes the optimum checkable by
@@ -13,16 +12,16 @@ hand: c equals its projection plus a nonnegative rational combination of
 the adjacent-difference vectors v_i = e_{i+1} - e_i, supported only
 where the optimal partition has d_i = d_{i+1}.
 
-The route runs in ``int``: integer PAVA blocks over one common
-denominator D, a cross-product sweep, and an integer objective over D.
-The certificate is held the same way, as D, the kernel's (total T,
-size S) blocks and integer coefficient numerators A over S*D; its
-invariants and :meth:`Certificate.misfits`, one integer identity per
-entry that says c is rebuilt exactly, are tested on those integers.
-A caller that has cleared the denominators passes C and D on as
-``scale``, so they are cleared once.  ``Fraction`` objects are built
-only for what a report prints, and :meth:`Certificate.reconstruct`
-rebuilds c in ``Fraction`` as the tests' oracle.
+The certificate is the one route, and it runs in ``int``.
+:func:`optimality_certificate` clears the denominators once, c = C/D,
+and holds C, D, the kernel's (total T, size S) blocks and integer
+coefficient numerators A over S*D.  :meth:`Certificate.optimizer` sweeps
+the blocks with cross products, :meth:`Certificate.value` is an integer
+dot product over D, and :meth:`Certificate.misfits`, one integer
+identity per entry, says c is rebuilt exactly.  ``Fraction`` objects
+are built only for what a report prints, and
+:meth:`Certificate.reconstruct` rebuilds c in ``Fraction`` as the tests'
+oracle.
 
 The brute-force oracle, :func:`brute_force_optimal_partition`, scores
 every vertex and returns the whole argmax set, so the tests and
@@ -38,9 +37,8 @@ from operator import mul
 from typing import Sequence
 
 from . import runs
-from .core import IntSequence, Partition, Rational, RationalVector, clear_denominators, is_int_vector
-from .runs import pava_oracle
-from .threshold import enumerate_threshold_partitions, threshold_degrees
+from .core import IntSequence, Partition, Rational, RationalVector, clear_denominators, is_weakly_decreasing
+from .threshold import enumerate_threshold_partitions
 
 MODES = ("max", "min")
 
@@ -51,28 +49,27 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _over_one_denominator(c: Sequence[Rational], scale: int | None) -> tuple[IntSequence, int]:
-    """(C, D) with c = C/D: :func:`clear_denominators` of ``c``, or ``c`` itself over ``scale``.
+def _degree_sweep(ratios: Sequence[tuple[int, int]], strict: bool) -> Partition:
+    """Degrees of the pair-sum ideal of weakly decreasing weights b_i = p_i/q_i, q_i > 0.
 
-    A caller that has cleared the denominators already passes the integer
-    numerators and their D as ``scale``, so they are cleared once.
+    b_i + b_j has the sign of the integer p_i q_j + p_j q_i.  The partners
+    j of vertex i (that sign >= 0, or > 0 when ``strict``) form a prefix
+    1..hi of [n], and hi only shrinks as i grows: one two-pointer sweep
+    counts every d_i, and the nested prefixes are the downward closure of
+    the edge set.  The weights need not be in lowest terms, and scaling
+    them all by one positive factor changes no sign.
     """
-    if scale is None:
-        return clear_denominators(c)
-    if scale < 1 or not is_int_vector(c):
-        raise ValueError(f"numerators over a scale must be ints over a positive D, got scale {scale!r}")
-    return tuple(c), scale
-
-
-def objective_value(c: Sequence[Rational], d: Sequence[int], scale: int | None = None) -> Fraction:
-    """The linear functional sum(c_i * d_i), as an integer dot product over D.
-
-    With ``scale`` given, ``c`` holds the integer numerators over that D.
-    """
-    numerators, scale = _over_one_denominator(c, scale)
-    if len(numerators) != len(d):
-        raise ValueError("cost vector and partition lengths differ")
-    return Fraction(sum(map(mul, numerators, d)), scale)
+    # a pair is dropped when its integer cross sum is below 0, or below 1 when strict
+    floor = 1 if strict else 0
+    deg = []
+    hi = len(ratios)
+    for i, (p, q) in enumerate(ratios, start=1):
+        while hi and p * ratios[hi - 1][1] + ratios[hi - 1][0] * q < floor:
+            hi -= 1
+        deg.append(hi - 1 if i <= hi else hi)
+    if not is_weakly_decreasing(deg):
+        raise AssertionError(f"threshold degrees must weakly decrease, got {tuple(deg)!r}")
+    return tuple(deg)
 
 
 def optimal_threshold_partition(c: Sequence[Rational], mode: str = "max") -> Partition:
@@ -81,8 +78,7 @@ def optimal_threshold_partition(c: Sequence[Rational], mode: str = "max") -> Par
     ``mode="max"`` returns the componentwise-maximal element of the argmax
     set, ``mode="min"`` the componentwise-minimal one.  Both maximize.
     """
-    _check_mode(mode)
-    return threshold_degrees(pava_oracle(c), strict=(mode == "min"))
+    return optimality_certificate(c).optimizer(mode)
 
 
 def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, frozenset[Partition]]:
@@ -110,13 +106,15 @@ def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, froz
 class Certificate:
     """c = base + sum alpha_i (e_{i+1} - e_i), base decreasing, alpha >= 0, all over one D.
 
-    The base is ``blocks``: a block of total T and size S is the mean
-    T/(S*D), repeated S times, with D = ``scale``.  ``numerators`` are
-    A_1 .. A_{n-1}, and alpha_t = A_t/(S*D) for S the size of entry t's
-    block.  Every check runs on these integers; ``base``,
-    ``coefficients`` and ``support`` are views of them.
+    ``costs`` are the numerators C of c = C/D, with D = ``scale``.  The
+    base is ``blocks``: a block of total T and size S is the mean
+    T/(S*D), repeated S times.  ``numerators`` are A_1 .. A_{n-1}, and
+    alpha_t = A_t/(S*D) for S the size of entry t's block.  Every check
+    runs on these integers; ``base``, ``coefficients`` and ``support``
+    are views of them.
     """
 
+    costs: IntSequence  # C_1 .. C_n
     scale: int
     blocks: tuple[tuple[int, int], ...]
     numerators: tuple[int, ...]  # A_1 .. A_{n-1}
@@ -124,7 +122,10 @@ class Certificate:
     def __post_init__(self) -> None:
         if self.scale < 1 or any(size < 1 for _, size in self.blocks):
             raise ValueError("certificate scale and block sizes must be positive")
-        if len(self.numerators) != max(sum(size for _, size in self.blocks) - 1, 0):
+        n = sum(size for _, size in self.blocks)
+        if len(self.costs) != n:
+            raise ValueError("need one cost per base entry")
+        if len(self.numerators) != max(n - 1, 0):
             raise ValueError("need one coefficient per adjacent pair of base entries")
         # block means T/(S*D) weakly decrease: compared as cross products, D cancels
         if any(t * s < u * r for (t, r), (u, s) in zip(self.blocks, self.blocks[1:])):
@@ -153,21 +154,31 @@ class Certificate:
         """The positions i (1-based) whose coefficient alpha_i is nonzero."""
         return frozenset(i for i, a in enumerate(self.numerators, start=1) if a)
 
-    def misfits(self, costs: Sequence[int]) -> list[int]:
+    def optimizer(self, mode: str) -> Partition:
+        """The extreme optimizer in ``mode``: the degrees of the pair-sum ideal of the base.
+
+        The sweep reads each entry's block (T, S), whose T/S is its base
+        entry times the positive factor D.
+        """
+        return _degree_sweep(self.entry_blocks(), strict=(_check_mode(mode) == "min"))
+
+    def value(self, d: Sequence[int]) -> Fraction:
+        """The objective sum(c_i * d_i), as an integer dot product over D."""
+        if len(d) != len(self.costs):
+            raise ValueError("cost vector and partition lengths differ")
+        return Fraction(sum(map(mul, self.costs, d)), self.scale)
+
+    def misfits(self) -> list[int]:
         """The positions t (1-based) where c_t = base_t + alpha_{t-1} - alpha_t fails.
 
-        ``costs`` are the numerators C of c = C/D over this certificate's D,
-        and alpha_0 = alpha_n = 0.  With entry t in a block (T, S) and entry
+        alpha_0 = alpha_n = 0.  With entry t in a block (T, S) and entry
         t-1 in a block of size S', the identity times S*S'*D reads
         S'*(T - A_t) + S*A_{t-1} = S*S'*C_t, which is tested in ``int``.
         """
-        entries = self.entry_blocks()
-        if len(costs) != len(entries):
-            raise ValueError("cost vector and certificate lengths differ")
         a = (0, *self.numerators, 0)
         out = []
         before = 1  # S' at t = 1, where A_0 = 0 makes any S' > 0 do
-        for t, ((total, size), cost) in enumerate(zip(entries, costs), start=1):
+        for t, ((total, size), cost) in enumerate(zip(self.entry_blocks(), self.costs), start=1):
             if before * (total - a[t]) + size * a[t - 1] != size * before * cost:
                 out.append(t)
             before = size
@@ -182,8 +193,8 @@ class Certificate:
         return tuple(out)
 
 
-def optimality_certificate(c: Sequence[Rational], scale: int | None = None) -> Certificate:
-    """The certificate in closed form: b = pava_oracle(c), alpha = prefix sums of b - c.
+def optimality_certificate(c: Sequence[Rational]) -> Certificate:
+    """The certificate in closed form: b = the projection of c, alpha = prefix sums of b - c.
 
     Entry k of sum alpha_i (e_{i+1} - e_i) is alpha_{k-1} - alpha_k, so
     c = b + that sum forces alpha_i = sum_{t <= i} (b_t - c_t).  These are
@@ -192,11 +203,11 @@ def optimality_certificate(c: Sequence[Rational], scale: int | None = None) -> C
     touches positions where consecutive entries of the projection (hence
     of the optimal partition) coincide.
 
-    With c = C/D, the m-th coefficient of a PAVA block of total T and size
-    S is A = m*T - S*P_m over S*D, P_m the sum of its first m numerators.
-    With ``scale`` given, ``c`` holds the integer numerators C over that D.
+    With c = C/D, cleared here once, the m-th coefficient of a PAVA block
+    of total T and size S is A = m*T - S*P_m over S*D, P_m the sum of its
+    first m numerators.
     """
-    numerators, scale = _over_one_denominator(c, scale)
+    numerators, scale = clear_denominators(c)
     if not numerators:
         raise ValueError("cannot certify an empty vector")
     blocks = runs._pava_blocks(numerators)
@@ -208,4 +219,4 @@ def optimality_certificate(c: Sequence[Rational], scale: int | None = None) -> C
             prefix += value
             alpha.append(m * total - size * prefix)
         start += size
-    return Certificate(scale=scale, blocks=tuple(blocks), numerators=tuple(alpha[:-1]))
+    return Certificate(costs=numerators, scale=scale, blocks=tuple(blocks), numerators=tuple(alpha[:-1]))

@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 from .core import (
     Partition,
     Rational,
-    as_ratios,
     as_rational_vector,
     is_partition,
     is_weakly_decreasing,
@@ -140,7 +139,8 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
     With ``strict=True`` only strictly positive pair sums become edges,
     which selects the edge-minimal rather than edge-maximal version when
     zero pair sums occur.  Every pair sum is formed in ``Fraction``: this
-    is the oracle of :func:`threshold_degrees`.
+    is the oracle of the optimizer's degree sweep,
+    :meth:`degpoly.optimize.Certificate.optimizer`.
     """
     vec = as_rational_vector(b)
     if not vec:
@@ -154,44 +154,6 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
         edges = {(i, j) for i, j in r_subsets(n, 2) if vec[i - 1] + vec[j - 1] >= 0}
     # decreasing weights make the pair-sum condition downward closed
     return _pair_ideal(n, edges)
-
-
-def _degree_sweep(ratios: Sequence[tuple[int, int]], strict: bool) -> Partition:
-    """Degrees of the pair-sum ideal of weakly decreasing weights b_i = p_i/q_i, q_i > 0.
-
-    b_i + b_j has the sign of the integer p_i q_j + p_j q_i.  The partners
-    j of vertex i (that sign >= 0, or > 0 when ``strict``) form a prefix
-    1..hi of [n], and hi only shrinks as i grows: one two-pointer sweep
-    counts every d_i, and the nested prefixes are the downward closure of
-    the edge set.  The weights need not be in lowest terms, and scaling
-    them all by one positive factor changes no sign.
-    """
-    # a pair is dropped when its integer cross sum is below 0, or below 1 when strict
-    floor = 1 if strict else 0
-    deg = []
-    hi = len(ratios)
-    for i, (p, q) in enumerate(ratios, start=1):
-        while hi and p * ratios[hi - 1][1] + ratios[hi - 1][0] * q < floor:
-            hi -= 1
-        deg.append(hi - 1 if i <= hi else hi)
-    if not is_weakly_decreasing(deg):
-        raise AssertionError(f"threshold degrees must weakly decrease, got {tuple(deg)!r}")
-    return tuple(deg)
-
-
-def threshold_degrees(b: Sequence[Rational], strict: bool = False) -> Partition:
-    """The degrees of :func:`graph_from_weights`, without building its edges.
-
-    Each b_i is taken as its reduced p_i/q_i, so the input check and the
-    two-pointer sweep run on integer cross products, with no common
-    denominator formed.
-    """
-    ratios = as_ratios(b)
-    if not ratios:
-        raise ValueError("need at least one weight")
-    if any(p * s < r * q for (p, q), (r, s) in zip(ratios, ratios[1:])):
-        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
-    return _degree_sweep(ratios, strict)
 
 
 def proper_threshold_oracle(n: int, edges: Iterable[Sequence[int]]) -> bool:

@@ -31,7 +31,6 @@ from degpoly.hypergraph import (
 )
 from degpoly.optimize import (
     brute_force_optimal_partition,
-    objective_value,
     optimal_threshold_partition,
     optimality_certificate,
 )
@@ -117,7 +116,7 @@ def test_criterion_03_optimization_exactness(criterion):
             for _ in range(500):
                 c = random_rational_vector(rng, n)
                 d = optimal_threshold_partition(c, "max")
-                value = objective_value(c, d)
+                value = optimality_certificate(c).value(d)
                 best, argmax = brute_force_optimal_partition(c)
                 assert value == best
                 assert d in argmax

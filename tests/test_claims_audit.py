@@ -99,3 +99,34 @@ def test_the_claims_scan_catches_unused_names():
     }
     # a self-call, an __init__ export or a string outside spans.py is no use
     assert unused(modules, bench) == ["a.dead", "a.Loose"]
+
+
+def private_imports(modules: dict[str, str]) -> list[str]:
+    """``module: from .x import _name`` for each private name a package module imports from a sibling.
+
+    Reading an attribute such as ``runs._pava_blocks`` is allowed: one
+    binding, in its defining module, is what a test can patch.
+    """
+    found = []
+    for stem, text in modules.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.extend(
+                    f"{stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    modules = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "degpoly").glob("*.py"))}
+    assert private_imports(modules) == [], "a private name belongs to its module: move it beside its caller"
+
+
+def test_the_private_import_scan_catches_from_imports_only():
+    modules = {
+        "a": "from .b import _sweep, route\nfrom . import runs\n\ndef f(x):\n    return runs._pava_blocks(x)\n",
+        "b": "from __future__ import annotations\nfrom .c import (\n    public,\n    _hidden as shown,\n)\n",
+    }
+    assert private_imports(modules) == ["a: from .b import _sweep", "b: from .c import _hidden"]

@@ -250,6 +250,56 @@ def test_r2_recognition_matches_graph_membership():
             assert is_r_graphical_partition(d, n, 2) == is_degree_sequence(d)
 
 
+# every (n, r) with C(n, r) <= 20 up to n = 7; past that only r = 1, n - 1 and n qualify,
+# and the r = n - 1 rows alone hold C(2n - 1, n) partitions
+_COMPLEMENT_CASES = [(n, r) for n in range(1, 8) for r in range(1, n + 1) if comb(n, r) <= 20]
+
+
+def _complements(d, n, r):
+    """(edge complement, set complement or None) of ``d``, the latter only where r divides the total and r < n.
+
+    Complementing the edge set takes degrees d to C(n - 1, r - 1) - d; complementing
+    each of the m = sum(d)/r edges within [n] takes r to n - r and d to m - d.
+    """
+    edge = sort_decreasing(comb(n - 1, r - 1) - v for v in d)
+    total, rem = divmod(sum(d), r)
+    return edge, (sort_decreasing(total - v for v in d) if rem == 0 and r < n else None)
+
+
+def test_complementation_preserves_r_graph_recognition():
+    # both complements are bijections on r-graphs, so both must keep every verdict
+    checked = set_checked = 0
+    for n, r in _COMPLEMENT_CASES:
+        cap = comb(n - 1, r - 1)
+        for d in bounded_partitions(n, n * cap, max_entry=cap):
+            verdict = is_r_graphical_partition(d, n, r)
+            edge, sets = _complements(d, n, r)
+            assert is_r_graphical_partition(edge, n, r) == verdict, (n, r, d)
+            checked += 1
+            if sets is None:
+                continue
+            if sets[-1] < 0:
+                # a vertex on more than all m edges
+                assert not verdict, (n, r, d)
+            else:
+                assert is_r_graphical_partition(sets, n, n - r) == verdict, (n, r, d)
+            set_checked += 1
+    assert (checked, set_checked) == (19_518, 5_641)
+
+
+def test_complementation_maps_the_walks_truth_sets():
+    # the same relations on the brute-force walk, which shares no code with recognition
+    for n, r in _COMPLEMENT_CASES:
+        cap = comb(n - 1, r - 1)
+        truth = enumerate_degree_partitions(n, r)
+        dual = enumerate_degree_partitions(n, n - r) if r < n else None
+        for d in bounded_partitions(n, n * cap, max_entry=cap):
+            edge, sets = _complements(d, n, r)
+            assert (edge in truth) == (d in truth), (n, r, d)
+            if sets is not None:
+                assert (sets in dual) == (d in truth), (n, r, d)
+
+
 def test_realize_r_graph_frozen_cases():
     g = realize_r_graph((2, 2, 1, 1), 4, 3)
     assert g is not None

@@ -1,6 +1,7 @@
 """Linear optimization over threshold partitions and its certificates."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -14,7 +15,6 @@ from degpoly.hypergraph import RGraph, degree_sequence, enumerate_r_ideals
 from degpoly.optimize import (
     Certificate,
     brute_force_optimal_partition,
-    objective_value,
     optimal_threshold_partition,
     optimality_certificate,
 )
@@ -31,10 +31,10 @@ F = Fraction
 
 
 def test_objective_value():
-    assert objective_value(as_rational_vector((1, -1, 2)), (2, 2, 2)) == F(4)
-    assert objective_value(as_rational_vector((1, -1)), (0, 0)) == F(0)
+    assert optimality_certificate(as_rational_vector((1, -1, 2))).value((2, 2, 2)) == F(4)
+    assert optimality_certificate(as_rational_vector((1, -1))).value((0, 0)) == F(0)
     with pytest.raises(ValueError):
-        objective_value(as_rational_vector((1,)), (0, 0))
+        optimality_certificate(as_rational_vector((1,))).value((0, 0))
 
 
 def test_optimal_threshold_partition_frozen_examples():
@@ -61,7 +61,7 @@ def test_optimal_threshold_partition_against_brute_force_seeded():
         best, argmax = brute_force_optimal_partition(c)
         for mode in ("max", "min"):
             d = optimal_threshold_partition(c, mode)
-            assert objective_value(c, d) == best
+            assert optimality_certificate(c).value(d) == best
             assert d in argmax
         # the extremes of the argmax set are its column max and column min
         assert optimal_threshold_partition(c, "max") == tuple(max(col) for col in zip(*argmax))
@@ -102,9 +102,10 @@ def test_objective_is_the_lifted_pair_weight_of_its_ideal():
     rng = random.Random(11)
     for n in range(1, 7):
         c = random_rational_vector(rng, n)
+        cert = optimality_certificate(c)
         for edges in enumerate_r_ideals(n, 2):
             degrees = degree_sequence(RGraph(n, 2, edges))
-            assert objective_value(c, degrees) == sum((c[i - 1] + c[j - 1] for i, j in edges), F(0))
+            assert cert.value(degrees) == sum((c[i - 1] + c[j - 1] for i, j in edges), F(0))
 
 
 def test_optimizer_matches_the_best_ideal_of_the_r_ideal_walk():
@@ -136,8 +137,8 @@ def test_optimal_threshold_partition_scales_to_20000_vertices():
     d_max, d_min = optimal_threshold_partition(c, "max"), optimal_threshold_partition(c, "min")
     assert all(is_threshold_partition(d) for d in (a_max, a_min, d_max, d_min))
     assert all(hi >= lo for hi, lo in zip(d_max, d_min))
-    assert objective_value(c, d_max) == objective_value(c, d_min)
     cert = optimality_certificate(c)
+    assert cert.value(d_max) == cert.value(d_min)
     assert all(d_max[i - 1] == d_max[i] and d_min[i - 1] == d_min[i] for i in cert.support)
 
 
@@ -197,7 +198,7 @@ def test_closed_form_certificate_matches_pava(c):
     assert all(a >= 0 for a in cert.coefficients)
     d = optimal_threshold_partition(c)
     assert all(d[i - 1] == d[i] for i in cert.support)
-    assert type(objective_value(c, d)) is Fraction
+    assert type(cert.value(d)) is Fraction
 
 
 def test_pairwise_coprime_denominators_frozen_example():
@@ -219,7 +220,7 @@ def test_pairwise_coprime_denominators_frozen_example():
         assert degree_partition_of_ideal(graph_from_weights(pooled.vector, strict)) == optimum
     best, argmax = brute_force_optimal_partition(c)
     assert argmax == {optimum}
-    assert objective_value(c, optimum) == best == F(41283922837909, 2473579378270)
+    assert cert.value(optimum) == best == F(41283922837909, 2473579378270)
 
 
 def _complement(d):
@@ -243,7 +244,8 @@ _mixed_costs = st.lists(
 
 @given(_mixed_costs)
 def test_brute_force_optimal_partition_matches_objective_value_scan(c):
-    values = {d: objective_value(c, d) for d in enumerate_threshold_partitions(len(c))}
+    cert = optimality_certificate(c)
+    values = {d: cert.value(d) for d in enumerate_threshold_partitions(len(c))}
     top = max(values.values())
     best, argmax = brute_force_optimal_partition(c)
     assert type(best) is Fraction and best == top
@@ -279,42 +281,46 @@ def test_certificate_proves_optimality_exhaustively():
             rhs = sum(bi * di for bi, di in zip(cert.base, d))
             assert lhs <= rhs
         d_star = optimal_threshold_partition(c)
-        assert objective_value(c, d_star) == best
+        assert cert.value(d_star) == best
 
 
 def test_certificate_dataclass_validation():
-    # base (1, 1/2, 1/2) over D = 2: blocks (2, 1) and (2, 2); alpha = (0, 3/2) is A = (0, 6) over S*D = 4
-    cert = Certificate(scale=2, blocks=((2, 1), (2, 2)), numerators=(0, 6))
+    # c = (1, -1, 2) is C = (2, -2, 4) over D = 2; base (1, 1/2, 1/2) is blocks (2, 1) and (2, 2);
+    # alpha = (0, 3/2) is A = (0, 6) over S*D = 4
+    cert = Certificate(costs=(2, -2, 4), scale=2, blocks=((2, 1), (2, 2)), numerators=(0, 6))
     assert cert.base == (F(1), F(1, 2), F(1, 2))
     assert cert.coefficients == (F(0), F(3, 2))
+    assert cert.misfits() == []
+    with pytest.raises(ValueError, match="one cost per base entry"):
+        replace(cert, costs=(2, -2))
     with pytest.raises(ValueError, match="one coefficient per adjacent pair"):
-        Certificate(scale=2, blocks=((2, 1), (2, 2)), numerators=(0, 6, 0))  # wrong length: must be n-1
+        replace(cert, numerators=(0, 6, 0))  # wrong length: must be n-1
     with pytest.raises(ValueError, match="must be weakly decreasing"):
-        Certificate(scale=2, blocks=((1, 2), (1, 1)), numerators=(0, 0))  # means 1/4 then 1/2
+        Certificate(costs=(0, 0, 0), scale=2, blocks=((1, 2), (1, 1)), numerators=(0, 0))  # means 1/4 then 1/2
     with pytest.raises(ValueError, match="must be nonnegative"):
-        Certificate(scale=1, blocks=((1, 1), (0, 1)), numerators=(-1,))
+        Certificate(costs=(0, 1), scale=1, blocks=((1, 1), (0, 1)), numerators=(-1,))
     for scale, blocks in ((0, ((1, 1),)), (1, ((1, 1), (0, 0)))):
         with pytest.raises(ValueError, match="must be positive"):
-            Certificate(scale=scale, blocks=blocks, numerators=())
+            Certificate(costs=(1,), scale=scale, blocks=blocks, numerators=())
     # the support is read off the coefficients, so it cannot disagree with them
-    assert Certificate(scale=1, blocks=((2, 1), (2, 2)), numerators=(0, 3)).support == frozenset({2})
+    assert replace(cert, scale=1, numerators=(0, 3)).support == frozenset({2})
 
 
 def test_misfits_catch_a_wrong_total_at_either_end():
     # costs (1, 3, 2, 0): blocks (4, 2), (2, 1), (0, 1) and A = (2, 0, 0)
     c = (1, 3, 2, 0)
     cert = optimality_certificate(c)
-    assert (cert.blocks, cert.numerators) == (((4, 2), (2, 1), (0, 1)), (2, 0, 0))
-    assert cert.misfits(c) == []
+    assert (cert.costs, cert.blocks, cert.numerators) == (c, ((4, 2), (2, 1), (0, 1)), (2, 0, 0))
+    assert cert.misfits() == []
     # a first block whose total is one too large ends on A_2 = 2, not 0: the next
     # block's first entry must read that A_2, not a fresh 0
-    first = Certificate(scale=1, blocks=((5, 2), (2, 1), (0, 1)), numerators=(3, 2, 0))
-    assert first.misfits(c) == [3]
+    first = replace(cert, blocks=((5, 2), (2, 1), (0, 1)), numerators=(3, 2, 0))
+    assert first.misfits() == [3]
     # a last block one too small: entry n reads alpha_n = 0, not the A_4 = -1 the blocks would give
-    last = Certificate(scale=1, blocks=((4, 2), (2, 1), (-1, 1)), numerators=(2, 0, 0))
-    assert last.misfits(c) == [4]
+    last = replace(cert, blocks=((4, 2), (2, 1), (-1, 1)), numerators=(2, 0, 0))
+    assert last.misfits() == [4]
     with pytest.raises(ValueError):
-        first.misfits(c[:-1])
+        replace(first, costs=c[:-1])
 
 
 @given(_tied_mixed_costs, st.data())
@@ -323,27 +329,13 @@ def test_misfits_are_the_entries_reconstruct_gets_wrong(c, data):
     # with some numerators moved: misfits lists exactly the entries that differ
     numerators, scale = clear_denominators(c)
     cert = optimality_certificate(c)
-    assert cert.scale == scale and cert.misfits(numerators) == []
+    assert (cert.costs, cert.scale) == (numerators, scale) and cert.misfits() == []
     moved = data.draw(st.lists(st.integers(-2, 2), min_size=len(c), max_size=len(c)))
-    other = [v + m for v, m in zip(numerators, moved)]
+    other = tuple(v + m for v, m in zip(numerators, moved))
     rebuilt = cert.reconstruct()
-    assert cert.misfits(other) == [t for t, (v, r) in enumerate(zip(other, rebuilt), start=1) if F(v, scale) != r]
-
-
-@given(_tied_mixed_costs)
-def test_numerators_over_a_scale_give_what_the_costs_give(c):
-    numerators, scale = clear_denominators(c)
-    assert optimality_certificate(numerators, scale) == optimality_certificate(c)
-    d = optimal_threshold_partition(c)
-    assert objective_value(numerators, d, scale) == objective_value(c, d)
-
-
-def test_numerators_over_a_scale_must_be_ints_over_a_positive_scale():
-    for c, scale in (((F(1, 2), 1), 2), ((1, 2), 0), ((True, 1), 1)):
-        with pytest.raises(ValueError):
-            optimality_certificate(c, scale)
-        with pytest.raises(ValueError):
-            objective_value(c, (1, 1), scale)
+    assert replace(cert, costs=other).misfits() == [
+        t for t, (v, r) in enumerate(zip(other, rebuilt), start=1) if F(v, scale) != r
+    ]
 
 
 def test_mode_validation():

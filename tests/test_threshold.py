@@ -20,15 +20,14 @@ from degpoly.hypergraph import (
     r_subsets,
     subset_lower_covers,
 )
+from degpoly.optimize import MODES, _degree_sweep, optimal_threshold_partition
 from degpoly.threshold import (
-    _degree_sweep,
     degree_partition_of_ideal,
     enumerate_threshold_partitions,
     graph_from_weights,
     ideal_from_partition,
     is_threshold_partition,
     proper_threshold_oracle,
-    threshold_degrees,
 )
 
 F = Fraction
@@ -208,9 +207,11 @@ tie_heavy_weights = st.lists(
 ).map(lambda values: sorted(values, reverse=True))
 
 
-@given(tie_heavy_weights, st.booleans())
-def test_threshold_degrees_match_graph_from_weights(b, strict):
-    assert threshold_degrees(b, strict) == degree_partition_of_ideal(graph_from_weights(b, strict))
+@given(tie_heavy_weights, st.sampled_from(MODES))
+def test_threshold_degrees_match_graph_from_weights(b, mode):
+    # PAVA fixes a weakly decreasing b, so the optimizer's sweep reads b itself
+    strict = mode == "min"
+    assert optimal_threshold_partition(b, mode) == degree_partition_of_ideal(graph_from_weights(b, strict))
 
 
 @given(tie_heavy_weights, st.booleans(), st.lists(st.integers(1, 7), min_size=20, max_size=20), st.integers(1, 30))
@@ -218,19 +219,16 @@ def test_sweep_reads_unreduced_ratios_without_their_common_factor(b, strict, fac
     # the optimizer hands the sweep each entry's block (T, S), and T/S is b_i times
     # the common denominator D: not in lowest terms, and scaled by a positive factor
     ratios = [(F(v).numerator * m * common, F(v).denominator * m) for v, m in zip(b, factors)]
-    assert _degree_sweep(ratios, strict) == threshold_degrees(b, strict)
+    assert _degree_sweep(ratios, strict) == degree_partition_of_ideal(graph_from_weights(b, strict))
 
 
 def test_threshold_degrees():
-    assert threshold_degrees((F(1), F(0), F(0), F(-1))) == (3, 2, 2, 1)
-    assert threshold_degrees((F(1), F(0), F(0), F(-1)), strict=True) == (2, 1, 1, 0)
-    assert threshold_degrees((0,)) == (0,)
+    # on weakly decreasing costs the optimizer reads the degrees of their pair-sum ideal
+    assert optimal_threshold_partition((F(1), F(0), F(0), F(-1)), "max") == (3, 2, 2, 1)
+    assert optimal_threshold_partition((F(1), F(0), F(0), F(-1)), "min") == (2, 1, 1, 0)
+    assert optimal_threshold_partition((0,), "max") == (0,)
     with pytest.raises(ValueError):
-        threshold_degrees((F(0), F(1)))
-    with pytest.raises(ValueError):
-        threshold_degrees((1, -1, 0), strict=True)
-    with pytest.raises(ValueError):
-        threshold_degrees(())
+        optimal_threshold_partition((), "max")
 
 
 def test_ideal_degree_check_raises_under_python_O():
