@@ -9,7 +9,8 @@ check or a bad flag.  ``verify`` refuses an n outside its suite's range
 and a nonpositive --samples before any suite runs.  A ``recognize``
 verdict is graph membership for r = 2 and the majorization chain's
 realization for any other r; only r = 2 with C(n, 2) <= 20 checks one
-against the other.
+against the other.  The witness is printed as ``realize_r_graph``
+returns it, already in the input's vertex labels.
 ``optimize`` reads each ``p/q`` cost token with ``int`` (any other
 token is left to ``Fraction``, which accepts or refuses it) and builds
 one optimality certificate, which clears the denominators once; the
@@ -38,7 +39,6 @@ from .hypergraph import (
     format_hypergraph,
     is_r_graphical_partition,
     realize_r_graph,
-    relabel_rgraph,
 )
 from .optimize import brute_force_optimal_partition, optimality_certificate
 from .polytope import (
@@ -400,20 +400,13 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
     witness_edges = witness_text = None
     with _validated():
         sorted_d = sort_decreasing(seq)
-        realized = realize_r_graph(sorted_d, n, r) if small_poset else None
-        graphical = is_degree_sequence(seq) if r == 2 else realized is not None
+        witness = realize_r_graph(seq, n, r) if small_poset else None
+        graphical = is_degree_sequence(seq) if r == 2 else witness is not None
         checks = []
         if r == 2 and small_poset:
             # polytope membership against majorization: the one pair of independent routes
-            checks.append(make_check("realization-matches-verdict", graphical, realized is not None))
-        if realized is not None:
-            # permute labels so the witness degrees equal the input order:
-            # the witness vertex of each degree rank takes the input label of that rank
-            by_rank_input = sorted(range(1, n + 1), key=lambda v: (-seq[v - 1], v))
-            deg = degree_sequence(realized)
-            by_rank_witness = sorted(range(1, n + 1), key=lambda v: (-deg[v - 1], v))
-            order = [w for _, w in sorted(zip(by_rank_input, by_rank_witness))]
-            witness = relabel_rgraph(realized, order)
+            checks.append(make_check("realization-matches-verdict", graphical, witness is not None))
+        if witness is not None:
             checks.append(make_check("witness-degrees-match-input", seq, degree_sequence(witness)))
             witness_edges = sorted(witness.edges)
             witness_text = format_hypergraph(witness_edges)

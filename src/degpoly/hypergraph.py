@@ -10,14 +10,16 @@ Both directions of that test are constructive here.  Downward: a
 Muirhead chain of unit transfers (move one unit from a vertex whose
 degree exceeds another's by at least two) walks any majorizing partition
 to the target, and each transfer is realized on the hypergraph by a
-single edge swap.  Upward: reverse saturation greedily applies the
-opposite transfers until none applies, after which relabeling by weakly
-decreasing degree leaves an r-ideal.
+single edge swap; the walk runs on the sorted degrees, and the result
+takes the caller's vertex labels, rank for rank.  Upward: reverse
+saturation greedily applies the opposite transfers until none applies,
+after which relabeling by weakly decreasing degree leaves an r-ideal.
 
 Graphs are the case r = 2: the pairs ordered componentwise form the same
 poset, its ideals are the proper threshold graphs of
 :mod:`degpoly.threshold`, and that module builds them as ``RGraph(n, 2,
-edges)`` and tests closure with :func:`is_r_ideal`.
+edges)``, as :func:`enumerate_r_ideals` does at every r, and tests
+closure with :func:`is_r_ideal`.
 
 The independent oracle is one brute-force walk for every r:
 :func:`enumerate_degree_partitions` visits all 2^C(n, r) edge sets in
@@ -156,17 +158,14 @@ def muirhead_chain(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, int],
     return tuple(chain)
 
 
-def _edge_swap(
-    edges: set[RSubset], contexts: Sequence[tuple[int, ...]], src: int, tgt: int
-) -> tuple[RSubset, RSubset] | None:
+def _edge_swap(edges: set[RSubset], n: int, r: int, src: int, tgt: int) -> tuple[RSubset, RSubset] | None:
     """The first (X + {src}, X + {tgt}) with the first an edge and the second not.
 
-    X runs over the (r-1)-sets in ``contexts`` that avoid both vertices,
-    in the order given; None when no X qualifies.
+    X runs lazily, in lexicographic order, over the (r-1)-subsets of [n]
+    that avoid both vertices; None when no X qualifies.
     """
-    for ctx in contexts:
-        if src in ctx or tgt in ctx:
-            continue
+    others = [v for v in range(1, n + 1) if v != src and v != tgt]
+    for ctx in combinations(others, r - 1):
         with_src = tuple(sorted(ctx + (src,)))
         if with_src in edges:
             with_tgt = tuple(sorted(ctx + (tgt,)))
@@ -188,7 +187,6 @@ def reverse_saturate(graph: RGraph) -> tuple[RGraph, tuple[int, ...]]:
     """
     n, r = graph.n, graph.r
     edges = set(graph.edges)
-    contexts = tuple(combinations(range(1, n + 1), r - 1))
     deg = list(degree_sequence(graph))
     budget = sum(deg) * n * comb(n, r) + 1
     vertices = range(1, n + 1)
@@ -200,7 +198,7 @@ def reverse_saturate(graph: RGraph) -> tuple[RGraph, tuple[int, ...]]:
                 for j in vertices
                 if i != j
                 and deg[i - 1] >= deg[j - 1]
-                and (swap := _edge_swap(edges, contexts, j, i))
+                and (swap := _edge_swap(edges, n, r, j, i))
             ),
             None,
         )
@@ -228,8 +226,8 @@ def relabel_rgraph(graph: RGraph, order: Sequence[int]) -> RGraph:
 
 
 @lru_cache(maxsize=None)
-def enumerate_r_ideals(n: int, r: int) -> tuple[frozenset[RSubset], ...]:
-    """Every downward-closed edge set of the r-subset poset.
+def enumerate_r_ideals(n: int, r: int) -> tuple[RGraph, ...]:
+    """Every r-ideal on [n]: the r-graphs whose edge sets are downward closed.
 
     Lexicographic order on subsets extends the coordinatewise order, so a
     depth-first include/exclude scan along it, where a subset may be
@@ -246,12 +244,12 @@ def enumerate_r_ideals(n: int, r: int) -> tuple[frozenset[RSubset], ...]:
         tuple(index[c] for c in subset_lower_covers(e))
         for e in elems
     ]
-    out: list[frozenset[RSubset]] = []
+    out: list[RGraph] = []
     chosen = [False] * len(elems)
 
     def walk(t: int) -> None:
         if t == len(elems):
-            out.append(frozenset(e for e, c in zip(elems, chosen) if c))
+            out.append(RGraph(n, r, frozenset(e for e, c in zip(elems, chosen) if c)))
             return
         chosen[t] = False
         walk(t + 1)
@@ -264,22 +262,18 @@ def enumerate_r_ideals(n: int, r: int) -> tuple[frozenset[RSubset], ...]:
     return tuple(out)
 
 
-def _majorizing_ideal(vec: Partition, n: int, r: int) -> tuple[Partition, frozenset[RSubset]] | None:
+def _majorizing_ideal(vec: Partition, n: int, r: int) -> tuple[Partition, RGraph] | None:
     """The lexicographically least r-ideal partition with the total of ``vec`` that majorizes it.
 
     Returned with the first enumerated ideal of that partition, or None
     when no r-ideal partition majorizes ``vec``.
     """
     total = sum(vec)
-    picks: dict[Partition, frozenset[RSubset]] = {}
+    picks: dict[Partition, RGraph] = {}
     for ideal in enumerate_r_ideals(n, r):
-        if len(ideal) * r != total:
+        if len(ideal.edges) * r != total:
             continue
-        deg = [0] * n
-        for edge in ideal:
-            for v in edge:
-                deg[v - 1] += 1
-        part = tuple(deg)
+        part = degree_sequence(ideal)
         if not is_weakly_decreasing(part):
             raise AssertionError(f"ideal degrees must weakly decrease, got {part!r}")
         picks.setdefault(part, ideal)
@@ -306,32 +300,37 @@ def is_r_graphical_partition(d: Sequence[int], n: int, r: int) -> bool:
 
 
 def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
-    """Build an r-graph whose degree partition is ``d``, or None.
+    """Build an r-graph whose vertex k has degree ``d[k-1]``, or None.
 
-    Starts from the lexicographically least majorizing r-ideal partition,
-    realized by its ideal, and walks the Muirhead chain down to ``d``.
-    Each unit transfer from vertex i to vertex j is realized by swapping
-    one edge X + {i} (present) for X + {j} (absent); a counting argument
-    on the degrees guarantees such an X exists, and the first one in
-    lexicographic order is taken.
+    ``d`` may come in any order.  The walk starts from the
+    lexicographically least r-ideal partition that majorizes the sorted
+    ``d``, realized by its ideal, and follows the Muirhead chain down to
+    it.  Each unit transfer from vertex i to vertex j is realized by
+    swapping one edge X + {i} (present) for X + {j} (absent); a counting
+    argument on the degrees guarantees such an X exists, and the first
+    one in lexicographic order is taken.  Last, the vertex of each degree
+    rank (ties by label) takes the label of d's vertex of that rank.
     """
-    vec = _degree_query(d, n, r)
+    # unsorted, an entry that is not an int meets check_partition's ValueError, not a sort's TypeError
+    vec = _degree_query(sort_decreasing(d) if is_int_vector(d) else d, n, r)
     start = None if vec is None else _majorizing_ideal(vec, n, r)
     if start is None:
         return None
     part, ideal = start
-    edges = set(ideal)
-    contexts = tuple(combinations(range(1, n + 1), r - 1))
+    edges = set(ideal.edges)
     for src, tgt in muirhead_chain(part, vec):
-        swap = _edge_swap(edges, contexts, src, tgt)
+        swap = _edge_swap(edges, n, r, src, tgt)
         if swap is None:
             raise AssertionError(f"degree surplus guarantees a swappable edge for {src} -> {tgt}")
         edges.remove(swap[0])
         edges.add(swap[1])
-    result = RGraph(n, r, frozenset(edges))
-    realized = sort_decreasing(degree_sequence(result))
-    if realized != vec:
-        raise AssertionError(f"realization has degree partition {realized!r}, not {vec!r}")
+    walked = RGraph(n, r, frozenset(edges))
+    deg = degree_sequence(walked)
+    by_rank_input = sorted(range(1, n + 1), key=lambda v: -d[v - 1])
+    by_rank_walked = sorted(range(1, n + 1), key=lambda v: -deg[v - 1])
+    result = relabel_rgraph(walked, [w for _, w in sorted(zip(by_rank_input, by_rank_walked))])
+    if degree_sequence(result) != tuple(d):
+        raise AssertionError(f"realization has degrees {degree_sequence(result)!r}, not {tuple(d)!r}")
     return result
 
 

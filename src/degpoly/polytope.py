@@ -447,25 +447,19 @@ _CROSS_CHECK_SAMPLES = 10_000
 
 
 def _koren3_scaled(a: int, b: int, c: int) -> bool:
-    """The n = 3 subset bounds on (a, b, c) / 2^30, in integer arithmetic."""
+    """The n = 3 subset bounds on (a, b, c) / 2^30, in integer arithmetic.
+
+    Sorted, the region is the tetrahedron on (0,0,0), (1,1,0), (2,1,1)
+    and (2,2,2); a >= b >= c are two of its facets, and the other two
+    are checked here.
+    """
     if a < b:
         a, b = b, a
     if b < c:
         b, c = c, b
         if a < b:
             a, b = b, a
-    # (k, 0), (0, l) and mixed (k, l) with k + l <= 3, rhs k (2 - l) scaled
-    return (
-        a <= 2 * _SCALE
-        and a + b <= 4 * _SCALE
-        and a + b + c <= 6 * _SCALE
-        and c >= 0
-        and b + c >= 0
-        and a + b + c >= 0
-        and a - c <= _SCALE
-        and a - b - c <= 0
-        and a + b - c <= 2 * _SCALE
-    )
+    return a <= b + c and a + b - c <= 2 * _SCALE
 
 
 def ds3_volume_estimate(samples: int, seed: int) -> VolumeEstimate:

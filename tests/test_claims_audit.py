@@ -18,6 +18,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# imported by a module that never reads it, and why the import stays
+UNREAD_IMPORTS = {
+    "polytope.enumerate_degree_partitions": "bench/spans.py spans it as a polytope-layer function",
+}
+
 ORACLES = {
     "hypergraph.reverse_saturate": "is_r_graphical_partition: any r-graph saturates to an r-ideal above it",
     "polytope.face_vertices": "are_adjacent: two vertices span an edge when their common tight face is just them",
@@ -130,3 +135,43 @@ def test_the_private_import_scan_catches_from_imports_only():
         "b": "from __future__ import annotations\nfrom .c import (\n    public,\n    _hidden as shown,\n)\n",
     }
     assert private_imports(modules) == ["a: from .b import _sweep", "b: from .c import _hidden"]
+
+
+def unread_imports(modules: dict[str, str]) -> list[str]:
+    """``module.name`` for each name a package module imports and never reads, in source order.
+
+    ``__init__`` only re-exports, so it is skipped, and so is the
+    ``annotations`` future import.
+    """
+    found = []
+    for stem, text in modules.items():
+        if stem == "__init__":
+            continue
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found.extend(
+            f"{stem}.{name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if name != "annotations" and name not in read
+        )
+    return found
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "degpoly").glob("*.py"))}
+    assert unread_imports(modules) == list(UNREAD_IMPORTS), "an import nothing reads is left over: delete it"
+
+
+def test_the_unread_import_scan_catches_a_leftover_import():
+    modules = {
+        "__init__": "from .a import route, shown\n",
+        "a": (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from .b import (\n    Typed,\n    called,\n    left as over,\n)\n\n"
+            "def route(x: Typed) -> str:\n    return os.path.join(called(x))\n"
+        ),
+    }
+    assert unread_imports(modules) == ["a.over"]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -71,7 +72,7 @@ def test_r_above_n_leaves_only_the_empty_edge_set():
     assert RGraph(1, 2, frozenset()).edges == frozenset()
     with pytest.raises(ValueError):
         RGraph(2, 3, frozenset({(1, 2, 3)}))
-    assert enumerate_r_ideals(1, 2) == (frozenset(),)
+    assert [ideal.edges for ideal in enumerate_r_ideals(1, 2)] == [frozenset()]
     assert realize_r_graph((0, 0), 2, 3) == RGraph(2, 3, frozenset())
     # the one-vertex graph is the ideal of the partition (0,)
     assert ideal_from_partition((0,)) == RGraph(1, 2, frozenset())
@@ -99,7 +100,7 @@ def test_enumerate_r_ideals_counts():
         ideals = enumerate_r_ideals(n, 2)
         assert len(ideals) == 2 ** (n - 1)
         degs = {
-            tuple(sort_decreasing(degree_sequence(RGraph(n, 2, e)))) for e in ideals
+            tuple(sort_decreasing(degree_sequence(RGraph(n, 2, e.edges)))) for e in ideals
         }
         assert degs == set(enumerate_threshold_partitions(n))
     with pytest.raises(ValueError):
@@ -114,7 +115,7 @@ def test_enumerate_r_ideals_against_subset_filter():
             for sub in combinations(universe, size):
                 if is_r_ideal(RGraph(n, r, frozenset(sub))):
                     expected.add(frozenset(sub))
-        assert set(enumerate_r_ideals(n, r)) == expected
+        assert {ideal.edges for ideal in enumerate_r_ideals(n, r)} == expected
 
 
 def test_realizable_partitions_of_a_total_lie_below_its_ideal_partitions():
@@ -314,6 +315,50 @@ def test_realize_r_graph_frozen_cases():
     # the walk starts from the lexicographically least majorizing ideal partition,
     # (3, 2, 2, 2, 0) here rather than (3, 3, 1, 1, 1)
     assert realize_r_graph((2, 2, 2, 2, 1), 5, 3).edges == frozenset({(1, 2, 4), (1, 3, 4), (2, 3, 5)})
+
+
+def test_realization_keeps_the_input_vertex_order():
+    # shuffled degree sequences of random r-graphs, and the same sequences with one unit
+    # moved, which some r-graph may or may not have: the witness carries the input's labels
+    rng = random.Random(19)
+    verdicts = set()
+    for n in range(1, 7):
+        for r in range(1, n + 2):
+            if comb(n, r) > 20:
+                continue
+            for _ in range(20):
+                g = RGraph(n, r, frozenset(e for e in r_subsets(n, r) if rng.random() < 0.5))
+                d = list(degree_sequence(g))
+                rng.shuffle(d)
+                i, j = rng.randrange(n), rng.randrange(n)
+                moved = list(d)
+                moved[i] += 1
+                moved[j] -= 1
+                for seq in (d, moved) if min(moved) >= 0 else (d,):
+                    witness = realize_r_graph(seq, n, r)
+                    graphical = is_r_graphical_partition(sort_decreasing(seq), n, r)
+                    assert (witness is not None) == graphical, (n, r, seq)
+                    assert witness is None or degree_sequence(witness) == tuple(seq), (n, r, seq)
+                    verdicts.add(graphical)
+    assert verdicts == {True, False}
+
+
+def test_realization_refuses_entries_it_cannot_sort_with_value_error():
+    for d in ((1, "a"), (None, 1), (1.5, 1)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            realize_r_graph(d, 2, 1)
+
+
+def test_realization_at_r_equal_n_holds_no_table_of_contexts():
+    # the one edge has 1,500 labels; a table of every (r-1)-subset would hold 1,500 * 1,499 labels
+    tracemalloc.start()
+    try:
+        g = realize_r_graph((1,) * 1500, 1500, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g is not None and g.edges == frozenset({tuple(range(1, 1501))})
+    assert peak <= 4 * 2**20, f"peak {peak} bytes"
 
 
 def test_realize_r_graph_matches_recognition():

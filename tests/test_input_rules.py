@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from degpoly.core import check_partition, is_partition
-from degpoly.hypergraph import RGraph, is_r_graphical_partition
+from degpoly.hypergraph import RGraph, is_r_graphical_partition, realize_r_graph
 from degpoly.polytope import is_degree_sequence
 from degpoly.threshold import is_threshold_partition
 
@@ -35,6 +35,7 @@ ENTRY_POINTS = {
     "is_degree_sequence": is_degree_sequence,
     "RGraph": lambda d: RGraph(len(d), 2, {(d[0], len(d))}),
     "is_r_graphical_partition": lambda d: is_r_graphical_partition(d, len(d), 2),
+    "realize_r_graph": lambda d: realize_r_graph(d, len(d), 2),
 }
 
 

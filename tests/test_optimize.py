@@ -103,7 +103,7 @@ def test_objective_is_the_lifted_pair_weight_of_its_ideal():
     for n in range(1, 7):
         c = random_rational_vector(rng, n)
         cert = optimality_certificate(c)
-        for edges in enumerate_r_ideals(n, 2):
+        for edges in (ideal.edges for ideal in enumerate_r_ideals(n, 2)):
             degrees = degree_sequence(RGraph(n, 2, edges))
             assert cert.value(degrees) == sum((c[i - 1] + c[j - 1] for i, j in edges), F(0))
 
@@ -115,7 +115,9 @@ def test_optimizer_matches_the_best_ideal_of_the_r_ideal_walk():
     for _ in range(60):
         n = rng.randint(1, 6)
         c = _tied_costs(rng, n)
-        weights = {edges: sum((c[i - 1] + c[j - 1] for i, j in edges), F(0)) for edges in enumerate_r_ideals(n, 2)}
+        weights = {
+            ideal.edges: sum((c[i - 1] + c[j - 1] for i, j in ideal.edges), F(0)) for ideal in enumerate_r_ideals(n, 2)
+        }
         best = max(weights.values())
         argmax = [edges for edges, w in weights.items() if w == best]
         union = frozenset().union(*argmax)

@@ -5,13 +5,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import takewhile
+from itertools import product, takewhile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degpoly import polytope
 from degpoly.cli import DEFAULT_SEED
 from degpoly.core import (
     bounded_partitions,
@@ -537,6 +538,17 @@ def test_ds3_volume_estimate_deterministic_and_close():
     assert est == again
     assert est.estimate == F(8 * est.hits, est.samples)
     assert abs(est.estimate - 2) <= F(1, 25)
+
+
+def test_scaled_n3_test_matches_in_koren_polytope_on_the_boundary():
+    # random samples never land on a facet; every point of {0, 1/4, ..., 2}^3 is checked,
+    # so a strict inequality in place of a facet's <= fails here
+    verdicts = set()
+    for point in product([F(k, 4) for k in range(9)], repeat=3):
+        member = in_koren_polytope(point)
+        assert polytope._koren3_scaled(*(int(x * polytope._SCALE) for x in point)) == member, point
+        verdicts.add(member)
+    assert verdicts == {True, False}
 
 
 def test_facet_inequality_serialization_shape():

@@ -155,7 +155,7 @@ def test_peel_ideals_match_r_ideal_walk():
         tps = enumerate_threshold_partitions(n)
         ideals = {ideal_from_partition(d).edges for d in tps}
         assert len(ideals) == len(tps)
-        assert ideals == set(enumerate_r_ideals(n, 2))
+        assert ideals == {ideal.edges for ideal in enumerate_r_ideals(n, 2)}
 
 
 def test_lattice_operations():
