@@ -29,10 +29,11 @@ ranks come from fraction-free integer elimination.  It knows
 the irredundant facet list for n >= 4, decides vertex adjacency from
 the block shape of the difference of two threshold partitions
 (recognized by the one peel of :mod:`degpoly.threshold`), counts edges
-by validating each enumerated vertex once and then testing every
-vertex pair, and spot-checks the n = 3 volume: the polytope is a
-tetrahedron of volume 1/3, and the unordered region in [0,2]^3 has
-volume 2, estimated by Monte Carlo with exact membership per sample.
+by validating each enumerated vertex once and then looking up, from
+each vertex, the differences that rule accepts, and spot-checks the
+n = 3 volume: the polytope is a tetrahedron of volume 1/3, and the
+unordered region in [0,2]^3 has volume 2, estimated by Monte Carlo
+with exact membership per sample.
 The lattice points to compare against, the degree partitions of all
 graphs, come from the brute-force walk of :mod:`degpoly.hypergraph`
 with r = 2.
@@ -298,11 +299,60 @@ def _adjacent(a: Partition, b: Partition) -> bool:
     return False
 
 
-def count_edges(n: int) -> int:
-    """Edge count of the polytope, by testing every pair of vertices (3 <= n <= 12).
+def _edge_moves(n: int) -> list[Partition]:
+    """Every difference a - b that the adjacency rule accepts for a dominating a, at length n.
 
-    Each enumerated vertex is validated once, before the pair loop, so
-    the loop tests adjacency without re-checking its arguments; a
+    One block of value v on L consecutive positions with v = L - 1 or
+    2v = L, or value q on p consecutive positions followed, after a gap
+    of any length, by value p on q consecutive positions.  Two touching
+    blocks with p = q are one block of value p and length 2p, so they
+    are listed once, as that block.
+    """
+
+    def place(*blocks: tuple[int, int, int]) -> Partition:
+        diff = [0] * n
+        for start, length, value in blocks:
+            diff[start : start + length] = [value] * length
+        return tuple(diff)
+
+    moves = []
+    for length in range(2, n + 1):
+        for v in sorted({length - 1, length // 2} if length % 2 == 0 else {length - 1}):
+            moves.extend(place((s, length, v)) for s in range(n - length + 1))
+    for p in range(1, n):
+        for q in range(1, n - p + 1):
+            for s in range(n - p - q + 1):
+                # t = s + p would touch; with p = q that is the block above
+                for t in range(s + p + (p == q), n - q + 1):
+                    moves.append(place((s, p, q), (t, q, p)))
+    return moves
+
+
+def _base_n_key(d: Sequence[int], n: int) -> int:
+    """d read as a base-n numeral, d_1 leading; injective on {0, ..., n-1}^n."""
+    key = 0
+    for x in d:
+        key = key * n + x
+    return key
+
+
+def count_edges(n: int) -> int:
+    """Edge count of the polytope, each edge found from its dominating end (3 <= n <= 12).
+
+    Adjacent vertices a, b have a >= b componentwise for one of the two
+    orders, and a - b is one of the :func:`_edge_moves` differences.  So
+    for each vertex a and each move m, an edge ends at a when a - m is
+    a vertex.  That is one set lookup of base-n integer keys, since
+    key(a) - key(m) = key(a - m) whenever a >= m, and a >= m holds
+    everywhere once it holds at the last position of each block of m,
+    because a weakly decreases.  The bound is tested after the lookup,
+    which rarely hits, and keeps a borrow in the subtraction from
+    reading as another vertex.  The work is 2^(n-1) vertices times
+    len(_edge_moves(n)) moves: 128 x 231 at n = 8, 512 x 531 at n = 10
+    and 2048 x 1056 at n = 12, measured at 5 ms, 26 ms and 0.19 s
+    (min of 3, Python 3.11 on a 2-vCPU Xeon).
+
+    Each enumerated vertex is validated once, before the count; a
     repeated vertex, or one that is not a threshold partition on [n],
     raises ``AssertionError``, also under ``python -O``.
     """
@@ -314,12 +364,18 @@ def count_edges(n: int) -> int:
     bad = [d for d in tps if len(d) != n or not is_threshold_partition(d)]
     if bad or len(set(tps)) != len(tps):
         raise AssertionError(f"the enumeration at n={n} holds repeated or non-threshold vertices {bad!r}")
-    return sum(
-        1
-        for s in range(len(tps))
-        for t in range(s + 1, len(tps))
-        if _adjacent(tps[s], tps[t])
-    )
+    keys = {_base_n_key(d, n) for d in tps}
+    moves = [
+        (_base_n_key(m, n), [(i, v) for i, v in enumerate(m) if v and (i + 1 == n or m[i + 1] != v)])
+        for m in _edge_moves(n)
+    ]
+    edges = 0
+    for d in tps:
+        key = _base_n_key(d, n)
+        for move_key, block_ends in moves:
+            if key - move_key in keys and all(d[i] >= v for i, v in block_ends):
+                edges += 1
+    return edges
 
 
 def dominating_sum_identity(n: int) -> int:

@@ -413,15 +413,51 @@ def test_are_adjacent_frozen_cases():
 
 
 def test_count_edges_formula_and_enumeration():
-    assert [count_edges(n) for n in (3, 4, 5, 6)] == [6, 20, 56, 144]
-    for n in range(3, 9):
+    counts = {n: count_edges(n) for n in range(3, 13)}
+    assert [counts[n] for n in (3, 4, 5, 6)] == [6, 20, 56, 144]
+    for n, count in counts.items():
         formula = 2 ** (n - 2) * (2 * n - 3)
-        assert count_edges(n) == formula
+        assert count == formula
         if n >= 4:
-            assert formula == 2 * count_edges(n - 1) + 2 ** (n - 1)
+            assert formula == 2 * counts[n - 1] + 2 ** (n - 1)
     for n in (2, 13):
         with pytest.raises(ValueError):
             count_edges(n)
+
+
+def test_edge_moves_are_the_differences_the_rule_accepts():
+    # the list is the rule read off every nonzero difference against the zero vector
+    for n in range(3, 7):
+        moves = polytope._edge_moves(n)
+        zero = (0,) * n
+        accepted = [d for d in product(range(n), repeat=n) if d != zero and polytope._adjacent(d, zero)]
+        assert len(moves) == len(set(moves))
+        assert set(moves) == set(accepted)
+    assert [len(polytope._edge_moves(n)) for n in (8, 10, 12)] == [231, 531, 1056]
+
+
+def test_count_edges_matches_the_pairwise_rule():
+    for n in range(3, 11):
+        tps = enumerate_threshold_partitions(n)
+        pairs = sum(
+            1 for s in range(len(tps)) for t in range(s + 1, len(tps)) if polytope._adjacent(tps[s], tps[t])
+        )
+        assert count_edges(n) == pairs, n
+
+
+def test_edge_moves_find_each_vertexs_dominated_neighbours():
+    n = 9
+    tps = enumerate_threshold_partitions(n)
+    vertices = set(tps)
+    moves = polytope._edge_moves(n)
+    for a in tps:
+        through_moves = {b for b in (tuple(x - y for x, y in zip(a, m)) for m in moves) if b in vertices}
+        by_rule = {
+            b
+            for b in tps
+            if b != a and all(x >= y for x, y in zip(a, b)) and polytope._adjacent(a, b)
+        }
+        assert through_moves == by_rule, a
 
 
 def test_dominating_count_and_identity():
