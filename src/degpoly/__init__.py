@@ -51,8 +51,8 @@ from .polytope import (
     dominating_sum_identity,
     dp3_volume,
     ds3_volume_estimate,
-    face_vertices,
     facet_inequalities,
+    facet_rank_adjacent,
     fhm_inequality,
     in_fhm_polytope,
     in_koren_polytope,

@@ -2,14 +2,14 @@
 
 Reports go to stdout as a single JSON document; diagnostics go to
 stderr.  Exit status is 0 when every embedded check passes, 1 when some
-check fails, 2 on usage errors, and 3 when an internal invariant breaks
-(an ``AssertionError``, or a ``ValueError`` raised once a command has
-validated its input), so a fault in the program never reads as a failed
-check or a bad flag.  ``verify`` refuses an n outside its suite's range
-and a nonpositive --samples before any suite runs.  A ``recognize``
-verdict is graph membership for r = 2 and the majorization chain's
-realization for any other r; only r = 2 with C(n, 2) <= 20 checks one
-against the other.  The witness is printed as ``realize_r_graph``
+check fails, 2 when an input check raises ``UsageError``, and 3 on any
+other exception, from a command or from writing its report (a broken
+invariant, or an int too long for ``str``), so a fault in the program
+never reads as a failed check or a bad flag.  ``verify`` refuses an n
+outside its suite's range and a nonpositive --samples before any suite
+runs.  A ``recognize`` verdict is graph membership for r = 2 and the
+majorization chain's realization for any other r; only r = 2 with
+C(n, 2) <= 20 checks one against the other.  The witness is printed as ``realize_r_graph``
 returns it, already in the input's vertex labels.
 ``optimize`` reads each ``p/q`` cost token with ``int`` (any other
 token is left to ``Fraction``, which accepts or refuses it) and builds
@@ -26,10 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import bounded_partitions, sort_decreasing
 from .hypergraph import (
@@ -40,7 +39,7 @@ from .hypergraph import (
     is_r_graphical_partition,
     realize_r_graph,
 )
-from .optimize import brute_force_optimal_partition, optimality_certificate
+from .optimize import MODES, brute_force_optimal_partition, optimality_certificate
 from .polytope import (
     affine_rank,
     count_edges,
@@ -59,6 +58,10 @@ DEFAULT_SEED = 1729
 # A verify suite maps (n, seed, samples) to extra result fields and checks.
 SuiteReport = tuple[dict[str, Any], list[dict[str, Any]]]
 Suite = Callable[[int, int, int], SuiteReport]
+
+
+class UsageError(ValueError):
+    """Input the command refuses before it starts: exit 2, where any other exception exits 3."""
 
 
 def jsonify(obj: Any) -> Any:
@@ -97,14 +100,14 @@ def make_check(
 
 
 def _parse_list(text: str, parse: Callable[[str], Any], what: str) -> tuple:
-    """Comma-separated tokens, each read by ``parse``; ``ValueError`` names ``what``."""
+    """Comma-separated tokens, each read by ``parse``; ``UsageError`` names ``what``."""
     tokens = [tok.strip() for tok in text.split(",")]
     try:
         if all(tokens):
             return tuple(map(parse, tokens))
     except (ValueError, ZeroDivisionError):
         pass
-    raise ValueError(f"malformed {what} list: {text!r}")
+    raise UsageError(f"malformed {what} list: {text!r}")
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -133,48 +136,38 @@ def parse_int_seq(text: str) -> tuple[int, ...]:
     return _parse_list(text, int, "integer")
 
 
-@contextmanager
-def _validated() -> Iterator[None]:
-    """The inputs are validated, so a ``ValueError`` from here on is the program's fault."""
-    try:
-        yield
-    except ValueError as exc:
-        raise AssertionError(str(exc)) from exc
-
-
 def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     costs = parse_costs(args.costs)
     mode = args.mode
     if args.oracle and len(costs) > 16:
-        raise ValueError("--oracle enumerates every vertex and is capped at n <= 16")
-    with _validated():
-        # the certificate clears c = C/D once; the partition and the value are read off it
-        cert = optimality_certificate(costs)
-        partition = cert.optimizer(mode)
-        value = cert.value(partition)
-        support = sorted(cert.support)
-        checks = [
-            make_check(
-                "certificate-reconstructs-costs",
-                [],
-                cert.misfits(),
-                formula="c_t = base_t + alpha_(t-1) - alpha_t, alpha_0 = alpha_n = 0",
-            ),
-            make_check(
-                "certificate-support-on-optimal-plateaus",
-                [],
-                [i for i in support if partition[i - 1] != partition[i]],
-            ),
-        ]
-        if args.oracle:
-            best, argmax = brute_force_optimal_partition(costs)
-            # threshold partitions are closed under componentwise max and min,
-            # so the extreme optimizer is the column max (or min) of the argmax set
-            pick = max if mode == "max" else min
-            extreme = tuple(pick(col) for col in zip(*argmax))
-            checks.append(make_check("oracle-value-agreement", best, value))
-            checks.append(make_check("oracle-extreme-optimizer", extreme, partition))
-            checks.append(make_check("oracle-argmax-contains-output", True, partition in argmax))
+        raise UsageError("--oracle enumerates every vertex and is capped at n <= 16")
+    # the certificate clears c = C/D once; the partition and the value are read off it
+    cert = optimality_certificate(costs)
+    partition = cert.optimizer(mode)
+    value = cert.value(partition)
+    support = sorted(cert.support)
+    checks = [
+        make_check(
+            "certificate-reconstructs-costs",
+            [],
+            cert.misfits(),
+            formula="c_t = base_t + alpha_(t-1) - alpha_t, alpha_0 = alpha_n = 0",
+        ),
+        make_check(
+            "certificate-support-on-optimal-plateaus",
+            [],
+            [i for i in support if partition[i - 1] != partition[i]],
+        ),
+    ]
+    if args.oracle:
+        best, argmax = brute_force_optimal_partition(costs)
+        # threshold partitions are closed under componentwise max and min,
+        # so the extreme optimizer is the column max (or min) of the argmax set
+        pick = max if mode == "max" else min
+        extreme = tuple(pick(col) for col in zip(*argmax))
+        checks.append(make_check("oracle-value-agreement", best, value))
+        checks.append(make_check("oracle-extreme-optimizer", extreme, partition))
+        checks.append(make_check("oracle-argmax-contains-output", True, partition in argmax))
     return {
         "command": "optimize",
         "inputs": {"costs": costs, "mode": mode, "oracle": bool(args.oracle)},
@@ -371,11 +364,10 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     n, suite = args.n, args.suite
     lo, hi, run_suite = SUITES[suite]
     if not lo <= n <= hi:
-        raise ValueError(f"suite {suite!r} supports {lo} <= n <= {hi}, got n={n}")
+        raise UsageError(f"suite {suite!r} supports {lo} <= n <= {hi}, got n={n}")
     if args.samples < 1:
-        raise ValueError("--samples must be positive")
-    with _validated():
-        extra, checks = run_suite(n, args.seed, args.samples)
+        raise UsageError("--samples must be positive")
+    extra, checks = run_suite(n, args.seed, args.samples)
     return {
         "command": "verify",
         "inputs": {"n": n, "suite": suite, "seed": args.seed, "samples": args.samples},
@@ -387,29 +379,28 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
     seq = parse_int_seq(args.seq)
     if any(v < 0 for v in seq):
-        raise ValueError("degrees must be nonnegative")
+        raise UsageError("degrees must be nonnegative")
     n = len(seq)
     r = args.r
     if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+        raise UsageError(f"need 1 <= r <= n, got r={r}, n={n}")
     small_poset = comb(n, r) <= POSET_SIZE_BOUND
     if r != 2 and not small_poset:
-        raise ValueError(
+        raise UsageError(
             f"recognition for r != 2 needs C(n, r) <= {POSET_SIZE_BOUND}, got {comb(n, r)}"
         )
     witness_edges = witness_text = None
-    with _validated():
-        sorted_d = sort_decreasing(seq)
-        witness = realize_r_graph(seq, n, r) if small_poset else None
-        graphical = is_degree_sequence(seq) if r == 2 else witness is not None
-        checks = []
-        if r == 2 and small_poset:
-            # polytope membership against majorization: the one pair of independent routes
-            checks.append(make_check("realization-matches-verdict", graphical, witness is not None))
-        if witness is not None:
-            checks.append(make_check("witness-degrees-match-input", seq, degree_sequence(witness)))
-            witness_edges = sorted(witness.edges)
-            witness_text = format_hypergraph(witness_edges)
+    sorted_d = sort_decreasing(seq)
+    witness = realize_r_graph(seq, n, r) if small_poset else None
+    graphical = is_degree_sequence(seq) if r == 2 else witness is not None
+    checks = []
+    if r == 2 and small_poset:
+        # polytope membership against majorization: the one pair of independent routes
+        checks.append(make_check("realization-matches-verdict", graphical, witness is not None))
+    if witness is not None:
+        checks.append(make_check("witness-degrees-match-input", seq, degree_sequence(witness)))
+        witness_edges = sorted(witness.edges)
+        witness_text = format_hypergraph(witness_edges)
     return {
         "command": "recognize",
         "inputs": {"seq": seq, "r": r, "n": n},
@@ -435,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimize a linear functional over threshold partitions",
     )
     opt.add_argument("--costs", required=True, help='comma-separated rationals, e.g. "1,-1/2,2"')
-    opt.add_argument("--mode", choices=("max", "min"), default="max",
+    opt.add_argument("--mode", choices=MODES, default="max",
                      help="which extreme optimizer to report (both attain the maximum value)")
     opt.add_argument("--oracle", action="store_true",
                      help="cross-check against full vertex enumeration (n <= 16)")
@@ -462,14 +453,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.run(args)
-    except ValueError as exc:
+        text = json.dumps(jsonify(report), indent=2, sort_keys=True)
+        passed = all(c["pass"] for c in report["checks"])
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(jsonify(report), indent=2, sort_keys=True))
-    return 0 if all(c["pass"] for c in report["checks"]) else 1
+    print(text)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,8 @@ constraint evaluated at an integer point stays an integer, and affine
 ranks come from fraction-free integer elimination.  It knows
 the irredundant facet list for n >= 4, decides vertex adjacency from
 the block shape of the difference of two threshold partitions
-(recognized by the one peel of :mod:`degpoly.threshold`), counts edges
+(recognized by the one peel of :mod:`degpoly.threshold`; the rank of
+the facets tight at both vertices is the oracle), counts edges
 by validating each enumerated vertex once and then looking up, from
 each vertex, the differences that rule accepts, and spot-checks the
 n = 3 volume: the polytope is a tetrahedron of volume 1/3, and the
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     Partition,
@@ -389,18 +390,6 @@ def dominating_sum_identity(n: int) -> int:
     return sum(d.count(n - 1) for d in enumerate_threshold_partitions(n))
 
 
-def face_vertices(n: int, tight: Iterable[FacetInequality]) -> tuple[Partition, ...]:
-    """The threshold partitions satisfying every given constraint tightly."""
-    if not 4 <= n <= 10:
-        raise ValueError(f"face enumeration is supported for 4 <= n <= 10, got n={n}")
-    constraints = tuple(tight)
-    return tuple(
-        d
-        for d in enumerate_threshold_partitions(n)
-        if all(f.tight(d) for f in constraints)
-    )
-
-
 def affine_rank(points: Sequence[Sequence[Rational]]) -> int:
     """Size of a largest affinely independent subset, exactly.
 
@@ -431,6 +420,21 @@ def affine_rank(points: Sequence[Sequence[Rational]]) -> int:
         prev = h
         rank += 1
     return rank + 1
+
+
+def facet_rank_adjacent(d: Sequence[int], e: Sequence[int]) -> bool:
+    """Do two distinct vertices span an edge (n >= 4)?  The oracle for :func:`are_adjacent`.
+
+    They do exactly when the facets tight at both have coefficient rows
+    of rank n - 1, one less than the dimension (Fukuda and Prodon, 1996);
+    that rank is the affine rank of the rows and the origin, less one.
+    It trusts :func:`facet_inequalities` to list every facet.
+    """
+    n = len(d)
+    if len(e) != n:
+        raise ValueError("adjacency needs two vertices of equal length")
+    rows = [f.coefficients for f in facet_inequalities(n) if f.tight(d) and f.tight(e)]
+    return affine_rank([(0,) * n, *rows]) - 1 == n - 1
 
 
 def irredundancy_witness(

@@ -41,8 +41,8 @@ from degpoly.polytope import (
     dominating_sum_identity,
     dp3_volume,
     ds3_volume_estimate,
-    face_vertices,
     facet_inequalities,
+    facet_rank_adjacent,
     in_fhm_polytope,
     irredundancy_witness,
     is_degree_sequence,
@@ -180,18 +180,19 @@ def test_criterion_06_edge_counts(criterion):
 
 def test_criterion_07_facets(criterion):
     with criterion(7, "facet counts 8, 11, 15; validity, rank, irredundancy"):
+        tight_sets = {}
         for n, expected in ((4, 8), (5, 11), (6, 15)):
             facets = facet_inequalities(n)
             assert len(facets) == expected == (n * n - 3 * n + 12) // 2
             vertices = enumerate_threshold_partitions(n)
             for f in facets:
                 assert all(f.satisfied(d) for d in vertices)
-                tight = [d for d in vertices if f.tight(d)]
+                tight = tight_sets[f] = [d for d in vertices if f.tight(d)]
                 assert affine_rank(tight) >= n
         for n in (4, 5):
             facets = facet_inequalities(n)
             for f in facets:
-                witness = irredundancy_witness(n, f, face_vertices(n, [f]))
+                witness = irredundancy_witness(n, f, tight_sets[f])
                 assert not f.satisfied(witness)
                 assert all(g.satisfied(witness) for g in facets if g != f)
 
@@ -203,14 +204,10 @@ def test_criterion_08_dominating_sum_identity(criterion):
 
 
 def test_criterion_09_adjacency_oracle_agreement(criterion):
-    with criterion(9, "block-shape adjacency = tight-facet face oracle, n = 4..6"):
-        for n in (4, 5, 6):
-            vertices = enumerate_threshold_partitions(n)
-            facets = facet_inequalities(n)
-            for d, e in combinations(vertices, 2):
-                shared = [f for f in facets if f.tight(d) and f.tight(e)]
-                geometric = frozenset(face_vertices(n, shared)) == frozenset({d, e})
-                assert are_adjacent(d, e) == geometric
+    with criterion(9, "block-shape adjacency = rank of the shared tight facets, n = 4..8"):
+        for n in range(4, 9):
+            for d, e in combinations(enumerate_threshold_partitions(n), 2):
+                assert are_adjacent(d, e) == facet_rank_adjacent(d, e)
 
 
 def test_criterion_10_hypergraph_recognition(criterion):

@@ -25,7 +25,7 @@ UNREAD_IMPORTS = {
 
 ORACLES = {
     "hypergraph.reverse_saturate": "is_r_graphical_partition: any r-graph saturates to an r-ideal above it",
-    "polytope.face_vertices": "are_adjacent: two vertices span an edge when their common tight face is just them",
+    "polytope.facet_rank_adjacent": "are_adjacent: two vertices span an edge when the facets tight at both have rank n - 1",
     "polytope.fhm_violations": "in_fhm_polytope: the full O(n^2) scan of every constraint",
     "polytope.koren_oracle": "in_koren_polytope: all 3^n choices of disjoint S, T",
     "threshold.ideal_from_partition": "is_threshold_partition: the peel rebuilt as the order ideal of degrees d",

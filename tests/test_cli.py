@@ -420,22 +420,44 @@ def test_internal_error_exits_3_not_as_a_failed_check(capsys, monkeypatch):
     assert err == "internal error: the enumeration at n=3 holds repeated vertices\n"
 
 
+@pytest.mark.parametrize("error", [AssertionError, TypeError])
 @pytest.mark.parametrize(
     "dependency, argv",
     [
         ("optimality_certificate", ("optimize", "--costs", "1,-1,2")),
         ("is_degree_sequence", ("recognize", "--seq", "2,1,1", "--r", "2")),
+        ("count_edges", ("verify", "--n", "3", "--suite", "edges")),
     ],
 )
-def test_internal_error_exits_3_from_every_command(capsys, monkeypatch, dependency, argv):
+def test_internal_error_exits_3_from_every_command(capsys, monkeypatch, error, dependency, argv):
+    # any exception but a refused input is the program's fault, not a failed check
     import degpoly.cli as cli_module
 
     def broken(*args, **kwargs):
-        raise AssertionError(f"{dependency} broke")
+        raise error(f"{dependency} broke")
 
     monkeypatch.setattr(cli_module, dependency, broken)
     code, report, err = run(capsys, *argv)
     assert (code, report, err) == (3, None, f"internal error: {dependency} broke\n")
+
+
+def _reciprocal_primes(k):
+    """Costs 1/p for the first k primes p, largest p first."""
+    primes = []
+    candidate = 2
+    while len(primes) < k:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return ",".join(f"1/{p}" for p in reversed(primes))
+
+
+@pytest.mark.parametrize("costs", ["1e5000,1", _reciprocal_primes(1400)], ids=["1e5000", "1400-primes"])
+def test_a_report_too_long_to_print_exits_3(capsys, costs):
+    # str() refuses an int past 4,300 digits while the report is written
+    code, report, err = run(capsys, "optimize", f"--costs={costs}")
+    assert (code, report) == (3, None)
+    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_value_error_past_input_validation_exits_3(capsys, monkeypatch):
@@ -487,7 +509,7 @@ def test_oracle_cap_is_checked_before_any_projection(capsys, monkeypatch):
 @pytest.mark.parametrize("n", [4, 5])
 def test_facets_suite_hands_each_facet_its_tight_vertices(capsys, monkeypatch, n):
     import degpoly.cli as cli_module
-    from degpoly.polytope import face_vertices
+    from degpoly.threshold import enumerate_threshold_partitions
 
     calls = []
     real = cli_module.irredundancy_witness
@@ -501,7 +523,7 @@ def test_facets_suite_hands_each_facet_its_tight_vertices(capsys, monkeypatch, n
     assert code == 0
     assert [facet for facet, _ in calls] == list(cli_module.facet_inequalities(n))
     for facet, tight in calls:
-        assert sorted(tight) == sorted(face_vertices(n, [facet]))
+        assert sorted(tight) == sorted(d for d in enumerate_threshold_partitions(n) if facet.tight(d))
 
 
 def test_rebound_command_is_honoured_after_first_call(capsys, monkeypatch):

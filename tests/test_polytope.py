@@ -1,11 +1,12 @@
-"""Membership, facets, edges, faces, lattice points, and volume."""
+"""Membership, facets, edges, lattice points, and volume."""
 
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product, takewhile
+from itertools import combinations, product, takewhile
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,8 @@ from degpoly.polytope import (
     dp3_volume,
     ds3_volume_estimate,
     enumerate_degree_partitions,
-    face_vertices,
     facet_inequalities,
+    facet_rank_adjacent,
     fhm_inequality,
     fhm_violations,
     in_fhm_polytope,
@@ -39,7 +40,7 @@ from degpoly.polytope import (
     koren_oracle,
     monotone_inequality,
 )
-from degpoly.threshold import enumerate_threshold_partitions
+from degpoly.threshold import enumerate_threshold_partitions, is_threshold_partition
 from rational_data import random_rational_vector
 
 F = Fraction
@@ -401,15 +402,66 @@ def test_are_adjacent_block_shapes():
 
 
 def test_are_adjacent_frozen_cases():
-    assert are_adjacent((3, 3, 3, 3), (3, 2, 2, 1))
-    assert are_adjacent((1, 1, 0, 0), (0, 0, 0, 0))
-    assert not are_adjacent((3, 2, 2, 1), (1, 1, 0, 0))
+    for d, e, adjacent in (
+        ((3, 3, 3, 3), (3, 2, 2, 1), True),
+        ((1, 1, 0, 0), (0, 0, 0, 0), True),
+        ((3, 2, 2, 1), (1, 1, 0, 0), False),
+    ):
+        assert are_adjacent(d, e) == facet_rank_adjacent(d, e) == adjacent
+    with pytest.raises(ValueError):
+        facet_rank_adjacent((3, 3, 3, 3), (3, 2, 2))
     with pytest.raises(ValueError):
         are_adjacent((1, 1), (0, 0))  # n < 3
     with pytest.raises(ValueError):
         are_adjacent((2, 2, 2), (2, 2, 2))
     with pytest.raises(ValueError):
         are_adjacent((2, 2, 1, 1), (0, 0, 0, 0))
+
+
+def _threshold_from_word(n, word):
+    """The threshold partition whose vertex m isolates (bit m - 2 of ``word`` clear) or dominates (set)."""
+    d = (0,)
+    for m in range(2, n + 1):
+        d = (m - 1, *(v + 1 for v in d)) if word >> (m - 2) & 1 else (*d, 0)
+    return d
+
+
+def _one_block_near_misses(d):
+    """Vertices d +- v on L consecutive positions with v != L - 1 and 2v != L: comparable, yet no edge."""
+    n = len(d)
+    padded = (n - 1, *d, 0)
+    for length in range(1, n + 1):
+        for v in range(1, n):
+            if v == length - 1 or 2 * v == length:
+                continue
+            for s in range(n - length + 1):
+                t = s + length
+                # only a block with room above (below) it keeps d + (-) block a partition
+                for sign, room in ((1, padded[s] - d[s]), (-1, d[t - 1] - padded[t + 1])):
+                    if room >= v:
+                        e = (*d[:s], *(x + sign * v for x in d[s:t]), *d[t:])
+                        if is_threshold_partition(e):
+                            yield e
+
+
+def test_rank_oracle_matches_the_edge_rule_on_near_misses_at_n20():
+    # evenly spaced creation words, no seed; 2^19 vertices are far too many to list
+    n, m = 20, 48
+    assert [_threshold_from_word(6, w) for w in range(32)] == list(enumerate_threshold_partitions(6))
+    vertices = [_threshold_from_word(n, i * (2 ** (n - 1) - 1) // (m - 1)) for i in range(m)]
+    adjacent = [
+        (d, e)
+        for d in vertices[::8]
+        for move in polytope._edge_moves(n)
+        if is_threshold_partition(e := tuple(map(sub, d, move)))
+    ]
+    near_misses = [(d, e) for d in vertices for e in _one_block_near_misses(d)]
+    incomparable = [(d, e) for d, e in combinations(vertices, 2) if min(map(sub, d, e)) < 0 < max(map(sub, d, e))]
+    assert adjacent and len(near_misses) >= 10
+    verdicts = {(d, e): are_adjacent(d, e) for d, e in adjacent + near_misses + incomparable[::10]}
+    assert [pair for pair, rule in verdicts.items() if facet_rank_adjacent(*pair) != rule] == []
+    assert all(verdicts[pair] for pair in adjacent)
+    assert not any(verdicts[pair] for pair in near_misses)
 
 
 def test_count_edges_formula_and_enumeration():
@@ -468,19 +520,6 @@ def test_dominating_count_and_identity():
             assert d.count(n - 1) == len(list(takewhile(lambda v: v == n - 1, d)))
     for n in range(1, 13):
         assert dominating_sum_identity(n) == 2 ** (n - 1)
-
-
-def test_face_vertices():
-    f01 = fhm_inequality(4, 0, 1)
-    face = frozenset(face_vertices(4, [f01]))
-    assert face == frozenset(
-        {(0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0), (2, 2, 2, 0)}
-    )
-    all_monotone = [monotone_inequality(4, i) for i in (1, 2, 3)]
-    assert frozenset(face_vertices(4, all_monotone)) == frozenset(
-        {(0, 0, 0, 0), (3, 3, 3, 3)}
-    )
-    assert face_vertices(4, ()) == enumerate_threshold_partitions(4)
 
 
 def test_enumerate_degree_partitions():
