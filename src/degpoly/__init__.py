@@ -33,7 +33,6 @@ from .hypergraph import (
     r_subsets,
     realize_r_graph,
     relabel_rgraph,
-    reverse_saturate,
 )
 from .optimize import (
     Certificate,

@@ -15,8 +15,8 @@ returns it, already in the input's vertex labels.
 token is left to ``Fraction``, which accepts or refuses it) and builds
 one optimality certificate, which clears the denominators once; the
 partition, the value and the certificate checks are all read off it.
-Rationals serialize as strings like "3/2" (integers plainly, like "4");
-sets serialize sorted.  The one randomized suite, volume3, samples from
+Rationals serialize as strings like "3/2" (integers plainly, like "4"),
+and tuples as lists.  The one randomized suite, volume3, samples from
 ``random.Random(--seed)``, and --seed defaults to ``DEFAULT_SEED``, so
 identical flags give identical reports.
 """
@@ -54,6 +54,7 @@ from .polytope import (
 from .threshold import enumerate_threshold_partitions
 
 DEFAULT_SEED = 1729
+_TOO_LONG = "a cost has a numerator or denominator with more digits than str prints"
 
 # A verify suite maps (n, seed, samples) to extra result fields and checks.
 SuiteReport = tuple[dict[str, Any], list[dict[str, Any]]]
@@ -65,7 +66,7 @@ class UsageError(ValueError):
 
 
 def jsonify(obj: Any) -> Any:
-    """Fractions to "p/q" strings, sets sorted, tuples to lists."""
+    """Fractions to "p/q" strings, tuples to lists; a report's keys are already strings."""
     # plain scalars first: Fraction's ABC metaclass makes isinstance slow
     # on each of a report's many ints
     if obj is None or isinstance(obj, (bool, int, float, str)):
@@ -73,9 +74,7 @@ def jsonify(obj: Any) -> Any:
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return [jsonify(v) for v in sorted(obj)]
+        return {k: jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -100,11 +99,13 @@ def make_check(
 
 
 def _parse_list(text: str, parse: Callable[[str], Any], what: str) -> tuple:
-    """Comma-separated tokens, each read by ``parse``; ``UsageError`` names ``what``."""
+    """Comma-separated tokens, each read by ``parse``; ``UsageError`` names ``what`` unless ``parse`` raised one."""
     tokens = [tok.strip() for tok in text.split(",")]
     try:
         if all(tokens):
             return tuple(map(parse, tokens))
+    except UsageError:
+        raise
     except (ValueError, ZeroDivisionError):
         pass
     raise UsageError(f"malformed {what} list: {text!r}")
@@ -114,16 +115,24 @@ def _parse_rational(token: str) -> Fraction:
     """``[+-]?digits(/digits)?`` in ASCII digits is read with ``int``; ``Fraction(token)`` reads or refuses the rest.
 
     Only the numerator takes a sign: ``int("-2")`` would accept the
-    denominator of "1/-2", which ``Fraction`` refuses.
+    denominator of "1/-2", which ``Fraction`` refuses.  Past the digits
+    ``str`` prints, a value is refused alike written out and as "1e5000".
     """
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if digits.isascii() and digits.isdecimal():
-        if not slash:
-            return Fraction(int(num))
-        if den.isascii() and den.isdecimal():
-            return Fraction(int(num), int(den))
-    return Fraction(token)
+        try:
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdecimal():
+                return Fraction(int(num), int(den))
+        except ValueError:  # int refuses ASCII digits only past the digit limit
+            raise UsageError(_TOO_LONG) from None
+    value = Fraction(token)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0, no limit: Python before 3.10.7 has none
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise UsageError(_TOO_LONG)
+    return value
 
 
 def parse_costs(text: str) -> tuple[Fraction, ...]:
@@ -390,7 +399,6 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
             f"recognition for r != 2 needs C(n, r) <= {POSET_SIZE_BOUND}, got {comb(n, r)}"
         )
     witness_edges = witness_text = None
-    sorted_d = sort_decreasing(seq)
     witness = realize_r_graph(seq, n, r) if small_poset else None
     graphical = is_degree_sequence(seq) if r == 2 else witness is not None
     checks = []
@@ -406,7 +414,7 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
         "inputs": {"seq": seq, "r": r, "n": n},
         "result": {
             "graphical": graphical,
-            "degree_partition": sorted_d,
+            "degree_partition": sort_decreasing(seq),
             "witness_edges": witness_edges,
             "witness_text": witness_text,
         },

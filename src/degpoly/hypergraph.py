@@ -6,14 +6,10 @@ weakly decreasing degree sequences, and a partition with total divisible
 by r is the degree sequence of some r-graph exactly when an r-ideal
 partition with the same total majorizes it.
 
-Both directions of that test are constructive here.  Downward: a
-Muirhead chain of unit transfers (move one unit from a vertex whose
-degree exceeds another's by at least two) walks any majorizing partition
-to the target, and each transfer is realized on the hypergraph by a
-single edge swap; the walk runs on the sorted degrees, and the result
-takes the caller's vertex labels, rank for rank.  Upward: reverse
-saturation greedily applies the opposite transfers until none applies,
-after which relabeling by weakly decreasing degree leaves an r-ideal.
+The "if" direction is built: a Muirhead chain of unit transfers, each
+from a vertex at least two above another, walks any majorizing partition
+to the target on the sorted degrees, one edge swap per transfer, and the
+result takes the caller's vertex labels, rank for rank.
 
 Graphs are the case r = 2: the pairs ordered componentwise form the same
 poset, its ideals are the proper threshold graphs of
@@ -21,7 +17,7 @@ poset, its ideals are the proper threshold graphs of
 edges)``, as :func:`enumerate_r_ideals` does at every r, and tests
 closure with :func:`is_r_ideal`.
 
-The independent oracle is one brute-force walk for every r:
+One brute-force walk is the independent oracle of both directions, at any r:
 :func:`enumerate_degree_partitions` visits all 2^C(n, r) edge sets in
 Gray-code order and refuses C(n, r) > 21 before it starts.  At r = 2 its
 result is the lattice-point set of :mod:`degpoly.polytope`, and
@@ -172,45 +168,6 @@ def _edge_swap(edges: set[RSubset], n: int, r: int, src: int, tgt: int) -> tuple
             if with_tgt not in edges:
                 return with_src, with_tgt
     return None
-
-
-def reverse_saturate(graph: RGraph) -> tuple[RGraph, tuple[int, ...]]:
-    """Push degree upward in majorization until no reverse transfer applies.
-
-    A reverse transfer takes vertices i != j with deg(i) >= deg(j) and an
-    (r-1)-subset X avoiding both such that X + {i} is a non-edge while
-    X + {j} is an edge, then swaps the two; the degree sequence strictly
-    rises in majorization.  Moves are applied first-in-lexicographic
-    (i, j, X) order.  Returns the stable graph in the original labels
-    together with the vertices listed in weakly decreasing degree order
-    (ties by label); relabeling along that order yields an r-ideal.
-    """
-    n, r = graph.n, graph.r
-    edges = set(graph.edges)
-    deg = list(degree_sequence(graph))
-    budget = sum(deg) * n * comb(n, r) + 1
-    vertices = range(1, n + 1)
-    for _ in range(budget):
-        move = next(
-            (
-                (i, j, swap)
-                for i in vertices
-                for j in vertices
-                if i != j
-                and deg[i - 1] >= deg[j - 1]
-                and (swap := _edge_swap(edges, n, r, j, i))
-            ),
-            None,
-        )
-        if move is None:
-            order = tuple(sorted(vertices, key=lambda v: (-deg[v - 1], v)))
-            return RGraph(n, r, frozenset(edges)), order
-        i, j, (with_j, with_i) = move
-        edges.remove(with_j)
-        edges.add(with_i)
-        deg[i - 1] += 1
-        deg[j - 1] -= 1
-    raise AssertionError(f"saturation exceeded its move budget of {budget}")
 
 
 def relabel_rgraph(graph: RGraph, order: Sequence[int]) -> RGraph:

@@ -9,7 +9,8 @@ does not count).  A script under ``bench/`` counts too, and in
 tables name the functions they patch.  The only other public names are
 the oracles in ``ORACLES``, each mapped to the route the tests check
 with it; that route, the first word of its description, must be a
-public top-level ``def`` of the package.  Code that none of these reach
+public top-level ``def`` of the package, and some function of
+``tests/`` must call the two together.  Code that none of these reach
 is a third route or a dead one, and should be deleted with its tests.
 """
 
@@ -24,11 +25,10 @@ UNREAD_IMPORTS = {
 }
 
 ORACLES = {
-    "hypergraph.reverse_saturate": "is_r_graphical_partition: any r-graph saturates to an r-ideal above it",
     "polytope.facet_rank_adjacent": "are_adjacent: two vertices span an edge when the facets tight at both have rank n - 1",
     "polytope.fhm_violations": "in_fhm_polytope: the full O(n^2) scan of every constraint",
     "polytope.koren_oracle": "in_koren_polytope: all 3^n choices of disjoint S, T",
-    "threshold.ideal_from_partition": "is_threshold_partition: the peel rebuilt as the order ideal of degrees d",
+    "threshold.ideal_from_partition": "enumerate_r_ideals at r = 2: the peel rebuilt as the order ideal of degrees d",
     "threshold.proper_threshold_oracle": "is_r_ideal at r = 2: peel isolated and dominating vertices",
 }
 
@@ -75,14 +75,64 @@ def test_every_public_name_is_used_or_an_oracle():
     assert sorted(ORACLES.keys() - found) == [], "ORACLES entries that are gone or that the program now uses"
 
 
+def _route(description: str) -> str:
+    """The fast route an oracle checks: the first word of its ``ORACLES`` description."""
+    return description.split(":")[0].split()[0]
+
+
 def test_each_oracle_names_a_route_that_exists():
-    # the first word of a description is the fast route the oracle checks; a deleted route leaves a stale entry
+    # a deleted route leaves a stale entry
     routes = set()
     for path in (ROOT / "src" / "degpoly").glob("*.py"):
         tree = ast.parse(path.read_text())
         routes.update(n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_"))
-    named = {oracle: text.split(":")[0].split()[0] for oracle, text in ORACLES.items()}
+    named = {oracle: _route(text) for oracle, text in ORACLES.items()}
     assert {oracle: route for oracle, route in named.items() if route not in routes} == {}, "ORACLES routes that are gone"
+
+
+def unmet_oracles(tests: list[str], oracles: dict[str, str]) -> list[str]:
+    """``module.name`` of each oracle that no function of the ``tests`` sources calls together with its route.
+
+    A function counts with every call in its body, nested functions
+    included, so a helper that compares the two counts for every test
+    that uses it.
+    """
+    met = set()
+    for text in tests:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                called = {
+                    call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+                }
+                met.update(
+                    oracle
+                    for oracle, description in oracles.items()
+                    if {oracle.rsplit(".", 1)[-1], _route(description)} <= called
+                )
+    return [oracle for oracle in oracles if oracle not in met]
+
+
+def test_each_oracle_meets_its_route_in_a_test():
+    # an oracle that nothing compares with its route checks nothing: delete it or compare it
+    tests = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))]
+    assert unmet_oracles(tests, ORACLES) == [], "oracles that no test function calls beside their route"
+
+
+def test_the_oracle_scan_wants_both_calls_in_one_function():
+    oracles = {"a.scan": "sweep: the full scan", "a.walk": "peel: every subset", "a.spare": "peel: unused"}
+    tests = [
+        (
+            "def _check(x):\n    assert a.sweep(x) == scan(x)\n"
+            "def test_sweep():\n    _check(1)\n"
+            "def test_peel():\n    assert peel(2)\n"
+            "def test_walk():\n    assert walk(2) == 'peel(2)'\n"
+        ),
+        "def test_spare():\n    spare(1)\n",
+    ]
+    # the helper meets its route; calls in different functions, or a route named only in a string, do not
+    assert unmet_oracles(tests, oracles) == ["a.walk", "a.spare"]
 
 
 def test_the_claims_scan_catches_unused_names():

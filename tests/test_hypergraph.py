@@ -26,7 +26,6 @@ from degpoly.hypergraph import (
     r_subsets,
     realize_r_graph,
     relabel_rgraph,
-    reverse_saturate,
     subset_lower_covers,
 )
 from degpoly.polytope import is_degree_sequence
@@ -186,37 +185,6 @@ def test_muirhead_chain_reaches_target_with_strict_progress():
         assert sorted(cur) == sorted(b)
 
 
-def test_reverse_saturate_frozen_example():
-    g = RGraph(4, 2, frozenset({(1, 2), (3, 4)}))
-    saturated, order = reverse_saturate(g)
-    assert saturated.edges == frozenset({(1, 2), (1, 4)})
-    assert degree_sequence(saturated) == (2, 1, 0, 1)
-    assert order == (1, 2, 4, 3)
-    relabeled = relabel_rgraph(saturated, order)
-    assert relabeled.edges == frozenset({(1, 2), (1, 3)})
-    assert is_r_ideal(relabeled)
-
-
-def test_reverse_saturate_climbs_to_an_ideal():
-    rng = random.Random(32)
-    cases = [(4, 2), (5, 2), (4, 3), (5, 3), (6, 2)]
-    for n, r in cases:
-        universe = r_subsets(n, r)
-        for _ in range(40):
-            size = rng.randint(0, len(universe))
-            edges = frozenset(rng.sample(universe, size))
-            g = RGraph(n, r, edges)
-            saturated, order = reverse_saturate(g)
-            # edge moves only shift degree from low to high vertices, so
-            # the result keeps the edge count and majorizes the original
-            assert len(saturated.edges) == len(g.edges)
-            assert majorizes(
-                sort_decreasing(degree_sequence(saturated)),
-                sort_decreasing(degree_sequence(g)),
-            )
-            assert is_r_ideal(relabel_rgraph(saturated, order))
-
-
 def test_relabel_rgraph():
     g = RGraph(3, 2, frozenset({(1, 3)}))
     assert relabel_rgraph(g, (3, 1, 2)).edges == frozenset({(1, 2)})
@@ -237,14 +205,6 @@ def test_is_r_graphical_partition_frozen_cases():
         is_r_graphical_partition((1, 1), 3, 2)  # wrong length
 
 
-def test_recognition_agrees_with_brute_force():
-    for n, r, max_total in ((4, 2, 8), (4, 3, 9), (5, 3, 10)):
-        for d in bounded_partitions(n, max_total):
-            assert is_r_graphical_partition(d, n, r) == brute_force_r_graphical(
-                d, n, r
-            )
-
-
 def test_r2_recognition_matches_graph_membership():
     for n in (4, 5):
         for d in bounded_partitions(n, 2 * comb(n, 2)):
@@ -254,6 +214,27 @@ def test_r2_recognition_matches_graph_membership():
 # every (n, r) with C(n, r) <= 20 up to n = 7; past that only r = 1, n - 1 and n qualify,
 # and the r = n - 1 rows alone hold C(2n - 1, n) partitions
 _COMPLEMENT_CASES = [(n, r) for n in range(1, 8) for r in range(1, n + 1) if comb(n, r) <= 20]
+
+
+def test_recognition_agrees_with_brute_force():
+    # both routes against the walk on every partition with entries up to C(n - 1, r - 1),
+    # the most edges a vertex lies on, in every shape the routes accept
+    checked = graphical = 0
+    for n, r in _COMPLEMENT_CASES:
+        cap = comb(n - 1, r - 1)
+        walk = enumerate_degree_partitions(n, r)
+        for d in bounded_partitions(n, n * cap, max_entry=cap):
+            truth = d in walk
+            assert is_r_graphical_partition(d, n, r) == truth, (n, r, d)
+            witness = realize_r_graph(d, n, r)
+            assert (witness is not None) == truth, (n, r, d)
+            assert witness is None or degree_sequence(witness) == d, (n, r, d)
+            checked += 1
+            graphical += truth
+        # past the cap a vertex lies on more edges than there are
+        over = (cap + 1,) * r + (0,) * (n - r)
+        assert over not in walk and not is_r_graphical_partition(over, n, r) and realize_r_graph(over, n, r) is None
+    assert (len(_COMPLEMENT_CASES), checked, graphical) == (24, 19_518, 723)
 
 
 def _complements(d, n, r):
@@ -359,17 +340,6 @@ def test_realization_at_r_equal_n_holds_no_table_of_contexts():
         tracemalloc.stop()
     assert g is not None and g.edges == frozenset({tuple(range(1, 1501))})
     assert peak <= 4 * 2**20, f"peak {peak} bytes"
-
-
-def test_realize_r_graph_matches_recognition():
-    for n, r, max_total in ((4, 2, 8), (4, 3, 8), (5, 3, 9)):
-        for d in bounded_partitions(n, max_total):
-            g = realize_r_graph(d, n, r)
-            if is_r_graphical_partition(d, n, r):
-                assert g is not None
-                assert sort_decreasing(degree_sequence(g)) == d
-            else:
-                assert g is None
 
 
 def test_brute_force_r_graphical_frozen_cases():
