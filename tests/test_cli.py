@@ -452,9 +452,10 @@ def _reciprocal_primes(k):
     return ",".join(f"1/{p}" for p in reversed(primes))
 
 
-def test_a_report_too_long_to_print_exits_3(capsys):
+@pytest.mark.parametrize("costs", [_reciprocal_primes(1400)], ids=["1400-primes"])
+def test_a_report_too_long_to_print_exits_3(capsys, costs):
     # no cost has over 4,300 digits, but their common denominator does, and str() refuses it
-    code, report, err = run(capsys, "optimize", f"--costs={_reciprocal_primes(1400)}")
+    code, report, err = run(capsys, "optimize", f"--costs={costs}")
     assert (code, report) == (3, None)
     assert err.startswith("internal error: ") and err.count("\n") == 1
 

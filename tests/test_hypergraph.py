@@ -342,6 +342,17 @@ def test_realization_at_r_equal_n_holds_no_table_of_contexts():
     assert peak <= 4 * 2**20, f"peak {peak} bytes"
 
 
+def test_realize_r_graph_matches_recognition():
+    for n, r, max_total in ((4, 2, 8), (4, 3, 8), (5, 3, 9)):
+        for d in bounded_partitions(n, max_total):
+            g = realize_r_graph(d, n, r)
+            if is_r_graphical_partition(d, n, r):
+                assert g is not None
+                assert sort_decreasing(degree_sequence(g)) == d
+            else:
+                assert g is None
+
+
 def test_brute_force_r_graphical_frozen_cases():
     assert brute_force_r_graphical((3, 3, 3, 3), 4, 3)
     assert not brute_force_r_graphical((3, 1, 1, 1), 4, 3)
