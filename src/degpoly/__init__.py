@@ -27,6 +27,7 @@ from .hypergraph import (
     enumerate_degree_partitions,
     enumerate_r_ideals,
     format_hypergraph,
+    havel_hakimi,
     is_r_graphical_partition,
     is_r_ideal,
     muirhead_chain,

@@ -10,7 +10,11 @@ outside its suite's range and a nonpositive --samples before any suite
 runs.  A ``recognize`` verdict is graph membership for r = 2 and the
 majorization chain's realization for any other r; only r = 2 with
 C(n, 2) <= 20 checks one against the other.  The witness is printed as ``realize_r_graph``
-returns it, already in the input's vertex labels.
+returns it, already in the input's vertex labels.  The lattice-points
+suite walks no edge sets: each even-sum candidate's "yes" from graphs
+is a ``havel_hakimi`` witness whose degrees the suite recomputes, and
+its "no" from the polytope is the inequality ``in_fhm_polytope`` names,
+evaluated again at the candidate.
 ``optimize`` reads each ``p/q`` cost token with ``int`` (any other
 token is left to ``Fraction``, which accepts or refuses it) and builds
 one optimality certificate, which clears the denominators once; the
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -36,6 +41,7 @@ from .hypergraph import (
     degree_sequence,
     enumerate_degree_partitions,
     format_hypergraph,
+    havel_hakimi,
     is_r_graphical_partition,
     realize_r_graph,
 )
@@ -55,6 +61,8 @@ from .threshold import enumerate_threshold_partitions
 
 DEFAULT_SEED = 1729
 _TOO_LONG = "a cost has a numerator or denominator with more digits than str prints"
+# a run of digits as int reads it: underscores may join digits and do not count as digits
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 # A verify suite maps (n, seed, samples) to extra result fields and checks.
 SuiteReport = tuple[dict[str, Any], list[dict[str, Any]]]
@@ -116,7 +124,10 @@ def _parse_rational(token: str) -> Fraction:
 
     Only the numerator takes a sign: ``int("-2")`` would accept the
     denominator of "1/-2", which ``Fraction`` refuses.  Past the digits
-    ``str`` prints, a value is refused alike written out and as "1e5000".
+    ``str`` prints, a value is refused alike written out, as a decimal
+    and as "1e5000".  ``Fraction`` calls ``int`` on each run of digits,
+    so a token it refuses is too long, not malformed, when one of its
+    runs has more digits than that limit.
     """
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
@@ -128,8 +139,13 @@ def _parse_rational(token: str) -> Fraction:
                 return Fraction(int(num), int(den))
         except ValueError:  # int refuses ASCII digits only past the digit limit
             raise UsageError(_TOO_LONG) from None
-    value = Fraction(token)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0, no limit: Python before 3.10.7 has none
+    try:
+        value = Fraction(token)
+    except ValueError:
+        if limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(token)):
+            raise UsageError(_TOO_LONG) from None
+        raise
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
         raise UsageError(_TOO_LONG)
     return value
@@ -288,20 +304,27 @@ def _suite_edges(n: int, seed: int, samples: int) -> SuiteReport:
 
 
 def _suite_lattice_points(n: int, seed: int, samples: int) -> SuiteReport:
-    from_graphs = enumerate_degree_partitions(n, 2)
-    candidates = bounded_partitions(n, n * (n - 1), max_entry=n - 1)
-    from_polytope = frozenset(
-        d for d in candidates if sum(d) % 2 == 0 and in_fhm_polytope(d).member
-    )
-    sym_diff = from_graphs.symmetric_difference(from_polytope)
+    # each even-sum candidate gets two certified verdicts: a "yes" from graphs needs a
+    # witness with degrees d, and a "no" from the polytope needs an inequality that fails at d
+    graphs = members = disagreements = 0
+    for d in bounded_partitions(n, n * (n - 1), max_entry=n - 1):
+        if sum(d) % 2:
+            continue
+        witness = havel_hakimi(d)
+        is_graph = witness is not None and degree_sequence(witness) == d
+        membership = in_fhm_polytope(d)
+        is_member = membership.member or all(f.satisfied(d) for f in membership.violations)
+        graphs += is_graph
+        members += is_member
+        disagreements += is_graph != is_member
     return {}, [
         make_check(
             "lattice-point-count",
-            len(from_graphs),
-            len(from_polytope),
+            graphs,
+            members,
             formula="even-sum lattice points of the polytope = graph degree partitions",
         ),
-        make_check("lattice-point-symmetric-difference", 0, len(sym_diff)),
+        make_check("lattice-point-symmetric-difference", 0, disagreements),
     ]
 
 
@@ -363,7 +386,7 @@ SUITES: dict[str, tuple[int, int, Suite]] = {
     "counts": (3, 10, _suite_counts),
     "facets": (4, 7, _suite_facets),
     "edges": (3, 10, _suite_edges),
-    "lattice-points": (3, 7, _suite_lattice_points),
+    "lattice-points": (3, 10, _suite_lattice_points),
     "hypergraph": (4, 5, _suite_hypergraph),
     "volume3": (3, 3, _suite_volume3),
 }

@@ -19,9 +19,13 @@ closure with :func:`is_r_ideal`.
 
 One brute-force walk is the independent oracle of both directions, at any r:
 :func:`enumerate_degree_partitions` visits all 2^C(n, r) edge sets in
-Gray-code order and refuses C(n, r) > 21 before it starts.  At r = 2 its
-result is the lattice-point set of :mod:`degpoly.polytope`, and
-:func:`brute_force_r_graphical` is membership in it.
+Gray-code order and refuses C(n, r) > 21 before it starts, and
+:func:`brute_force_r_graphical` is membership in its result.
+
+At r = 2 the Havel-Hakimi greedy construction, :func:`havel_hakimi`,
+builds a witness graph for any n, or shows that none exists; the
+lattice-points suite of :mod:`degpoly.cli` holds the polytope's
+even-sum lattice points to it.
 """
 
 from __future__ import annotations
@@ -246,6 +250,12 @@ def _degree_query(d: Sequence[int], n: int, r: int) -> Partition | None:
     return None if sum(vec) % r else vec
 
 
+def _unsorted_degree_query(d: Sequence[int], n: int, r: int) -> Partition | None:
+    """:func:`_degree_query` of ``d`` in any vertex order, sorted."""
+    # unsorted, an entry that is not an int meets check_partition's ValueError, not a sort's TypeError
+    return _degree_query(sort_decreasing(d) if is_int_vector(d) else d, n, r)
+
+
 def is_r_graphical_partition(d: Sequence[int], n: int, r: int) -> bool:
     """Is ``d`` the degree partition of some r-graph on [n]?
 
@@ -268,8 +278,7 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
     one in lexicographic order is taken.  Last, the vertex of each degree
     rank (ties by label) takes the label of d's vertex of that rank.
     """
-    # unsorted, an entry that is not an int meets check_partition's ValueError, not a sort's TypeError
-    vec = _degree_query(sort_decreasing(d) if is_int_vector(d) else d, n, r)
+    vec = _unsorted_degree_query(d, n, r)
     start = None if vec is None else _majorizing_ideal(vec, n, r)
     if start is None:
         return None
@@ -289,6 +298,37 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
     if degree_sequence(result) != tuple(d):
         raise AssertionError(f"realization has degrees {degree_sequence(result)!r}, not {tuple(d)!r}")
     return result
+
+
+def havel_hakimi(d: Sequence[int]) -> RGraph | None:
+    """A simple graph on [n] whose vertex k has degree ``d[k-1]``, or None; n = len(d).
+
+    ``d`` may come in any order.  Each step joins a vertex of the
+    largest remaining degree (ties by label) to the vertices of the
+    next largest remaining degrees, and None comes back when too few of
+    them remain.  Some simple graph has degrees d exactly when every
+    step succeeds (Havel 1955; Hakimi 1962), so None means no graph.
+    The greedy steps never meet majorization or the polytope, which
+    makes the witness an independent check on both.
+    """
+    n = len(d)
+    if _unsorted_degree_query(d, n, 2) is None:
+        return None
+    residual = list(d)
+    edges = []
+    while True:
+        # 0-based; a stable sort keeps equal degrees in label order, reversed or not
+        order = sorted(range(n), key=residual.__getitem__, reverse=True)
+        hub, need = order[0], residual[order[0]]
+        if need == 0:
+            return RGraph(n, 2, frozenset(edges))
+        targets = order[1 : need + 1]
+        if len(targets) < need or residual[targets[-1]] == 0:
+            return None
+        residual[hub] = 0
+        for v in targets:
+            residual[v] -= 1
+            edges.append((hub + 1, v + 1))
 
 
 def enumerate_degree_partitions(n: int, r: int) -> frozenset[Partition]:

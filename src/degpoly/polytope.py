@@ -35,9 +35,10 @@ each vertex, the differences that rule accepts, and spot-checks the
 n = 3 volume: the polytope is a tetrahedron of volume 1/3, and the
 unordered region in [0,2]^3 has volume 2, estimated by Monte Carlo
 with exact membership per sample.
-The lattice points to compare against, the degree partitions of all
-graphs, come from the brute-force walk of :mod:`degpoly.hypergraph`
-with r = 2.
+The even-sum lattice points are compared one candidate at a time with
+the degree partitions of graphs: :func:`degpoly.hypergraph.havel_hakimi`
+builds a witness graph for each "yes", and a "no" from
+:func:`in_fhm_polytope` stands on the inequality it names.
 """
 
 from __future__ import annotations

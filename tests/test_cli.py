@@ -161,9 +161,80 @@ def test_verify_facets_and_edges(capsys):
 
 
 def test_verify_lattice_points(capsys):
-    code, report, _ = run(capsys, "verify", "--n", "4", "--suite", "lattice-points")
-    assert code == 0
-    assert all(check["pass"] for check in report["checks"])
+    # n = 8 is past the reach of the 2^C(n, 2) walk; the certificates take it
+    for n, count in ((4, 11), (8, 1213)):
+        code, report, _ = run(capsys, "verify", "--n", str(n), "--suite", "lattice-points")
+        assert code == 0
+        assert all(check["pass"] for check in report["checks"])
+        assert report["checks"][0]["actual"] == count
+
+
+def test_lattice_points_refuse_n_past_10_before_any_work(capsys, monkeypatch):
+    import degpoly.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "bounded_partitions", lambda *args, **kwargs: calls.append(args))
+    code, report, err = run(capsys, "verify", "--n", "11", "--suite", "lattice-points")
+    assert (code, report, err) == (2, None, "error: suite 'lattice-points' supports 3 <= n <= 10, got n=11\n")
+    assert calls == []
+
+
+def _lattice_checks(capsys, n):
+    """Exit code and {name: (expected, actual)} of the lattice-points suite at n."""
+    code, report, _ = run(capsys, "verify", "--n", str(n), "--suite", "lattice-points")
+    return code, {check["name"]: (check["expected"], check["actual"]) for check in report["checks"]}
+
+
+def test_lattice_points_catch_a_witness_with_a_wrong_degree(capsys, monkeypatch):
+    # the suite recomputes each witness's degrees: one dropped edge is one disagreement
+    import degpoly.cli as cli_module
+
+    real = cli_module.havel_hakimi
+    dropped = []
+
+    def lossy(d):
+        witness = real(d)
+        if witness is None or not witness.edges or dropped:
+            return witness
+        dropped.append(d)
+        return hypergraph.RGraph(witness.n, 2, witness.edges - {min(witness.edges)})
+
+    monkeypatch.setattr(cli_module, "havel_hakimi", lossy)
+    code, checks = _lattice_checks(capsys, 5)
+    assert (code, len(dropped)) == (1, 1)
+    assert checks == {"lattice-point-count": (30, 31), "lattice-point-symmetric-difference": (0, 1)}
+
+
+def test_lattice_points_catch_a_flipped_membership(capsys, monkeypatch):
+    import degpoly.cli as cli_module
+
+    real = cli_module.in_fhm_polytope
+    flipped = []
+
+    def one_nonmember_accepted(d):
+        verdict = real(d)
+        if verdict.member or flipped:
+            return verdict
+        flipped.append(d)
+        return polytope.FhmMembership(True, ())
+
+    monkeypatch.setattr(cli_module, "in_fhm_polytope", one_nonmember_accepted)
+    code, checks = _lattice_checks(capsys, 5)
+    assert (code, len(flipped)) == (1, 1)
+    assert checks == {"lattice-point-count": (31, 32), "lattice-point-symmetric-difference": (0, 1)}
+
+    # a "no" stands only on an inequality that fails at the candidate: x_1 >= x_2 holds
+    # at every partition, so citing it refuses no member
+    def members_refused(d):
+        verdict = real(d)
+        if not verdict.member:
+            return verdict
+        return polytope.FhmMembership(False, (polytope.monotone_inequality(len(d), 1),))
+
+    monkeypatch.setattr(cli_module, "in_fhm_polytope", members_refused)
+    assert _lattice_checks(capsys, 5) == (
+        0, {"lattice-point-count": (31, 31), "lattice-point-symmetric-difference": (0, 0)}
+    )
 
 
 def test_verify_hypergraph(capsys):
@@ -348,6 +419,8 @@ def test_malformed_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "recognize", "--seq", "a,b")
     assert code == 2 and "malformed" in err
+    # a short token that no rational spelling matches is malformed, not too long
+    assert run(capsys, "optimize", "--costs", "1.2.3") == (2, None, "error: malformed cost list: '1.2.3'\n")
 
 
 def test_failed_check_exits_1(capsys, monkeypatch):
@@ -461,14 +534,16 @@ def test_a_report_too_long_to_print_exits_3(capsys, costs):
 
 
 def test_a_cost_too_long_to_print_exits_2_however_spelled(capsys):
-    # 10^5000 and 10^-5000 written out, where int refuses the digits, and in exponent form,
-    # which Fraction reads: one refusal for all four
+    # 10^5000 and 10^-5000 written out, where int refuses the digits, in exponent form,
+    # which Fraction reads, and as decimals whose integer or fractional digits int would
+    # refuse inside Fraction: one refusal for all, and none echoes the list
     zeros = "0" * 5000
     refusal = (2, None, "error: a cost has a numerator or denominator with more digits than str prints\n")
-    for costs in (f"1{zeros},1", "1e5000,1", f"1/1{zeros}", "1e-5000"):
+    spellings = (f"1{zeros},1", "1e5000,1", f"1/1{zeros}", "1e-5000", f"1.{zeros}1", f"1{zeros}.5,1", f"1_{zeros}")
+    for costs in spellings:
         assert run(capsys, "optimize", f"--costs={costs}") == refusal, costs[:8]
-    # one digit fewer is a cost like any other
-    assert parse_costs(f"{'9' * 4300},1e4299") == (10**4300 - 1, 10**4299)
+    # one digit fewer is a cost like any other, underscores apart
+    assert parse_costs(f"{'9' * 4300},1e4299,1_{zeros[:4299]}") == (10**4300 - 1, 10**4299, 10**4299)
 
 
 def test_value_error_past_input_validation_exits_3(capsys, monkeypatch):
@@ -614,10 +689,14 @@ def test_parse_costs():
 
 
 def _fraction_or_none(token):
+    """Fraction(token), or None where Fraction refuses it or its value has more digits than str prints."""
     try:
-        return Fraction(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         return None
+    # "1e5000" fits the strategy's eight characters, and parse_costs refuses it by design
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return None if limit and max(abs(value.numerator), value.denominator) >= 10**limit else value
 
 
 def _parse_costs_or_none(token):
@@ -644,6 +723,7 @@ def test_parse_costs_reads_each_token_as_fraction_does(token):
 @pytest.mark.parametrize(
     "token, value",
     [
+        ("1e5000", None),
         ("1/-2", None),  # int("-2") would take the denominator's sign; Fraction refuses it
         ("1.5", Fraction(3, 2)),
         ("1e3", Fraction(1000)),

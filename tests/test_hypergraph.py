@@ -10,6 +10,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from degpoly import hypergraph
 from degpoly.core import bounded_partitions, majorizes, sort_decreasing
@@ -20,6 +22,7 @@ from degpoly.hypergraph import (
     enumerate_degree_partitions,
     enumerate_r_ideals,
     format_hypergraph,
+    havel_hakimi,
     is_r_graphical_partition,
     is_r_ideal,
     muirhead_chain,
@@ -351,6 +354,53 @@ def test_realize_r_graph_matches_recognition():
                 assert sort_decreasing(degree_sequence(g)) == d
             else:
                 assert g is None
+
+
+def test_havel_hakimi_frozen_cases():
+    # the largest remaining degree joins the next largest ones, ties by label, in the input's labels
+    assert havel_hakimi((1, 3, 2, 2)).edges == frozenset({(1, 2), (2, 3), (2, 4), (3, 4)})
+    assert havel_hakimi((3, 3, 1, 1)) is None  # after 1 joins 2, 3 and 4, vertex 2 needs two more
+    assert havel_hakimi((1, 1, 1)) is None  # odd total
+    assert havel_hakimi((2,)) is None
+    assert havel_hakimi((0,)).edges == frozenset()
+    for bad in ((), (2, -1, 1)):
+        with pytest.raises(ValueError):
+            havel_hakimi(bad)
+
+
+def test_havel_hakimi_against_the_walk_and_realization():
+    # every partition with entries up to n - 1: the walk decides each one for n <= 7,
+    # and realization, which needs C(n, 2) <= 20, for n <= 6
+    checked = graphical = 0
+    for n in range(1, 8):
+        walk = enumerate_degree_partitions(n, 2)
+        for d in bounded_partitions(n, n * (n - 1), max_entry=n - 1):
+            witness = havel_hakimi(d)
+            assert (witness is not None) == (d in walk), d
+            if n <= 6:
+                assert (witness is not None) == (realize_r_graph(d, n, 2) is not None), d
+            assert witness is None or degree_sequence(witness) == d, d
+            checked += 1
+            graphical += witness is not None
+    assert (checked, graphical) == (2_353, 493)
+
+
+@given(st.data())
+def test_havel_hakimi_witnesses_every_labelled_graph(data):
+    # the degrees of a random graph, in shuffled labels, have a witness in those labels;
+    # raising one entry by 2 keeps the total even, and the verdict must stay graph membership
+    n = data.draw(st.integers(1, 30))
+    percent = data.draw(st.integers(0, 100))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    edges = frozenset(e for e in combinations(range(1, n + 1), 2) if rnd.randrange(100) < percent)
+    d = data.draw(st.permutations(degree_sequence(RGraph(n, 2, edges))))
+    witness = havel_hakimi(d)
+    assert witness is not None and degree_sequence(witness) == tuple(d)
+    i = data.draw(st.integers(0, n - 1))
+    raised = d[:i] + [d[i] + 2] + d[i + 1 :]
+    witness = havel_hakimi(raised)
+    assert (witness is not None) == is_degree_sequence(raised)
+    assert witness is None or degree_sequence(witness) == tuple(raised)
 
 
 def test_brute_force_r_graphical_frozen_cases():

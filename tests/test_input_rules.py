@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from degpoly.core import check_partition, is_partition
-from degpoly.hypergraph import RGraph, is_r_graphical_partition, realize_r_graph
+from degpoly.hypergraph import RGraph, havel_hakimi, is_r_graphical_partition, realize_r_graph
 from degpoly.polytope import is_degree_sequence
 from degpoly.threshold import is_threshold_partition
 
@@ -36,6 +36,7 @@ ENTRY_POINTS = {
     "RGraph": lambda d: RGraph(len(d), 2, {(d[0], len(d))}),
     "is_r_graphical_partition": lambda d: is_r_graphical_partition(d, len(d), 2),
     "realize_r_graph": lambda d: realize_r_graph(d, len(d), 2),
+    "havel_hakimi": havel_hakimi,
 }
 
 
