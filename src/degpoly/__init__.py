@@ -17,7 +17,6 @@ from .core import (
     is_partition,
     is_weakly_decreasing,
     majorizes,
-    prefix_sums,
     sort_decreasing,
 )
 from .hypergraph import (
@@ -33,7 +32,6 @@ from .hypergraph import (
     muirhead_chain,
     r_subsets,
     realize_r_graph,
-    relabel_rgraph,
 )
 from .optimize import (
     Certificate,

@@ -15,6 +15,10 @@ suite walks no edge sets: each even-sum candidate's "yes" from graphs
 is a ``havel_hakimi`` witness whose degrees the suite recomputes, and
 its "no" from the polytope is the inequality ``in_fhm_polytope`` names,
 evaluated again at the candidate.
+Every number in ``--costs`` or ``--seq`` meets one size rule: a run of
+digits longer than ``str`` prints refuses the whole list before any
+token is read (exit 2, one short line, no echo), and so does a cost
+whose value is that long in fewer digits, such as "1e5000".
 ``optimize`` reads each ``p/q`` cost token with ``int`` (any other
 token is left to ``Fraction``, which accepts or refuses it) and builds
 one optimality certificate, which clears the denominators once; the
@@ -60,7 +64,11 @@ from .polytope import (
 from .threshold import enumerate_threshold_partitions
 
 DEFAULT_SEED = 1729
-_TOO_LONG = "a cost has a numerator or denominator with more digits than str prints"
+# the refusal of a number with more digits than str prints, by list
+_TOO_LONG = {
+    "cost": "a cost has a numerator or denominator with more digits than str prints",
+    "integer": "an integer has more digits than str prints",
+}
 # a run of digits as int reads it: underscores may join digits and do not count as digits
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
@@ -107,7 +115,16 @@ def make_check(
 
 
 def _parse_list(text: str, parse: Callable[[str], Any], what: str) -> tuple:
-    """Comma-separated tokens, each read by ``parse``; ``UsageError`` names ``what`` unless ``parse`` raised one."""
+    """Comma-separated tokens, each read by ``parse``; ``UsageError`` names ``what`` unless ``parse`` raised one.
+
+    Before any token is read, a run of digits longer than ``str`` prints
+    refuses the whole list, in one short message: ``int`` reads each
+    such run, alone or inside ``Fraction``, and would refuse it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0, no limit: Python before 3.10.7 has none
+    # no run is longer than the text, so the scan only runs on a text longer than the limit
+    if limit and len(text) > limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(text)):
+        raise UsageError(_TOO_LONG[what])
     tokens = [tok.strip() for tok in text.split(",")]
     try:
         if all(tokens):
@@ -123,31 +140,22 @@ def _parse_rational(token: str) -> Fraction:
     """``[+-]?digits(/digits)?`` in ASCII digits is read with ``int``; ``Fraction(token)`` reads or refuses the rest.
 
     Only the numerator takes a sign: ``int("-2")`` would accept the
-    denominator of "1/-2", which ``Fraction`` refuses.  Past the digits
-    ``str`` prints, a value is refused alike written out, as a decimal
-    and as "1e5000".  ``Fraction`` calls ``int`` on each run of digits,
-    so a token it refuses is too long, not malformed, when one of its
-    runs has more digits than that limit.
+    denominator of "1/-2", which ``Fraction`` refuses.  :func:`_parse_list`
+    has refused every run of digits past the limit ``str`` prints, so
+    what is left is a value past it in few digits, such as "1e5000",
+    which is refused alike.
     """
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if digits.isascii() and digits.isdecimal():
-        try:
-            if not slash:
-                return Fraction(int(num))
-            if den.isascii() and den.isdecimal():
-                return Fraction(int(num), int(den))
-        except ValueError:  # int refuses ASCII digits only past the digit limit
-            raise UsageError(_TOO_LONG) from None
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0, no limit: Python before 3.10.7 has none
-    try:
-        value = Fraction(token)
-    except ValueError:
-        if limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(token)):
-            raise UsageError(_TOO_LONG) from None
-        raise
+        if not slash:
+            return Fraction(int(num))
+        if den.isascii() and den.isdecimal():
+            return Fraction(int(num), int(den))
+    value = Fraction(token)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise UsageError(_TOO_LONG)
+        raise UsageError(_TOO_LONG["cost"])
     return value
 
 

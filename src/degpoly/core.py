@@ -5,8 +5,8 @@ no decision anywhere is made in floating point.  This module owns the
 input rules every entry point calls - an integer entry is exactly an
 ``int``, a partition, and one common denominator for rationals - and the
 sequence utilities everything else leans on: decreasing rearrangement,
-weak-decrease tests, prefix sums, the majorization preorder, and the
-enumeration of bounded partitions.
+weak-decrease tests, the majorization preorder, and the enumeration of
+bounded partitions.  Prefix sums are ``itertools.accumulate``.
 
 Majorization compares two equal-length sequences through their sorted
 prefix sums: ``a`` majorizes ``b`` when, after sorting both in weakly
@@ -64,16 +64,6 @@ def is_weakly_decreasing(values: Sequence[Rational]) -> bool:
 def sort_decreasing(values: Iterable[Rational]) -> tuple:
     """The weakly decreasing rearrangement of ``values``."""
     return tuple(sorted(values, reverse=True))
-
-
-def prefix_sums(values: Sequence[Rational]) -> tuple:
-    """Partial sums s_1, s_1+s_2, ...; empty input gives the empty tuple."""
-    out = []
-    total: Rational = 0
-    for v in values:
-        total = total + v
-        out.append(total)
-    return tuple(out)
 
 
 def majorizes(a: Sequence[Rational], b: Sequence[Rational]) -> bool:

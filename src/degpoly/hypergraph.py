@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -43,7 +43,6 @@ from .core import (
     is_int_vector,
     is_weakly_decreasing,
     majorizes,
-    prefix_sums,
     sort_decreasing,
 )
 
@@ -142,12 +141,12 @@ def muirhead_chain(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, int],
         raise ValueError("chain construction needs the start to majorize the goal")
     cur = list(a)
     goal = sort_decreasing(b)
-    goal_prefix = prefix_sums(goal)
+    goal_prefix = tuple(accumulate(goal))
     chain: list[tuple[int, int]] = []
     while sort_decreasing(cur) != goal:
         order = sorted(range(len(cur)), key=lambda p: (-cur[p], p))
         vals = [cur[p] for p in order]
-        val_prefix = prefix_sums(vals)
+        val_prefix = tuple(accumulate(vals))
         src = order[next(t for t in range(len(cur)) if val_prefix[t] > goal_prefix[t])]
         tgt = order[next(t for t in range(len(cur)) if vals[t] < goal[t])]
         if cur[src] < cur[tgt] + 2:
@@ -172,18 +171,6 @@ def _edge_swap(edges: set[RSubset], n: int, r: int, src: int, tgt: int) -> tuple
             if with_tgt not in edges:
                 return with_src, with_tgt
     return None
-
-
-def relabel_rgraph(graph: RGraph, order: Sequence[int]) -> RGraph:
-    """Give the vertex ``order[k]`` the new label k+1."""
-    if sorted(order) != list(range(1, graph.n + 1)):
-        raise ValueError(f"not a permutation of [{graph.n}]: {order!r}")
-    new_label = {v: k + 1 for k, v in enumerate(order)}
-    return RGraph(
-        graph.n,
-        graph.r,
-        frozenset(tuple(sorted(new_label[v] for v in edge)) for edge in graph.edges),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -271,12 +258,14 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
 
     ``d`` may come in any order.  The walk starts from the
     lexicographically least r-ideal partition that majorizes the sorted
-    ``d``, realized by its ideal, and follows the Muirhead chain down to
-    it.  Each unit transfer from vertex i to vertex j is realized by
-    swapping one edge X + {i} (present) for X + {j} (absent); a counting
-    argument on the degrees guarantees such an X exists, and the first
-    one in lexicographic order is taken.  Last, the vertex of each degree
-    rank (ties by label) takes the label of d's vertex of that rank.
+    ``d``, realized by its ideal, whose degrees weakly decrease in label
+    order, and follows the Muirhead chain down to it.  Each unit
+    transfer from vertex i to vertex j is realized by swapping one edge
+    X + {i} (present) for X + {j} (absent), and moves one unit of the
+    walk's degrees; a counting argument on the degrees guarantees such an
+    X exists, and the first one in lexicographic order is taken.  The one
+    ``RGraph`` built gives the walked vertex of each degree rank (ties by
+    label) the label of d's vertex of that rank.
     """
     vec = _unsorted_degree_query(d, n, r)
     start = None if vec is None else _majorizing_ideal(vec, n, r)
@@ -284,17 +273,19 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
         return None
     part, ideal = start
     edges = set(ideal.edges)
+    deg = list(part)
     for src, tgt in muirhead_chain(part, vec):
         swap = _edge_swap(edges, n, r, src, tgt)
         if swap is None:
             raise AssertionError(f"degree surplus guarantees a swappable edge for {src} -> {tgt}")
         edges.remove(swap[0])
         edges.add(swap[1])
-    walked = RGraph(n, r, frozenset(edges))
-    deg = degree_sequence(walked)
-    by_rank_input = sorted(range(1, n + 1), key=lambda v: -d[v - 1])
+        deg[src - 1] -= 1
+        deg[tgt - 1] += 1
     by_rank_walked = sorted(range(1, n + 1), key=lambda v: -deg[v - 1])
-    result = relabel_rgraph(walked, [w for _, w in sorted(zip(by_rank_input, by_rank_walked))])
+    by_rank_input = sorted(range(1, n + 1), key=lambda v: -d[v - 1])
+    label = dict(zip(by_rank_walked, by_rank_input))
+    result = RGraph(n, r, frozenset(tuple(map(label.__getitem__, edge)) for edge in edges))
     if degree_sequence(result) != tuple(d):
         raise AssertionError(f"realization has degrees {degree_sequence(result)!r}, not {tuple(d)!r}")
     return result

@@ -139,10 +139,7 @@ class Certificate:
 
     @property
     def base(self) -> RationalVector:
-        out: list[Fraction] = []
-        for total, size in self.blocks:
-            out.extend([Fraction(total, size * self.scale)] * size)
-        return tuple(out)
+        return runs._block_means(self.blocks, self.scale)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:

@@ -10,8 +10,10 @@ vector into an optimizing threshold graph in :mod:`degpoly.optimize`.
 The same projection is classical isotonic (here antitonic) regression,
 so the module carries two independent implementations.  A
 pool-adjacent-violators kernel merges adjacent violating blocks of the
-integer numerators C of c = C/D in one linear pass; ``pava_oracle`` and
-:mod:`degpoly.optimize` read their results off its blocks.  ``pool``
+integer numerators C of c = C/D in one linear pass, as (total T, size
+S) blocks.  This module owns their format: a block stands for the mean
+T/(S*D) repeated S times, and ``pava_oracle`` and the certificate base
+of :mod:`degpoly.optimize` both expand it with one helper.  ``pool``
 iterates run averaging, the paper's operator, and serves as their
 oracle.  The test suite holds them bit-for-bit equal.
 """
@@ -86,17 +88,21 @@ def _pava_blocks(numerators: Sequence[int]) -> list[tuple[int, int]]:
     return blocks
 
 
-def pava_oracle(c: Sequence[Rational]) -> RationalVector:
-    """The projection of c = C/D onto the weakly decreasing vectors.
+def _block_means(blocks: Sequence[tuple[int, int]], scale: int) -> RationalVector:
+    """Each block of total T and size S as one ``Fraction(T, S*D)``, repeated S times; D = ``scale``."""
+    out: list[Fraction] = []
+    for total, size in blocks:
+        out.extend([Fraction(total, size * scale)] * size)
+    return tuple(out)
 
-    A kernel block of total T and size S is one ``Fraction(T, S*D)``,
-    repeated S times.  Kept textually independent of :func:`pool`, its
-    oracle, so the two can cross-check each other.
+
+def pava_oracle(c: Sequence[Rational]) -> RationalVector:
+    """The projection of c = C/D onto the weakly decreasing vectors: the kernel's block means.
+
+    Kept textually independent of :func:`pool`, its oracle, so the two
+    can cross-check each other.
     """
     numerators, scale = clear_denominators(c)
     if not numerators:
         raise ValueError("cannot project an empty vector")
-    out: list[Fraction] = []
-    for total, size in _pava_blocks(numerators):
-        out.extend([Fraction(total, size * scale)] * size)
-    return tuple(out)
+    return _block_means(_pava_blocks(numerators), scale)

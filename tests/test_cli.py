@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degpoly import core, hypergraph, polytope, runs
-from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_costs
+from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_costs, parse_int_seq
 from fractions import Fraction
 
 
@@ -387,6 +387,15 @@ def test_recognize_big_r1_rejected_for_the_real_reason(capsys):
     assert "recognition for r != 2 needs C(n, r) <= 20, got 21" in err
 
 
+@pytest.mark.parametrize("r", [0, 4])
+def test_recognize_refuses_r_outside_1_to_n(capsys, r):
+    assert run(capsys, "recognize", "--seq", "1,1,0", "--r", str(r)) == (
+        2,
+        None,
+        f"error: need 1 <= r <= n, got r={r}, n=3\n",
+    )
+
+
 def test_recognize_negative_degree(capsys):
     code, _, err = run(capsys, "recognize", "--seq", "2,-1")
     assert code == 2
@@ -544,6 +553,23 @@ def test_a_cost_too_long_to_print_exits_2_however_spelled(capsys):
         assert run(capsys, "optimize", f"--costs={costs}") == refusal, costs[:8]
     # one digit fewer is a cost like any other, underscores apart
     assert parse_costs(f"{'9' * 4300},1e4299,1_{zeros[:4299]}") == (10**4300 - 1, 10**4299, 10**4299)
+
+
+def test_an_over_long_degree_exits_2_without_echo(capsys):
+    # the size rule of --costs holds for --seq too: one short line, and the list is not echoed
+    ones = "1" * 5000
+    too_long = (2, None, "error: an integer has more digits than str prints\n")
+    assert run(capsys, "recognize", f"--seq={ones},1") == too_long
+    assert run(capsys, "recognize", f"--seq=1_{ones}") == too_long
+    # the rule reads the whole list before any token, so it wins over a malformed token
+    assert run(capsys, "recognize", f"--seq=a,{ones}") == too_long
+    assert run(capsys, "optimize", f"--costs=a,{ones}") == (
+        2,
+        None,
+        "error: a cost has a numerator or denominator with more digits than str prints\n",
+    )
+    # as many digits as str prints are read
+    assert parse_int_seq(f"{'9' * 4300},1") == (10**4300 - 1, 1)
 
 
 def test_value_error_past_input_validation_exits_3(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from degpoly.core import (
     is_partition,
     is_weakly_decreasing,
     majorizes,
-    prefix_sums,
     sort_decreasing,
 )
 
@@ -43,10 +42,6 @@ def test_sort_decreasing_is_decreasing_permutation(values):
     assert is_weakly_decreasing(out)
     assert sorted(out) == sorted(values)
 
-
-def test_prefix_sums():
-    assert prefix_sums((2, 1, 1)) == (2, 3, 4)
-    assert prefix_sums(()) == ()
 
 
 def test_majorizes_basic():

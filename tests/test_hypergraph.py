@@ -28,7 +28,6 @@ from degpoly.hypergraph import (
     muirhead_chain,
     r_subsets,
     realize_r_graph,
-    relabel_rgraph,
     subset_lower_covers,
 )
 from degpoly.polytope import is_degree_sequence
@@ -186,13 +185,6 @@ def test_muirhead_chain_reaches_target_with_strict_progress():
             assert majorizes(nxt, b)
             cur = nxt
         assert sorted(cur) == sorted(b)
-
-
-def test_relabel_rgraph():
-    g = RGraph(3, 2, frozenset({(1, 3)}))
-    assert relabel_rgraph(g, (3, 1, 2)).edges == frozenset({(1, 2)})
-    with pytest.raises(ValueError):
-        relabel_rgraph(g, (1, 1, 2))
 
 
 def test_is_r_graphical_partition_frozen_cases():

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product, takewhile
-from operator import sub
+from operator import lt, sub
 from pathlib import Path
 
 import pytest
@@ -311,13 +311,39 @@ def test_in_koren_polytope_is_sort_invariant():
 
 
 def test_koren_oracle_agrees_with_in_koren_polytope():
+    # the rational draws are all nonmembers, so shuffled threshold partitions, which are
+    # members, and integer points of [0, n - 1]^n, which are often either, come with each
     rng = random.Random(23)
+    verdicts = set()
     for _ in range(150):
         n = rng.randint(1, 7)
-        x = random_rational_vector(rng, n)
-        assert koren_oracle(x) == in_koren_polytope(x)
+        vertex = list(rng.choice(enumerate_threshold_partitions(n)))
+        rng.shuffle(vertex)
+        for x in (random_rational_vector(rng, n), vertex, [rng.randint(0, n - 1) for _ in range(n)]):
+            member = koren_oracle(x)
+            assert member == in_koren_polytope(x), x
+            verdicts.add(member)
+    assert verdicts == {False, True}
     with pytest.raises(ValueError):
         koren_oracle((1,) * 13)
+
+
+@pytest.mark.parametrize(
+    "refuse, args, match",
+    [
+        (in_fhm_polytope, ((),), "nonempty"),
+        (fhm_violations, ((),), "nonempty"),
+        (koren_oracle, ((),), "nonempty"),
+        (monotone_inequality, (4, 0), "monotone index"),
+        (fhm_inequality, (4, 0, 0), "1 <= k \\+ l"),
+        # (1, 1) is a valid constraint at n = 4, but not a facet
+        (irredundancy_witness, (4, fhm_inequality(4, 1, 1), []), "outside the facet list"),
+    ],
+    ids=["in_fhm_polytope-empty", "fhm_violations-empty", "koren_oracle-empty", "monotone-i0", "fhm-k0-l0", "witness-non-facet"],
+)
+def test_polytope_refuses_out_of_range_input(refuse, args, match):
+    with pytest.raises(ValueError, match=match):
+        refuse(*args)
 
 
 def test_is_degree_sequence_frozen_cases():
@@ -475,6 +501,17 @@ def test_count_edges_formula_and_enumeration():
     for n in (2, 13):
         with pytest.raises(ValueError):
             count_edges(n)
+
+
+def test_count_edges_key_hits_dominate_their_moves():
+    # count_edges reads key(a) - key(m) in keys as the vertex a - m; that needs a >= m
+    # componentwise at every hit, which this checks for every n count_edges accepts
+    for n in range(3, 13):
+        vertices = {polytope._base_n_key(d, n): d for d in enumerate_threshold_partitions(n)}
+        moves = [(polytope._base_n_key(m, n), m) for m in polytope._edge_moves(n)]
+        hits = [(a, m) for key, a in vertices.items() for move_key, m in moves if key - move_key in vertices]
+        assert len(hits) == 2 ** (n - 2) * (2 * n - 3)
+        assert [(a, m) for a, m in hits if any(map(lt, a, m))] == [], n
 
 
 def test_edge_moves_are_the_differences_the_rule_accepts():

@@ -41,6 +41,12 @@ def test_average_runs_rejects_empty():
         average_runs(())
 
 
+@pytest.mark.parametrize("refuse", [pool, pava_oracle])
+def test_pool_and_pava_oracle_refuse_empty(refuse):
+    with pytest.raises(ValueError, match="empty vector"):
+        refuse(())
+
+
 def test_average_runs_preserves_sum():
     vec = as_rational_vector((1, -1, 2, 0))
     assert sum(average_runs(vec)) == sum(vec)

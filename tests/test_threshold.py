@@ -188,8 +188,10 @@ def test_graph_from_weights():
     )
     assert graph_from_weights((F(1), F(-1))).edges == frozenset({(1, 2)})
     assert graph_from_weights((F(1), F(-1)), strict=True).edges == frozenset()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weakly decreasing"):
         graph_from_weights((F(0), F(1)))
+    with pytest.raises(ValueError, match="at least one weight"):
+        graph_from_weights(())
 
 
 # few distinct values, symmetric about 0: ties and zero pair sums are common,
