@@ -23,10 +23,15 @@ whose value is that long in fewer digits, such as "1e5000".
 token is left to ``Fraction``, which accepts or refuses it) and builds
 one optimality certificate, which clears the denominators once; the
 partition, the value and the certificate checks are all read off it.
-Rationals serialize as strings like "3/2" (integers plainly, like "4"),
-and tuples as lists.  The one randomized suite, volume3, samples from
-``random.Random(--seed)``, and --seed defaults to ``DEFAULT_SEED``, so
-identical flags give identical reports.
+A list refused as malformed is echoed up to ``_ECHO_LIMIT`` characters.
+Each command builds its report JSON-ready, and ``main`` hands it to
+``json.dumps`` as it stands: a rational becomes a string like "3/2"
+(an integer plainly, like "4") once, where the report is built, and
+tuples print as lists.  The certificate's base and coefficients are
+written from its integers, one block mean per block, with no
+``Fraction`` built per entry.  The one randomized suite, volume3,
+samples from ``random.Random(--seed)``, and --seed defaults to
+``DEFAULT_SEED``, so identical flags give identical reports.
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ from .polytope import (
 from .threshold import enumerate_threshold_partitions
 
 DEFAULT_SEED = 1729
+# a list refused as malformed is echoed up to this many characters, then "..."
+_ECHO_LIMIT = 60
 # the refusal of a number with more digits than str prints, by list
 _TOO_LONG = {
     "cost": "a cost has a numerator or denominator with more digits than str prints",
@@ -82,15 +89,19 @@ class UsageError(ValueError):
 
 
 def jsonify(obj: Any) -> Any:
-    """Fractions to "p/q" strings, tuples to lists; a report's keys are already strings."""
+    """A check entry's expected or actual value, normalized: Fractions to "p/q" strings, tuples to lists.
+
+    ``make_check`` compares the two values in this form, so that a tuple
+    equals the list it prints as.  Reports are built JSON-ready and are
+    not passed through here; the function stays a named step because
+    ``bench/spans.py`` spans it.
+    """
     # plain scalars first: Fraction's ABC metaclass makes isinstance slow
-    # on each of a report's many ints
+    # on each of a check's many ints
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {k: jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -133,7 +144,8 @@ def _parse_list(text: str, parse: Callable[[str], Any], what: str) -> tuple:
         raise
     except (ValueError, ZeroDivisionError):
         pass
-    raise UsageError(f"malformed {what} list: {text!r}")
+    echo = repr(text) if len(text) <= _ECHO_LIMIT else f"{text[:_ECHO_LIMIT]!r}..."
+    raise UsageError(f"malformed {what} list: {echo}")
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -201,15 +213,16 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
         checks.append(make_check("oracle-value-agreement", best, value))
         checks.append(make_check("oracle-extreme-optimizer", extreme, partition))
         checks.append(make_check("oracle-argmax-contains-output", True, partition in argmax))
+    base, coefficients = cert.text()
     return {
         "command": "optimize",
-        "inputs": {"costs": costs, "mode": mode, "oracle": bool(args.oracle)},
+        "inputs": {"costs": list(map(str, costs)), "mode": mode, "oracle": bool(args.oracle)},
         "result": {
             "partition": partition,
-            "value": value,
+            "value": str(value),
             "certificate": {
-                "base": cert.base,
-                "coefficients": cert.coefficients,
+                "base": base,
+                "coefficients": coefficients,
                 "support": support,
             },
         },
@@ -363,11 +376,11 @@ def _suite_volume3(n: int, seed: int, samples: int) -> SuiteReport:
     estimate = ds3_volume_estimate(samples=samples, seed=seed)
     tolerance = Fraction(1, 25)
     result = {
-        "exact_volume": exact,
-        "scaled_volume": 6 * exact,
+        "exact_volume": str(exact),
+        "scaled_volume": str(6 * exact),
         "samples": estimate.samples,
         "hits": estimate.hits,
-        "estimate": estimate.estimate,
+        "estimate": str(estimate.estimate),
         "estimate_float": float(estimate.estimate),
         "seed": seed,
     }
@@ -492,7 +505,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.run(args)
-        text = json.dumps(jsonify(report), indent=2, sort_keys=True)
+        text = json.dumps(report, indent=2, sort_keys=True)
         passed = all(c["pass"] for c in report["checks"])
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,10 +18,11 @@ and holds C, D, the kernel's (total T, size S) blocks and integer
 coefficient numerators A over S*D.  :meth:`Certificate.optimizer` sweeps
 the blocks with cross products, :meth:`Certificate.value` is an integer
 dot product over D, and :meth:`Certificate.misfits`, one integer
-identity per entry, says c is rebuilt exactly.  ``Fraction`` objects
-are built only for what a report prints, and
-:meth:`Certificate.reconstruct` rebuilds c in ``Fraction`` as the tests'
-oracle.
+identity per entry, says c is rebuilt exactly.  :meth:`Certificate.text`
+writes the base and coefficients that a report prints from the same
+integers, one block mean per block and no ``Fraction`` per entry;
+``base``, ``coefficients`` and :meth:`Certificate.reconstruct` are the
+``Fraction`` views, kept as the tests' oracle.
 
 The brute-force oracle, :func:`brute_force_optimal_partition`, scores
 every vertex and returns the whole argmax set, so the tests and
@@ -33,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -47,6 +50,13 @@ def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return mode
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for q >= 1, read off the integers: "p/q" in lowest terms, or the integer."""
+    g = gcd(p, q)
+    q //= g
+    return str(p // g) if q == 1 else f"{p // g}/{q}"
 
 
 def _degree_sweep(ratios: Sequence[tuple[int, int]], strict: bool) -> Partition:
@@ -110,8 +120,8 @@ class Certificate:
     base is ``blocks``: a block of total T and size S is the mean
     T/(S*D), repeated S times.  ``numerators`` are A_1 .. A_{n-1}, and
     alpha_t = A_t/(S*D) for S the size of entry t's block.  Every check
-    runs on these integers; ``base``, ``coefficients`` and ``support``
-    are views of them.
+    runs on these integers; ``base``, ``coefficients``, ``support`` and
+    :meth:`text` are views of them.
     """
 
     costs: IntSequence  # C_1 .. C_n
@@ -180,6 +190,21 @@ class Certificate:
                 out.append(t)
             before = size
         return out
+
+    def text(self) -> tuple[list[str], list[str]]:
+        """``str`` of each entry of ``base`` and ``coefficients``, written from the integers.
+
+        A block (T, S) writes its mean T/(S*D) once, repeated S times,
+        and the coefficients A/(S*D) of its entries.
+        """
+        base: list[str] = []
+        coefficients: list[str] = []
+        numerators = iter(self.numerators)  # n - 1 of them: the last block writes one fewer
+        for total, size in self.blocks:
+            den = size * self.scale
+            base += [_ratio_text(total, den)] * size
+            coefficients += [_ratio_text(a, den) for a in islice(numerators, size)]
+        return base, coefficients
 
     def reconstruct(self) -> RationalVector:
         """base + sum alpha_i (e_{i+1} - e_i) in ``Fraction``: the oracle of :meth:`misfits`."""

@@ -1,5 +1,7 @@
 """The degpoly command line: JSON reports, exit codes, seeds."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from degpoly import core, hypergraph, polytope, runs
 from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_costs, parse_int_seq
+from degpoly.optimize import optimality_certificate
 from fractions import Fraction
 
 
@@ -432,6 +435,21 @@ def test_malformed_inputs_exit_2(capsys):
     assert run(capsys, "optimize", "--costs", "1.2.3") == (2, None, "error: malformed cost list: '1.2.3'\n")
 
 
+@pytest.mark.parametrize("command, flag, what", [("recognize", "--seq", "integer"), ("optimize", "--costs", "cost")])
+def test_a_long_malformed_list_is_echoed_in_part(capsys, command, flag, what):
+    # 50,000 tokens, the last one malformed: exit 2, and the echo stops at a fixed prefix
+    import degpoly.cli as cli_module
+
+    text = ",".join(["1"] * 49_999 + ["a"])
+    code, report, err = run(capsys, command, f"{flag}={text}")
+    assert (code, report) == (2, None)
+    assert len(err.encode()) < 200
+    assert err == f"error: malformed {what} list: {text[:cli_module._ECHO_LIMIT]!r}...\n"
+    # a list as long as the limit is echoed whole, as before
+    whole = ("1," * cli_module._ECHO_LIMIT)[: cli_module._ECHO_LIMIT - 1] + "a"
+    assert run(capsys, command, f"{flag}={whole}") == (2, None, f"error: malformed {what} list: {whole!r}\n")
+
+
 def test_failed_check_exits_1(capsys, monkeypatch):
     # force a check failure by stubbing the volume tolerance comparison
     import degpoly.cli as cli_module
@@ -521,6 +539,25 @@ def test_internal_error_exits_3_from_every_command(capsys, monkeypatch, error, d
     monkeypatch.setattr(cli_module, dependency, broken)
     code, report, err = run(capsys, *argv)
     assert (code, report, err) == (3, None, f"internal error: {dependency} broke\n")
+
+
+def _leak_a_fraction(monkeypatch, where):
+    """Make a verify suite or a command leave a Fraction in its report; return the argv that runs it."""
+    import degpoly.cli as cli_module
+
+    if where == "suite":
+        monkeypatch.setitem(cli_module.SUITES, "edges", (3, 10, lambda n, seed, samples: ({"leak": Fraction(1, 2)}, [])))
+        return ("verify", "--n", "3", "--suite", "edges")
+    monkeypatch.setattr(cli_module, "cmd_recognize", lambda args: {"checks": [], "leak": (1, Fraction(1, 2))})
+    return ("recognize", "--seq", "2,1,1")
+
+
+@pytest.mark.parametrize("where", ["suite", "command"])
+def test_a_report_that_is_not_json_ready_exits_3(capsys, monkeypatch, where):
+    # reports go to json.dumps as built: a Fraction left in one is the program's fault, not text
+    code, report, err = run(capsys, *_leak_a_fraction(monkeypatch, where))
+    assert (code, report) == (3, None)
+    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def _reciprocal_primes(k):
@@ -690,12 +727,44 @@ def test_golden_reports_byte_identical_under_python_O():
 def test_jsonify():
     assert jsonify(Fraction(3, 2)) == "3/2"
     assert jsonify(Fraction(4)) == "4"
-    assert jsonify({"a": (1, Fraction(1, 3))}) == {"a": [1, "1/3"]}
+    assert jsonify((1, Fraction(1, 3))) == [1, "1/3"]
     assert jsonify(None) is None
     assert jsonify(True) is True
     assert jsonify(7) == 7
     with pytest.raises(TypeError):
         jsonify(object())
+    # only check entries pass through, and none is a dict
+    with pytest.raises(TypeError):
+        jsonify({})
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# ties and zeros; small mixed denominators; strictly decreasing, so every block has one
+# entry; and one distinct prime denominator per entry
+_report_costs = (
+    st.lists(st.integers(-2, 2), min_size=1, max_size=12)
+    | st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3))), min_size=1, max_size=12)
+    | st.lists(st.integers(-9, 9), min_size=1, max_size=12, unique=True).map(lambda v: sorted(v, reverse=True))
+    | st.permutations(_PRIMES).flatmap(
+        lambda primes: st.lists(st.integers(-99, 99), min_size=1, max_size=len(primes)).map(
+            lambda nums: [Fraction(a, p) for a, p in zip(nums, primes)]
+        )
+    )
+)
+
+
+@given(_report_costs, st.sampled_from(("max", "min")))
+def test_optimize_report_prints_the_certificate_views(costs, mode):
+    # the report's text comes from the certificate's integers; its Fraction views are the oracle
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["optimize", f"--costs={','.join(map(str, costs))}", "--mode", mode])
+    assert code == 0
+    result = json.loads(out.getvalue())["result"]
+    cert = optimality_certificate(costs)
+    assert result["certificate"]["base"] == [str(b) for b in cert.base]
+    assert result["certificate"]["coefficients"] == [str(a) for a in cert.coefficients]
+    assert result["value"] == str(cert.value(cert.optimizer(mode)))
 
 
 def test_make_check():

@@ -14,6 +14,7 @@ from degpoly.core import as_rational_vector, clear_denominators, is_weakly_decre
 from degpoly.hypergraph import RGraph, degree_sequence, enumerate_r_ideals
 from degpoly.optimize import (
     Certificate,
+    _ratio_text,
     brute_force_optimal_partition,
     optimal_threshold_partition,
     optimality_certificate,
@@ -284,6 +285,14 @@ def test_certificate_proves_optimality_exhaustively():
             assert lhs <= rhs
         d_star = optimal_threshold_partition(c)
         assert cert.value(d_star) == best
+
+
+@given(
+    st.integers(-(10**300), 10**300) | st.sampled_from((0, -1, 1)),
+    st.integers(1, 10**300) | st.integers(1, 12),
+)
+def test_ratio_text_is_str_of_fraction(p, q):
+    assert _ratio_text(p, q) == str(Fraction(p, q))
 
 
 def test_certificate_dataclass_validation():
