@@ -19,10 +19,15 @@ Every number in ``--costs`` or ``--seq`` meets one size rule: a run of
 digits longer than ``str`` prints refuses the whole list before any
 token is read (exit 2, one short line, no echo), and so does a cost
 whose value is that long in fewer digits, such as "1e5000".
-``optimize`` reads each ``p/q`` cost token with ``int`` (any other
-token is left to ``Fraction``, which accepts or refuses it) and builds
-one optimality certificate, which clears the denominators once; the
-partition, the value and the certificate checks are all read off it.
+``optimize`` reads each cost as a reduced integer pair (p, q): a
+``p/q`` token with ``int`` and one ``gcd``, any other token with
+``Fraction``, which accepts or refuses it.  ``core.clear_ratios``
+clears the pairs once to numerators C over D = lcm(q), and one
+optimality certificate is built from C and D; the partition, the value
+and the certificate checks are all read off it, and the costs are
+echoed from the pairs with the certificate's own ratio printer,
+``core.ratio_text``.  Past the reading of a token that is not ``p/q``,
+only ``--oracle`` builds a ``Fraction`` per cost.
 A list refused as malformed is echoed up to ``_ECHO_LIMIT`` characters.
 Each command builds its report JSON-ready, and ``main`` hands it to
 ``json.dumps`` as it stands: a rational becomes a string like "3/2"
@@ -41,10 +46,10 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Any, Callable, Sequence
 
-from .core import bounded_partitions, sort_decreasing
+from .core import bounded_partitions, clear_ratios, ratio_text, sort_decreasing
 from .hypergraph import (
     POSET_SIZE_BOUND,
     degree_sequence,
@@ -148,32 +153,38 @@ def _parse_list(text: str, parse: Callable[[str], Any], what: str) -> tuple:
     raise UsageError(f"malformed {what} list: {echo}")
 
 
-def _parse_rational(token: str) -> Fraction:
-    """``[+-]?digits(/digits)?`` in ASCII digits is read with ``int``; ``Fraction(token)`` reads or refuses the rest.
+def _cost_pair(token: str) -> tuple[int, int]:
+    """The value of ``Fraction(token)`` as (p, q) in lowest terms, q >= 1.
 
-    Only the numerator takes a sign: ``int("-2")`` would accept the
-    denominator of "1/-2", which ``Fraction`` refuses.  :func:`_parse_list`
-    has refused every run of digits past the limit ``str`` prints, so
-    what is left is a value past it in few digits, such as "1e5000",
-    which is refused alike.
+    ``[+-]?digits(/digits)?`` in ASCII digits is read with ``int`` and one
+    ``gcd``; ``Fraction(token)`` reads or refuses the rest.  Only the
+    numerator takes a sign: ``int("-2")`` would accept the denominator of
+    "1/-2", which ``Fraction`` refuses.  :func:`_parse_list` has refused
+    every run of digits past the limit ``str`` prints, so what is left is
+    a value past it in few digits, such as "1e5000", which is refused
+    alike.
     """
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if digits.isascii() and digits.isdecimal():
         if not slash:
-            return Fraction(int(num))
+            return int(num), 1
         if den.isascii() and den.isdecimal():
-            return Fraction(int(num), int(den))
+            p, q = int(num), int(den)
+            if not q:
+                raise ZeroDivisionError("a cost has denominator 0")
+            g = gcd(p, q)
+            return p // g, q // g
     value = Fraction(token)
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
         raise UsageError(_TOO_LONG["cost"])
-    return value
+    return value.numerator, value.denominator
 
 
-def parse_costs(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals: integers or p/q."""
-    return _parse_list(text, _parse_rational, "cost")
+def parse_cost_pairs(text: str) -> tuple[tuple[int, int], ...]:
+    """Comma-separated rationals, integers or p/q, each as a reduced pair (p, q) with q >= 1."""
+    return _parse_list(text, _cost_pair, "cost")
 
 
 def parse_int_seq(text: str) -> tuple[int, ...]:
@@ -182,12 +193,12 @@ def parse_int_seq(text: str) -> tuple[int, ...]:
 
 
 def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
-    costs = parse_costs(args.costs)
+    pairs = parse_cost_pairs(args.costs)
     mode = args.mode
-    if args.oracle and len(costs) > 16:
+    if args.oracle and len(pairs) > 16:
         raise UsageError("--oracle enumerates every vertex and is capped at n <= 16")
-    # the certificate clears c = C/D once; the partition and the value are read off it
-    cert = optimality_certificate(costs)
+    # c = C/D is cleared once, here; the partition and the value are read off the certificate
+    cert = optimality_certificate(*clear_ratios(pairs))
     partition = cert.optimizer(mode)
     value = cert.value(partition)
     support = sorted(cert.support)
@@ -205,7 +216,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
         ),
     ]
     if args.oracle:
-        best, argmax = brute_force_optimal_partition(costs)
+        best, argmax = brute_force_optimal_partition([Fraction(p, q) for p, q in pairs])
         # threshold partitions are closed under componentwise max and min,
         # so the extreme optimizer is the column max (or min) of the argmax set
         pick = max if mode == "max" else min
@@ -216,7 +227,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
     base, coefficients = cert.text()
     return {
         "command": "optimize",
-        "inputs": {"costs": list(map(str, costs)), "mode": mode, "oracle": bool(args.oracle)},
+        "inputs": {"costs": [ratio_text(p, q) for p, q in pairs], "mode": mode, "oracle": bool(args.oracle)},
         "result": {
             "partition": partition,
             "value": str(value),

@@ -3,10 +3,12 @@
 Every quantity in this package is an ``int`` or a ``fractions.Fraction``;
 no decision anywhere is made in floating point.  This module owns the
 input rules every entry point calls - an integer entry is exactly an
-``int``, a partition, and one common denominator for rationals - and the
-sequence utilities everything else leans on: decreasing rearrangement,
-weak-decrease tests, the majorization preorder, and the enumeration of
-bounded partitions.  Prefix sums are ``itertools.accumulate``.
+``int``, a partition, and one common denominator for rationals, given
+as ``Fraction``s or as integer pairs (p, q) - the one printer of such a
+pair, and the sequence utilities everything else leans on: decreasing
+rearrangement, weak-decrease tests, the majorization preorder, and the
+enumeration of bounded partitions.  Prefix sums are
+``itertools.accumulate``.
 
 Majorization compares two equal-length sequences through their sorted
 prefix sums: ``a`` majorizes ``b`` when, after sorting both in weakly
@@ -19,7 +21,7 @@ recognition theorem in :mod:`degpoly.hypergraph`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -52,9 +54,21 @@ def clear_denominators(values: Iterable[Rational]) -> tuple[IntSequence, int]:
     vec = tuple(values)
     if is_int_vector(vec):
         return vec, 1
-    vec = tuple(map(_exact, vec))
-    scale = lcm(*(v.denominator for v in vec))
-    return tuple(v.numerator * (scale // v.denominator) for v in vec), scale
+    return clear_ratios((v.numerator, v.denominator) for v in map(_exact, vec))
+
+
+def clear_ratios(ratios: Iterable[tuple[int, int]]) -> tuple[IntSequence, int]:
+    """The values p/q of integer pairs with q >= 1 as numerators over D, the lcm of the q; and D."""
+    pairs = tuple(ratios)
+    scale = lcm(*(q for _, q in pairs))
+    return tuple(p * (scale // q) for p, q in pairs), scale
+
+
+def ratio_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for q >= 1, read off the integers: "p/q" in lowest terms, or the integer."""
+    g = gcd(p, q)
+    q //= g
+    return str(p // g) if q == 1 else f"{p // g}/{q}"
 
 
 def is_weakly_decreasing(values: Sequence[Rational]) -> bool:

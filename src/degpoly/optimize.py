@@ -14,9 +14,10 @@ where the optimal partition has d_i = d_{i+1}.
 
 The certificate is the one route, and it runs in ``int``.
 :func:`optimality_certificate` clears the denominators once, c = C/D,
-and holds C, D, the kernel's (total T, size S) blocks and integer
-coefficient numerators A over S*D.  :meth:`Certificate.optimizer` sweeps
-the blocks with cross products, :meth:`Certificate.value` is an integer
+or takes C and D from a caller that has cleared them, and holds C, D,
+the kernel's (total T, size S) blocks and integer coefficient
+numerators A over S*D.  :meth:`Certificate.optimizer` sweeps the
+blocks with cross products, :meth:`Certificate.value` is an integer
 dot product over D, and :meth:`Certificate.misfits`, one integer
 identity per entry, says c is rebuilt exactly.  :meth:`Certificate.text`
 writes the base and coefficients that a report prints from the same
@@ -35,12 +36,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd
 from operator import mul
 from typing import Sequence
 
 from . import runs
-from .core import IntSequence, Partition, Rational, RationalVector, clear_denominators, is_weakly_decreasing
+from .core import (
+    IntSequence,
+    Partition,
+    Rational,
+    RationalVector,
+    clear_denominators,
+    is_int_vector,
+    is_weakly_decreasing,
+    ratio_text,
+)
 from .threshold import enumerate_threshold_partitions
 
 MODES = ("max", "min")
@@ -50,13 +59,6 @@ def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return mode
-
-
-def _ratio_text(p: int, q: int) -> str:
-    """``str(Fraction(p, q))`` for q >= 1, read off the integers: "p/q" in lowest terms, or the integer."""
-    g = gcd(p, q)
-    q //= g
-    return str(p // g) if q == 1 else f"{p // g}/{q}"
 
 
 def _degree_sweep(ratios: Sequence[tuple[int, int]], strict: bool) -> Partition:
@@ -202,8 +204,8 @@ class Certificate:
         numerators = iter(self.numerators)  # n - 1 of them: the last block writes one fewer
         for total, size in self.blocks:
             den = size * self.scale
-            base += [_ratio_text(total, den)] * size
-            coefficients += [_ratio_text(a, den) for a in islice(numerators, size)]
+            base += [ratio_text(total, den)] * size
+            coefficients += [ratio_text(a, den) for a in islice(numerators, size)]
         return base, coefficients
 
     def reconstruct(self) -> RationalVector:
@@ -215,8 +217,8 @@ class Certificate:
         return tuple(out)
 
 
-def optimality_certificate(c: Sequence[Rational]) -> Certificate:
-    """The certificate in closed form: b = the projection of c, alpha = prefix sums of b - c.
+def optimality_certificate(c: Sequence[Rational], scale: int = 1) -> Certificate:
+    """The certificate of c / ``scale`` in closed form: b = the projection, alpha = prefix sums of b - c.
 
     Entry k of sum alpha_i (e_{i+1} - e_i) is alpha_{k-1} - alpha_k, so
     c = b + that sum forces alpha_i = sum_{t <= i} (b_t - c_t).  These are
@@ -225,11 +227,17 @@ def optimality_certificate(c: Sequence[Rational]) -> Certificate:
     touches positions where consecutive entries of the projection (hence
     of the optimal partition) coincide.
 
-    With c = C/D, cleared here once, the m-th coefficient of a PAVA block
-    of total T and size S is A = m*T - S*P_m over S*D, P_m the sum of its
-    first m numerators.
+    ``scale``, a positive ``int``, divides c: a caller that has cleared
+    its costs passes the numerators C and their common denominator D,
+    and all-``int`` costs are taken as they are.  Any other c is cleared
+    here once, and D is the lcm of its denominators times ``scale``.
+    With c / scale = C/D, the m-th coefficient of a PAVA block of total T
+    and size S is A = m*T - S*P_m over S*D, P_m the sum of its first m
+    numerators.
     """
-    numerators, scale = clear_denominators(c)
+    if not is_int_vector((scale,)) or scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale!r}")
+    numerators, denominator = clear_denominators(c)
     if not numerators:
         raise ValueError("cannot certify an empty vector")
     blocks = runs._pava_blocks(numerators)
@@ -241,4 +249,6 @@ def optimality_certificate(c: Sequence[Rational]) -> Certificate:
             prefix += value
             alpha.append(m * total - size * prefix)
         start += size
-    return Certificate(costs=numerators, scale=scale, blocks=tuple(blocks), numerators=tuple(alpha[:-1]))
+    return Certificate(
+        costs=numerators, scale=denominator * scale, blocks=tuple(blocks), numerators=tuple(alpha[:-1])
+    )

@@ -13,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degpoly import core, hypergraph, polytope, runs
-from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_costs, parse_int_seq
+from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_cost_pairs, parse_int_seq
 from degpoly.optimize import optimality_certificate
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # stdout and exit status of main() for fixed argv lists, recorded once; any
@@ -560,15 +561,15 @@ def test_a_report_that_is_not_json_ready_exits_3(capsys, monkeypatch, where):
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
-def _reciprocal_primes(k):
-    """Costs 1/p for the first k primes p, largest p first."""
+def _reciprocal_primes(k, sign=""):
+    """Costs 1/p (or -1/p, with ``sign="-"``) for the first k primes p, largest p first."""
     primes = []
     candidate = 2
     while len(primes) < k:
         if all(candidate % p for p in primes):
             primes.append(candidate)
         candidate += 1
-    return ",".join(f"1/{p}" for p in reversed(primes))
+    return ",".join(f"{sign}1/{p}" for p in reversed(primes))
 
 
 @pytest.mark.parametrize("costs", [_reciprocal_primes(1400)], ids=["1400-primes"])
@@ -577,6 +578,20 @@ def test_a_report_too_long_to_print_exits_3(capsys, costs):
     code, report, err = run(capsys, "optimize", f"--costs={costs}")
     assert (code, report) == (3, None)
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_a_long_common_denominator_alone_is_not_refused(capsys, mode):
+    # D = lcm(q) has more digits than str prints, but -1/p already decreases: every block is one
+    # entry, the base is the costs, the optimum is the empty graph, and no printed number is long
+    costs = _reciprocal_primes(1400, sign="-")
+    tokens = costs.split(",")
+    assert lcm(*(int(t.split("/")[1]) for t in tokens)) >= 10**4300
+    code, report, err = run(capsys, "optimize", f"--costs={costs}", "--mode", mode)
+    assert (code, err) == (0, "")
+    assert report["inputs"]["costs"] == report["result"]["certificate"]["base"] == tokens
+    assert report["result"]["partition"] == [0] * 1400
+    assert report["result"]["value"] == "0"
 
 
 def test_a_cost_too_long_to_print_exits_2_however_spelled(capsys):
@@ -589,7 +604,7 @@ def test_a_cost_too_long_to_print_exits_2_however_spelled(capsys):
     for costs in spellings:
         assert run(capsys, "optimize", f"--costs={costs}") == refusal, costs[:8]
     # one digit fewer is a cost like any other, underscores apart
-    assert parse_costs(f"{'9' * 4300},1e4299,1_{zeros[:4299]}") == (10**4300 - 1, 10**4299, 10**4299)
+    assert parse_cost_pairs(f"{'9' * 4300},1e4299,1_{zeros[:4299]}") == ((10**4300 - 1, 1), (10**4299, 1), (10**4299, 1))
 
 
 def test_an_over_long_degree_exits_2_without_echo(capsys):
@@ -776,31 +791,35 @@ def test_make_check():
 
 
 def test_parse_costs():
-    assert parse_costs("1,-1/2, 2") == (Fraction(1), Fraction(-1, 2), Fraction(2))
+    assert parse_cost_pairs("1,-1/2, 2,-6/4") == ((1, 1), (-1, 2), (2, 1), (-3, 2))
     with pytest.raises(ValueError):
-        parse_costs("")
+        parse_cost_pairs("")
     with pytest.raises(ValueError):
-        parse_costs("1;2")
+        parse_cost_pairs("1;2")
 
 
-def _fraction_or_none(token):
-    """Fraction(token), or None where Fraction refuses it or its value has more digits than str prints."""
+def _fraction_pair_or_none(token):
+    """Fraction(token) as (numerator, denominator), or None where Fraction refuses it or its value is too long for str."""
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         return None
-    # "1e5000" fits the strategy's eight characters, and parse_costs refuses it by design
+    # "1e5000" fits the strategy's eight characters, and parse_cost_pairs refuses it by design
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    return None if limit and max(abs(value.numerator), value.denominator) >= 10**limit else value
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        return None
+    return value.numerator, value.denominator
 
 
-def _parse_costs_or_none(token):
+def _cost_pair_or_none(token):
+    """parse_cost_pairs on one token: (p, q) in lowest terms with q >= 1, or None where it refuses the token."""
     try:
-        (value,) = parse_costs(token)
+        (pair,) = parse_cost_pairs(token)
     except ValueError:
         return None
-    assert type(value) is Fraction
-    return value
+    p, q = pair
+    assert type(p) is int and type(q) is int and q >= 1 and gcd(p, q) == 1, pair
+    return pair
 
 
 # one token, no commas: characters a rational's spelling can hold, and well-formed p/q
@@ -811,24 +830,60 @@ _cost_tokens = st.text(alphabet="0123456789+-/.e_ ", max_size=8) | st.from_regex
 
 @given(_cost_tokens)
 def test_parse_costs_reads_each_token_as_fraction_does(token):
-    # p/q tokens are read with int; Fraction(token) is the oracle for every token
-    assert _parse_costs_or_none(token) == _fraction_or_none(token)
+    # p/q tokens are read with int and one gcd; Fraction(token) is the oracle for every token
+    assert _cost_pair_or_none(token) == _fraction_pair_or_none(token)
 
 
 @pytest.mark.parametrize(
-    "token, value",
+    "token, pair",
     [
         ("1e5000", None),
         ("1/-2", None),  # int("-2") would take the denominator's sign; Fraction refuses it
-        ("1.5", Fraction(3, 2)),
-        ("1e3", Fraction(1000)),
-        (" 3/4 ", Fraction(3, 4)),
+        ("1.5", (3, 2)),
+        ("1e3", (1000, 1)),
+        (" 3/4 ", (3, 4)),
         ("1/0", None),
+        ("0/0", None),
         ("+-1", None),
-        ("-6/4", Fraction(-3, 2)),
-        ("+007", Fraction(7)),
-        ("1_000", Fraction(1000)),
+        ("-6/4", (-3, 2)),
+        ("+007", (7, 1)),
+        ("1_000", (1000, 1)),
+        ("0/5", (0, 1)),
+        ("-0", (0, 1)),
     ],
 )
-def test_parse_costs_frozen_tokens(token, value):
-    assert _parse_costs_or_none(token) == _fraction_or_none(token) == value
+def test_parse_costs_frozen_tokens(token, pair):
+    assert _cost_pair_or_none(token) == _fraction_pair_or_none(token) == pair
+
+
+def _echoed_costs(tokens, mode="max"):
+    """The report's inputs.costs for ``optimize --costs`` of the tokens joined by commas."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["optimize", f"--costs={','.join(tokens)}", "--mode", mode])
+    assert code == 0
+    return json.loads(out.getvalue())["inputs"]["costs"]
+
+
+_ECHO_SPELLINGS = ("-6/4", "+007", " 3/4 ", "0/5", "-0", "1.5", "1e3", "1_000")
+
+
+def test_optimize_echoes_frozen_spellings_as_fraction_prints_them():
+    # no golden argv pins reduction, signs, whitespace or non-p/q spellings in the echo
+    expected = ["-3/2", "7", "3/4", "0", "0", "3/2", "1000", "1000"]
+    assert [str(Fraction(t)) for t in _ECHO_SPELLINGS] == expected
+    for mode in ("max", "min"):
+        assert _echoed_costs(_ECHO_SPELLINGS, mode) == expected
+
+
+# tokens Fraction accepts: p/q with a nonzero denominator, decimals and exponents, and the frozen spellings
+_valid_cost_tokens = (
+    st.from_regex(r"\A ?[+-]?[0-9]{1,4}(/0{0,2}[1-9][0-9]{0,3})? ?\Z")
+    | st.from_regex(r"\A[+-]?[0-9]{1,3}(_[0-9]{1,2})?(\.[0-9]{1,3})?(e[+-]?[0-9])?\Z")
+    | st.sampled_from(_ECHO_SPELLINGS)
+)
+
+
+@given(st.lists(_valid_cost_tokens, min_size=1, max_size=8), st.sampled_from(("max", "min")))
+def test_optimize_echoes_each_cost_as_str_of_its_fraction(tokens, mode):
+    assert _echoed_costs(tokens, mode) == [str(Fraction(t)) for t in tokens]

@@ -1,6 +1,7 @@
 """Shared vector/partition helpers."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from degpoly.core import (
     as_rational_vector,
     check_partition,
+    clear_denominators,
+    clear_ratios,
     is_partition,
     is_weakly_decreasing,
     majorizes,
@@ -22,6 +25,16 @@ def test_as_rational_vector_mixes_ints_and_fractions():
     vec = as_rational_vector([1, Fraction(1, 2), -3])
     assert vec == (Fraction(1), Fraction(1, 2), Fraction(-3))
     assert all(isinstance(x, Fraction) for x in vec)
+
+
+@given(st.lists(st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**6) | st.integers(1, 12)), min_size=1, max_size=10))
+def test_clear_ratios_gives_each_pair_over_the_lcm(pairs):
+    numerators, scale = clear_ratios(pairs)
+    assert [Fraction(c, scale) for c in numerators] == [Fraction(p, q) for p, q in pairs]
+    assert scale == lcm(*(q for _, q in pairs)) and all(type(c) is int for c in numerators)
+    # Fractions clear to the same integers over the same D as their reduced pairs
+    fractions = [Fraction(p, q) for p, q in pairs]
+    assert clear_denominators(fractions) == clear_ratios((f.numerator, f.denominator) for f in fractions)
 
 
 def test_is_weakly_decreasing():

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from degpoly.core import as_rational_vector, clear_denominators, is_weakly_decreasing
+from degpoly.core import as_rational_vector, clear_denominators, is_weakly_decreasing, ratio_text
 from degpoly.hypergraph import RGraph, degree_sequence, enumerate_r_ideals
 from degpoly.optimize import (
     Certificate,
-    _ratio_text,
     brute_force_optimal_partition,
     optimal_threshold_partition,
     optimality_certificate,
@@ -292,7 +291,33 @@ def test_certificate_proves_optimality_exhaustively():
     st.integers(1, 10**300) | st.integers(1, 12),
 )
 def test_ratio_text_is_str_of_fraction(p, q):
-    assert _ratio_text(p, q) == str(Fraction(p, q))
+    assert ratio_text(p, q) == str(Fraction(p, q))
+
+
+@given(
+    st.lists(st.integers(-50, 50) | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)), min_size=1, max_size=12),
+    st.integers(1, 60) | st.sampled_from((1, 2**61 - 1)),
+    st.sampled_from(("max", "min")),
+)
+def test_costs_over_a_scale_certify_what_their_quotients_certify(c, scale, mode):
+    # the CLI hands over numerators C and D; the certificate of c / scale built from Fractions is the oracle
+    cert = optimality_certificate(c, scale)
+    oracle = optimality_certificate([Fraction(v) / scale for v in c])
+    assert (cert.base, cert.coefficients, cert.support) == (oracle.base, oracle.coefficients, oracle.support)
+    assert cert.text() == oracle.text()
+    d = cert.optimizer(mode)
+    assert d == oracle.optimizer(mode)
+    assert cert.value(d) == oracle.value(d)
+    assert cert.misfits() == []
+    if all(type(v) is int for v in c):
+        # all-int numerators are taken as they are, over D = scale
+        assert (cert.costs, cert.scale) == (tuple(c), scale)
+
+
+@pytest.mark.parametrize("scale", [0, -1, Fraction(3, 2), Fraction(2), 2.0, True])
+def test_a_scale_must_be_a_positive_int(scale):
+    with pytest.raises(ValueError, match="scale must be a positive int"):
+        optimality_certificate((1, -1, 2), scale)
 
 
 def test_certificate_dataclass_validation():
