@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Any, Callable, Sequence
 
-from .core import bounded_partitions, clear_ratios, ratio_text, sort_decreasing
+from .core import bounded_partitions, clear_denominators, clear_ratios, ratio_text, sort_decreasing
 from .hypergraph import (
     POSET_SIZE_BOUND,
     degree_sequence,
@@ -302,7 +302,9 @@ def _suite_facets(n: int, seed: int, samples: int) -> SuiteReport:
     min_rank = min(map(affine_rank, tight_sets))
 
     def violates_only(f, w):
-        return not f.satisfied(w) and all(g.satisfied(w) for g in facets if g != f)
+        # w = W / D: g holds at w exactly when g.value(W) <= g.rhs * D
+        vec, scale = clear_denominators(w)
+        return all((g.value(vec) > g.rhs * scale) == (g == f) for g in facets)
 
     witnesses = sum(
         1 for f, tight in zip(facets, tight_sets) if violates_only(f, irredundancy_witness(n, f, tight))

@@ -49,12 +49,16 @@ def _exact(value: Rational) -> Rational:
 def clear_denominators(values: Iterable[Rational]) -> tuple[IntSequence, int]:
     """``values`` times D, the lcm of their denominators, as ints; and D.
 
-    All-int input comes back as it is, with D = 1.
+    All-int input comes back as it is, with D = 1.  Entries of any type
+    but ``int`` and ``Fraction`` go through ``_exact`` first.
     """
     vec = tuple(values)
-    if is_int_vector(vec):
+    types = set(map(type, vec))
+    if types <= {int}:
         return vec, 1
-    return clear_ratios((v.numerator, v.denominator) for v in map(_exact, vec))
+    if not types <= {int, Fraction}:
+        vec = tuple(map(_exact, vec))
+    return clear_ratios(v.as_integer_ratio() for v in vec)
 
 
 def clear_ratios(ratios: Iterable[tuple[int, int]]) -> tuple[IntSequence, int]:

@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby, product
+from itertools import accumulate, groupby, product, repeat
 from typing import Sequence
 
 from .core import (
@@ -57,7 +57,6 @@ from .core import (
     as_rational_vector,
     clear_denominators,
     is_int_vector,
-    sort_decreasing,
 )
 # not called here: bench/spans.py times the brute-force walk under this layer,
 # and tests/test_bench_names.py::test_traced_names_resolve needs the attribute
@@ -81,8 +80,11 @@ class FacetInequality:
     l: int | None = None
 
     def value(self, x: Sequence[Rational]) -> Rational:
-        """a . x over the nonzero coefficients: an ``int`` on integer x, exact either way."""
-        return sum(c * v for c, v in zip(self.coefficients, x) if c)
+        """a . x by the row's shape, x_{i+1} - x_i or the first k less the last l: an ``int`` on ints."""
+        if self.kind == "monotone":
+            return x[self.i] - x[self.i - 1]
+        n = len(self.coefficients)
+        return sum(x[: self.k]) - sum(x[n - self.l : n])
 
     def satisfied(self, x: Sequence[Rational]) -> bool:
         return self.value(x) <= self.rhs
@@ -95,22 +97,16 @@ def monotone_inequality(n: int, i: int) -> FacetInequality:
     """x_i >= x_{i+1}, encoded as -x_i + x_{i+1} <= 0."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"monotone index must satisfy 1 <= i <= {n - 1}, got {i}")
-    coeff = [0] * n
-    coeff[i - 1] = -1
-    coeff[i] = 1
-    return FacetInequality("monotone", tuple(coeff), 0, i=i)
+    coeff = (0,) * (i - 1) + (-1, 1) + (0,) * (n - 1 - i)
+    return FacetInequality("monotone", coeff, 0, i=i)
 
 
 def fhm_inequality(n: int, k: int, l: int) -> FacetInequality:
     """Prefix sum of k minus suffix sum of l, bounded by k (n - 1 - l)."""
     if k < 0 or l < 0 or not 1 <= k + l <= n:
         raise ValueError(f"need k, l >= 0 and 1 <= k + l <= {n}, got ({k}, {l})")
-    coeff = [0] * n
-    for t in range(k):
-        coeff[t] = 1
-    for t in range(n - l, n):
-        coeff[t] = -1
-    return FacetInequality("fhm", tuple(coeff), k * (n - 1 - l), k=k, l=l)
+    coeff = (1,) * k + (0,) * (n - k - l) + (-1,) * l
+    return FacetInequality("fhm", coeff, k * (n - 1 - l), k=k, l=l)
 
 
 @dataclass(frozen=True)
@@ -128,8 +124,8 @@ class FhmMembership:
     violations: tuple[FacetInequality, ...]
 
 
-def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
-    """Check x_1 >= ... >= x_n plus every prefix-suffix inequality, in O(n).
+def in_fhm_polytope(x: Sequence[Rational], scale: int = 1) -> FhmMembership:
+    """Check x / ``scale`` against x_1 >= ... >= x_n and every prefix-suffix inequality, in O(n).
 
     Once x is weakly decreasing, the excess of (k, l),
 
@@ -142,12 +138,16 @@ def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
     so one pointer from the back of x finds the best l for every k
     (Erdos and Gallai, 1960).  The sweep runs in integers: integer
     input as it is, rational input after clearing one common
-    denominator D, with every bound scaled by D.  A positive D keeps
-    each excess's sign and their order, so the verdict and the witness
-    are those of x itself.  See :class:`FhmMembership` for what
-    ``violations`` holds.
+    denominator, with every bound scaled by D, that denominator times
+    ``scale`` (a positive ``int``, so a caller with cleared numerators
+    passes their denominator).  A positive D keeps each excess's sign and
+    their order, so the verdict and the witness are those of x / ``scale``
+    itself.  See :class:`FhmMembership` for what ``violations`` holds.
     """
-    vec, scale = clear_denominators(x)
+    if not is_int_vector((scale,)) or scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale!r}")
+    vec, denominator = clear_denominators(x)
+    scale *= denominator
     n = len(vec)
     if n < 1:
         raise ValueError("membership needs a nonempty vector")
@@ -203,9 +203,12 @@ def fhm_violations(x: Sequence[Rational]) -> tuple[FacetInequality, ...]:
 def in_koren_polytope(x: Sequence[Rational]) -> bool:
     """Unordered membership: every disjoint S, T obey the subset bound.
 
-    Sorts decreasingly and defers to :func:`in_fhm_polytope`.
+    Clears the denominators once, sorts the integer numerators
+    decreasingly (a positive common denominator D keeps their order) and
+    defers to :func:`in_fhm_polytope` with D as its scale.
     """
-    return in_fhm_polytope(sort_decreasing(x)).member
+    vec, scale = clear_denominators(x)
+    return in_fhm_polytope(sorted(vec, reverse=True), scale).member
 
 
 def koren_oracle(x: Sequence[Rational]) -> bool:
@@ -434,7 +437,9 @@ def irredundancy_witness(
     already found.  Starts at their barycenter, which lies strictly
     inside every other facet because distinct facets have distinct
     hyperplanes, then steps outward along the facet normal by half the
-    largest exactly-safe amount.  Raises ``ValueError`` when ``tight``
+    largest exactly-safe amount.  It works on the integer column sums, m
+    times the barycenter of m vertices: each slack there is an ``int``,
+    and each step limit one ``Fraction``.  Raises ``ValueError`` when ``tight``
     holds a point off the facet, and ``AssertionError`` when it is empty.
     The point is not re-tested here: that it violates exactly this facet
     is what the facets suite's ``facet-irredundancy-witnesses`` reports.
@@ -446,20 +451,21 @@ def irredundancy_witness(
         raise ValueError(f"every given point must be tight at {facet!r}")
     if not tight:
         raise AssertionError(f"facet {facet!r} is tight at no vertex")
-    bary = tuple(Fraction(sum(col), len(tight)) for col in zip(*tight))
+    m = len(tight)
+    sums = tuple(map(sum, zip(*tight)))
     normal = facet.coefficients
     limits = []
     for g in facets:
         if g == facet:
             continue
-        rate = sum(gc * nc for gc, nc in zip(g.coefficients, normal))
+        rate = g.value(normal)
         if rate > 0:
-            slack = Fraction(g.rhs) - g.value(bary)
+            slack = g.rhs * m - g.value(sums)
             if slack <= 0:
                 raise AssertionError(f"barycenter of {facet!r} is not strictly inside {g!r}")
-            limits.append(slack / rate)
+            limits.append(Fraction(slack, m * rate))
     eps = min(limits) / 2 if limits else Fraction(1)
-    return tuple(b + eps * c for b, c in zip(bary, normal))
+    return tuple(Fraction(s, m) + eps * c for s, c in zip(sums, normal))
 
 
 def dp3_volume() -> Fraction:
@@ -516,30 +522,28 @@ def ds3_volume_estimate(samples: int, seed: int) -> VolumeEstimate:
     Every membership decision is exact: coordinates are dyadic rationals
     and the subset bounds are evaluated in integer arithmetic after
     clearing the denominator.  The first ``_CROSS_CHECK_SAMPLES`` samples
-    are also routed through :func:`in_koren_polytope`, and a disagreement
-    raises ``AssertionError``, also under ``python -O``.  Randomness
-    enters only through the seeded generator; the estimate itself is the
-    exact rational 8 * hits / samples.
+    are also routed through :func:`in_koren_polytope`, one at a time, and
+    a disagreement raises ``AssertionError``, also under ``python -O``;
+    the rest of the stream, three ``getrandbits(31)`` per sample, is
+    counted in one pass.  Randomness enters only through the seeded
+    generator; the estimate itself is the exact rational 8 * hits / samples.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
     hits = 0
     checked = min(_CROSS_CHECK_SAMPLES, samples)
-    for idx in range(samples):
-        a = rng.getrandbits(_SCALE_BITS + 1)
-        b = rng.getrandbits(_SCALE_BITS + 1)
-        c = rng.getrandbits(_SCALE_BITS + 1)
+    for idx in range(checked):
+        a, b, c = draw(_SCALE_BITS + 1), draw(_SCALE_BITS + 1), draw(_SCALE_BITS + 1)
         member = _koren3_scaled(a, b, c)
-        if idx < checked:
-            reference = in_koren_polytope(
-                (Fraction(a, _SCALE), Fraction(b, _SCALE), Fraction(c, _SCALE))
+        reference = in_koren_polytope((Fraction(a, _SCALE), Fraction(b, _SCALE), Fraction(c, _SCALE)))
+        if member != reference:
+            raise AssertionError(
+                f"integer test says {member} but in_koren_polytope says {reference} "
+                f"at sample {idx}: {(a, b, c)!r} / 2^{_SCALE_BITS}"
             )
-            if member != reference:
-                raise AssertionError(
-                    f"integer test says {member} but in_koren_polytope says {reference} "
-                    f"at sample {idx}: {(a, b, c)!r} / 2^{_SCALE_BITS}"
-                )
-        if member:
-            hits += 1
+        hits += member
+    # map draws from the one stream in turn, so each call gets three consecutive draws
+    stream = map(draw, repeat(_SCALE_BITS + 1, 3 * (samples - checked)))
+    hits += sum(map(_koren3_scaled, stream, stream, stream))
     return VolumeEstimate(samples, hits, Fraction(8 * hits, samples))

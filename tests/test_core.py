@@ -34,7 +34,15 @@ def test_clear_ratios_gives_each_pair_over_the_lcm(pairs):
     assert scale == lcm(*(q for _, q in pairs)) and all(type(c) is int for c in numerators)
     # Fractions clear to the same integers over the same D as their reduced pairs
     fractions = [Fraction(p, q) for p, q in pairs]
-    assert clear_denominators(fractions) == clear_ratios((f.numerator, f.denominator) for f in fractions)
+    expected = clear_ratios((f.numerator, f.denominator) for f in fractions)
+    assert clear_denominators(fractions) == expected
+    # whole values as ints among the Fractions, and a bool among either, clear the same way
+    mixed = [int(f) if f.denominator == 1 else f for f in fractions]
+    assert clear_denominators(mixed) == expected
+    for vec in ([*mixed, True], [*fractions, False]):
+        numerators, scale = clear_denominators(vec)
+        assert (numerators[:-1], scale) == expected and numerators[-1] == vec[-1] * scale
+        assert all(type(c) is int for c in numerators)
 
 
 def test_is_weakly_decreasing():

@@ -225,6 +225,37 @@ def test_sweep_matches_scan_with_large_mixed_denominators(x):
     _check_sweep_against_scan(sort_decreasing(x))
 
 
+def _scaled_numerators(n, scale):
+    """Length-n numerators over ``scale``: uniform in [-D, nD], or D times a vertex nudged by -1, 0 or +1."""
+    uniform = st.lists(st.integers(-scale, n * scale), min_size=n, max_size=n)
+    near_vertex = st.tuples(
+        st.sampled_from(enumerate_threshold_partitions(n)),
+        st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=n, max_size=n),
+    ).map(lambda pair: [scale * d + e for d, e in zip(*pair)])
+    return uniform | near_vertex
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_membership_over_a_scale_decides_the_quotient(data):
+    # in_koren_polytope hands its cleared numerators over with their denominator;
+    # the membership of the Fractions themselves is the oracle
+    n, scale = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 60))
+    numerators = data.draw(_scaled_numerators(n, scale))
+    if data.draw(st.booleans()):
+        numerators.sort(reverse=True)
+    verdict = in_fhm_polytope(numerators, scale)
+    oracle = in_fhm_polytope([F(c, scale) for c in numerators])
+    assert verdict.member == oracle.member
+    assert [(f.i, f.k, f.l) for f in verdict.violations] == [(f.i, f.k, f.l) for f in oracle.violations]
+
+
+@pytest.mark.parametrize("scale", [0, -1, F(3, 2), F(2), 2.0, True])
+def test_a_membership_scale_must_be_a_positive_int(scale):
+    with pytest.raises(ValueError, match="scale must be a positive int"):
+        in_fhm_polytope((2, 1, 1), scale)
+
+
 def _inequalities(n):
     """A monotone or prefix-suffix inequality on [n]."""
     monotone = st.integers(1, n - 1).map(lambda i: monotone_inequality(n, i)) if n > 1 else st.nothing()
@@ -385,7 +416,8 @@ def test_facet_inequalities_n4_exact_set():
 
 
 def test_facets_valid_and_irredundant():
-    for n in (4, 5):
+    # up to the facets suite's cap, every witness is held to satisfied() at every facet
+    for n in range(4, 8):
         facets = facet_inequalities(n)
         vertices = enumerate_threshold_partitions(n)
         for f in facets:
@@ -650,6 +682,22 @@ def test_ds3_volume_estimate_deterministic_and_close():
     assert est == again
     assert est.estimate == F(8 * est.hits, est.samples)
     assert abs(est.estimate - 2) <= F(1, 25)
+
+
+@pytest.mark.parametrize("samples", [1, 9_999, 10_000, 10_001, 25_000])
+def test_volume_estimate_cross_checks_the_leading_samples_and_counts_the_rest(monkeypatch, samples):
+    calls, tested = [], []
+    real, real_scaled = polytope.in_koren_polytope, polytope._koren3_scaled
+    monkeypatch.setattr(polytope, "in_koren_polytope", lambda x: calls.append(x) or real(x))
+    monkeypatch.setattr(polytope, "_koren3_scaled", lambda *point: tested.append(point) or real_scaled(*point))
+    est = ds3_volume_estimate(samples=samples, seed=DEFAULT_SEED)
+    # the reference: one sample at a time, three draws each, from the same seeded stream
+    rng = random.Random(DEFAULT_SEED)
+    points = [(rng.getrandbits(31), rng.getrandbits(31), rng.getrandbits(31)) for _ in range(samples)]
+    assert tested == points
+    assert len(calls) == min(samples, 10_000)
+    assert calls == [tuple(F(v, 1 << 30) for v in point) for point in points[: len(calls)]]
+    assert (est.samples, est.hits) == (samples, sum(map(real_scaled, *zip(*points))))
 
 
 def test_scaled_n3_test_matches_in_koren_polytope_on_the_boundary():
