@@ -46,19 +46,21 @@ def _exact(value: Rational) -> Rational:
     return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
-def clear_denominators(values: Iterable[Rational]) -> tuple[IntSequence, int]:
-    """``values`` times D, the lcm of their denominators, as ints; and D.
+def clear_denominators(values: Iterable[Rational], scale: int = 1) -> tuple[IntSequence, int]:
+    """``values`` times D, the lcm of their denominators, as ints; and D * ``scale``.
 
-    All-int input comes back as it is, with D = 1.  Entries of any type
-    but ``int`` and ``Fraction`` go through ``_exact`` first.
+    That is ``values`` / ``scale`` over one common denominator.
+    ``scale`` must be a positive ``int``, so a caller that has cleared
+    its values passes the numerators and their denominator.  All-int
+    input comes back as it is, over ``scale``.
     """
+    if type(scale) is not int or scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale!r}")
     vec = tuple(values)
-    types = set(map(type, vec))
-    if types <= {int}:
-        return vec, 1
-    if not types <= {int, Fraction}:
-        vec = tuple(map(_exact, vec))
-    return clear_ratios(v.as_integer_ratio() for v in vec)
+    if is_int_vector(vec):
+        return vec, scale
+    numerators, denominator = clear_ratios(v.as_integer_ratio() for v in map(_exact, vec))
+    return numerators, denominator * scale
 
 
 def clear_ratios(ratios: Iterable[tuple[int, int]]) -> tuple[IntSequence, int]:

@@ -46,7 +46,6 @@ from .core import (
     Rational,
     RationalVector,
     clear_denominators,
-    is_int_vector,
     is_weakly_decreasing,
     ratio_text,
 )
@@ -230,14 +229,13 @@ def optimality_certificate(c: Sequence[Rational], scale: int = 1) -> Certificate
     ``scale``, a positive ``int``, divides c: a caller that has cleared
     its costs passes the numerators C and their common denominator D,
     and all-``int`` costs are taken as they are.  Any other c is cleared
-    here once, and D is the lcm of its denominators times ``scale``.
+    once by :func:`~degpoly.core.clear_denominators`, and D is the lcm
+    of its denominators times ``scale``.
     With c / scale = C/D, the m-th coefficient of a PAVA block of total T
     and size S is A = m*T - S*P_m over S*D, P_m the sum of its first m
     numerators.
     """
-    if not is_int_vector((scale,)) or scale < 1:
-        raise ValueError(f"scale must be a positive int, got {scale!r}")
-    numerators, denominator = clear_denominators(c)
+    numerators, scale = clear_denominators(c, scale)
     if not numerators:
         raise ValueError("cannot certify an empty vector")
     blocks = runs._pava_blocks(numerators)
@@ -250,5 +248,5 @@ def optimality_certificate(c: Sequence[Rational], scale: int = 1) -> Certificate
             alpha.append(m * total - size * prefix)
         start += size
     return Certificate(
-        costs=numerators, scale=denominator * scale, blocks=tuple(blocks), numerators=tuple(alpha[:-1])
+        costs=numerators, scale=scale, blocks=tuple(blocks), numerators=tuple(alpha[:-1])
     )

@@ -144,10 +144,7 @@ def in_fhm_polytope(x: Sequence[Rational], scale: int = 1) -> FhmMembership:
     their order, so the verdict and the witness are those of x / ``scale``
     itself.  See :class:`FhmMembership` for what ``violations`` holds.
     """
-    if not is_int_vector((scale,)) or scale < 1:
-        raise ValueError(f"scale must be a positive int, got {scale!r}")
-    vec, denominator = clear_denominators(x)
-    scale *= denominator
+    vec, scale = clear_denominators(x, scale)
     n = len(vec)
     if n < 1:
         raise ValueError("membership needs a nonempty vector")

@@ -43,6 +43,8 @@ def test_clear_ratios_gives_each_pair_over_the_lcm(pairs):
         numerators, scale = clear_denominators(vec)
         assert (numerators[:-1], scale) == expected and numerators[-1] == vec[-1] * scale
         assert all(type(c) is int for c in numerators)
+    # over a scale the numerators stay and the denominator grows by it
+    assert clear_denominators(fractions, 7) == (expected[0], expected[1] * 7)
 
 
 def test_is_weakly_decreasing():
