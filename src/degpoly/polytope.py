@@ -152,9 +152,7 @@ def in_fhm_polytope(x: Sequence[Rational], scale: int = 1) -> FhmMembership:
     if ascent is not None:
         return FhmMembership(False, (monotone_inequality(n, ascent),))
     # suf[l] is the sum of the last l entries
-    suf = [0] * (n + 1)
-    for l in range(1, n + 1):
-        suf[l] = suf[l - 1] + vec[n - l]
+    suf = list(accumulate(reversed(vec), initial=0))
     # (0, 0) is no constraint, but its excess 0 is never a violation
     best, best_k, best_l = 0, 0, 0
     pre = 0

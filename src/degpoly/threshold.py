@@ -19,11 +19,10 @@ no function spells that out, because the one reader, ``optimize
 
 The recursion is written out twice: forwards in
 :func:`enumerate_threshold_partitions`, which builds every partition,
-and backwards in one O(n) peel that decodes a given partition into its
-dominating steps.  Recognition and :func:`ideal_from_partition` both
-read that one decode, so the degree map is a bijection from ideals to
-partitions by construction; the tests hold the ideals it builds to the
-walk over all r-ideals of :mod:`degpoly.hypergraph` at r = 2.
+and backwards in one O(n) peel that decodes a partition into its
+creation word, read by recognition.  :func:`ideal_from_partition` takes
+the shifted shape {(i, j) : i < j <= d_i + 1} (Merris and Roby, 2005);
+the tests hold its ideals to the r = 2 walk of :mod:`degpoly.hypergraph`.
 """
 
 from __future__ import annotations
@@ -64,33 +63,31 @@ def degree_partition_of_ideal(ideal: RGraph) -> Partition:
     return deg
 
 
-def _peel(d: Sequence[int]) -> list[tuple[int, int]] | None:
-    """The dominating steps of the threshold recursion on a partition ``d``.
+def _creation_word(d: Sequence[int]) -> int | None:
+    """Bit m - 2 set when vertex m dominates, clear when isolated; None off threshold.
 
-    The part still to peel is d[lo..hi] (0-based, inclusive) minus
-    ``offset``, the number of dominating vertices removed so far.  Its last
-    vertex is isolated when d[hi] == offset; otherwise its first
-    dominates when d[lo] - offset == hi - lo, and the step (lo, hi)
-    records that vertex lo+1 is adjacent to lo+2..hi+1.  Returns None
-    when neither applies.  Isolated is tested first, so the values left
-    never go negative.
+    That is the order of :func:`enumerate_threshold_partitions`.  Word 0,
+    the empty graph, is falsy, so callers test ``is None``.  The peel
+    reads vertices from the last one added: the k = hi - lo + 1 still to
+    peel are d[lo..hi] (0-based) minus ``offset``, the dominating ones
+    removed so far.  The last is isolated when d[hi] == offset, else the
+    first dominates when d[lo] - offset == hi - lo and sets bit k - 2.
+    Isolated is tested first, so the values left never go negative.
     """
-    steps = []
+    if not is_partition(d):
+        return None
+    word = 0
     lo, hi, offset = 0, len(d) - 1, 0
     while lo <= hi:
         if d[hi] == offset:
             hi -= 1
         elif d[lo] - offset == hi - lo:
-            steps.append((lo, hi))
+            word |= 1 << (hi - lo - 1)
             lo += 1
             offset += 1
         else:
             return None
-    return steps
-
-
-def _step_edges(steps: list[tuple[int, int]]) -> frozenset[Pair]:
-    return frozenset((lo + 1, v) for lo, hi in steps for v in range(lo + 2, hi + 2))
+    return word
 
 
 def is_threshold_partition(d: Sequence[int]) -> bool:
@@ -101,19 +98,19 @@ def is_threshold_partition(d: Sequence[int]) -> bool:
     dominates (d_1 = n-1), and the rest must again be a threshold
     partition.  O(n).
     """
-    return is_partition(d) and _peel(d) is not None
+    return _creation_word(d) is not None
 
 
 def ideal_from_partition(d: Sequence[int]) -> RGraph:
     """The unique order ideal whose degree sequence is ``d``.
 
-    Its edges are the dominating steps of the peel.  Raises
-    ``ValueError`` for non-threshold input.
+    Its edges are the shifted shape {(i, j) : i < j <= d_i + 1}.
+    Raises ``ValueError`` for non-threshold input.
     """
-    steps = _peel(d) if is_partition(d) else None
-    if steps is None:
+    if _creation_word(d) is None:
         raise ValueError(f"not a threshold partition: {d!r}")
-    ideal = _pair_ideal(len(d), _step_edges(steps))
+    n = len(d)
+    ideal = _pair_ideal(n, ((i, j) for i in range(1, n + 1) for j in range(i + 1, d[i - 1] + 2)))
     if degree_partition_of_ideal(ideal) != tuple(d):
         raise AssertionError(f"the ideal rebuilt from {tuple(d)!r} has other degrees")
     return ideal
@@ -123,7 +120,8 @@ def enumerate_threshold_partitions(n: int) -> tuple[Partition, ...]:
     """All 2^(n-1) threshold partitions on [n], in recursion order.
 
     The isolated branch (append a 0) precedes the dominating branch
-    (prepend n-1 and shift the rest up by one), recursively.
+    (prepend n-1 and shift the rest up by one), recursively, so entry w
+    has creation word w: vertex m dominates when bit m - 2 of w is set.
     """
     if not 1 <= n <= ENUMERATION_BOUND:
         raise ValueError(f"n={n} outside the enumeration bound 1..{ENUMERATION_BOUND}")

@@ -6,12 +6,14 @@ degpoly names and call module attributes, and ``bench/workloads.py``
 checks every workload's reports by their check names and result fields; a
 renamed or deleted function, check or field would otherwise surface
 only when those scripts run.  The files are read, not imported, so
-nothing is written next to them.
+nothing is written next to them; the one script run whole is
+``bench/selftest.py``, in a subprocess that writes no bytecode.
 """
 
 import ast
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -111,3 +113,11 @@ def test_reports_carry_what_the_benchmark_checks(name, monkeypatch, capsys):
         main(list(op.argv))
         report = json.loads(capsys.readouterr().out)
         assert workload.check(op, report) is None, op.argv
+
+
+def test_bench_selftest_passes():
+    # run from the checkout root, as the benchmark's own docs say
+    done = subprocess.run(
+        [sys.executable, "-B", "bench/selftest.py"], cwd=BENCH.parent, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -28,7 +28,7 @@ ORACLES = {
     "polytope.facet_rank_adjacent": "are_adjacent: two vertices span an edge when the facets tight at both have rank n - 1",
     "polytope.fhm_violations": "in_fhm_polytope: the full O(n^2) scan of every constraint",
     "polytope.koren_oracle": "in_koren_polytope: all 3^n choices of disjoint S, T",
-    "threshold.ideal_from_partition": "enumerate_r_ideals at r = 2: the peel rebuilt as the order ideal of degrees d",
+    "threshold.ideal_from_partition": "enumerate_r_ideals at r = 2: the shifted shape {(i, j) : i < j <= d_i + 1} of degrees d",
     "threshold.proper_threshold_oracle": "is_r_ideal at r = 2: peel isolated and dominating vertices",
 }
 

@@ -3,8 +3,6 @@
 import contextlib
 import io
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +15,7 @@ from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_cost_pair
 from degpoly.optimize import optimality_certificate
 from fractions import Fraction
 from math import gcd, lcm
+from python_o import run_under_python_O
 
 
 # stdout and exit status of main() for fixed argv lists, recorded once; any
@@ -722,17 +721,7 @@ def test_golden_reports_byte_identical_under_python_O():
         "    replayed.append({'argv': argv, 'exit': code, 'stdout': out.getvalue()})\n"
         "print(json.dumps([sys.flags.optimize, replayed]))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-B", "-O", "-c", script],
-        input=json.dumps([case["argv"] for case in GOLDEN]),
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    optimize, replayed = json.loads(done.stdout)
+    optimize, replayed = json.loads(run_under_python_O(script, "-B", stdin=json.dumps([case["argv"] for case in GOLDEN])))
     assert optimize == 1
     assert len(replayed) == len(GOLDEN)
     for case, got in zip(GOLDEN, replayed):

@@ -1,13 +1,9 @@
 """r-graph degree sequences: recognition, chains, and realization."""
 
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from itertools import combinations
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -32,6 +28,7 @@ from degpoly.hypergraph import (
 )
 from degpoly.polytope import is_degree_sequence
 from degpoly.threshold import enumerate_threshold_partitions, ideal_from_partition
+from python_o import run_under_python_O
 
 
 def test_r_subsets_lex_order():
@@ -463,9 +460,4 @@ def test_realization_check_raises_under_python_O():
         "    except AssertionError as exc:\n"
         "        print('raised', sys.flags.optimize, 'surplus' in str(exc))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["raised", "1", "False", "raised", "1", "True"]
+    assert run_under_python_O(script).split() == ["raised", "1", "False", "raised", "1", "True"]

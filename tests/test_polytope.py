@@ -1,13 +1,9 @@
 """Membership, facets, edges, lattice points, and volume."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations, product, takewhile
 from operator import lt, sub
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +36,8 @@ from degpoly.polytope import (
     koren_oracle,
     monotone_inequality,
 )
-from degpoly.threshold import enumerate_threshold_partitions, is_threshold_partition
+from degpoly.threshold import _creation_word, enumerate_threshold_partitions, is_threshold_partition
+from python_o import run_under_python_O
 from rational_data import random_rational_vector
 
 F = Fraction
@@ -167,10 +164,6 @@ def test_membership_is_invariant_under_complementation(x, in_order):
 def _image(n, f):
     """The constraint phi maps f to: prefix-suffix (k, l) to (l, k), monotone i to n - i."""
     return fhm_inequality(n, f.l, f.k) if f.kind == "fhm" else monotone_inequality(n, n - f.i)
-
-
-def _excess(f, x):
-    return f.value(x) - f.rhs
 
 
 @settings(max_examples=300)
@@ -506,7 +499,9 @@ def test_rank_oracle_matches_the_edge_rule_on_near_misses_at_n20():
     # evenly spaced creation words, no seed; 2^19 vertices are far too many to list
     n, m = 20, 48
     assert [_threshold_from_word(6, w) for w in range(32)] == list(enumerate_threshold_partitions(6))
-    vertices = [_threshold_from_word(n, i * (2 ** (n - 1) - 1) // (m - 1)) for i in range(m)]
+    words = [i * (2 ** (n - 1) - 1) // (m - 1) for i in range(m)]
+    vertices = [_threshold_from_word(n, w) for w in words]
+    assert [_creation_word(v) for v in vertices] == words
     adjacent = [
         (d, e)
         for d in vertices[::8]
@@ -719,16 +714,6 @@ def test_facet_inequality_serialization_shape():
     assert (m.kind, m.k, m.l, m.i) == ("monotone", None, None, 2)
 
 
-def _run_under_python_O(script):
-    """Run ``script`` with ``python -O`` against this checkout; return its stdout words."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    return out.stdout.split()
-
-
 def test_volume_cross_check_raises_under_python_O():
     # the cross-check must not be an assert that -O strips
     script = (
@@ -741,7 +726,7 @@ def test_volume_cross_check_raises_under_python_O():
         "except AssertionError:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
-    assert _run_under_python_O(script) == ["raised", "1"]
+    assert run_under_python_O(script).split() == ["raised", "1"]
 
 
 def test_count_edges_rejects_a_bad_enumeration_under_python_O():
@@ -762,4 +747,4 @@ def test_count_edges_rejects_a_bad_enumeration_under_python_O():
         "except ValueError:\n"
         "    print('rejected')\n"
     )
-    assert _run_under_python_O(script) == ["raised", "1", "raised", "1", "rejected"]
+    assert run_under_python_O(script).split() == ["raised", "1", "raised", "1", "rejected"]

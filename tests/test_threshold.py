@@ -1,11 +1,7 @@
 """Threshold partitions and the order ideals of the pair poset (r = 2)."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,6 +18,7 @@ from degpoly.hypergraph import (
 )
 from degpoly.optimize import MODES, _degree_sweep, optimal_threshold_partition
 from degpoly.threshold import (
+    _creation_word,
     degree_partition_of_ideal,
     enumerate_threshold_partitions,
     graph_from_weights,
@@ -29,6 +26,7 @@ from degpoly.threshold import (
     is_threshold_partition,
     proper_threshold_oracle,
 )
+from python_o import run_under_python_O
 
 F = Fraction
 
@@ -129,11 +127,10 @@ def test_enumerate_threshold_partitions_small():
 
 
 def test_enumerate_threshold_partitions_counts_and_validity():
-    for n in range(1, 11):
+    # entry w decodes to creation word w, so the 2^(n-1) entries are distinct threshold partitions
+    for n in range(1, 13):
         tps = enumerate_threshold_partitions(n)
-        assert len(tps) == 2 ** (n - 1)
-        assert len(set(tps)) == len(tps)
-        assert all(is_threshold_partition(d) for d in tps)
+        assert [_creation_word(d) for d in tps] == list(range(2 ** (n - 1)))
 
 
 def test_enumeration_bound_enforced(monkeypatch):
@@ -148,8 +145,8 @@ def test_enumeration_bound_enforced(monkeypatch):
         enumerate_threshold_partitions(6)
 
 
-def test_peel_ideals_match_r_ideal_walk():
-    # the peel's ideals, one per threshold partition, are exactly the ideals
+def test_shifted_shape_ideals_match_r_ideal_walk():
+    # the shifted shapes, one per threshold partition, are exactly the ideals
     # the include/exclude walk of the r-subset poset finds at r = 2
     for n in range(1, 7):
         tps = enumerate_threshold_partitions(n)
@@ -244,12 +241,7 @@ def test_ideal_degree_check_raises_under_python_O():
         "except AssertionError:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["raised", "1"]
+    assert run_under_python_O(script).split() == ["raised", "1"]
 
 
 def test_producers_check_closure_under_python_O():
@@ -270,12 +262,7 @@ def test_producers_check_closure_under_python_O():
         "    except AssertionError:\n"
         "        print('raised', sys.flags.optimize)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["raised", "1"] * 2
+    assert run_under_python_O(script).split() == ["raised", "1"] * 2
 
 
 def test_proper_threshold_oracle_agrees_exhaustively():
