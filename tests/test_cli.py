@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,11 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degpoly import core, hypergraph, polytope, runs
-from degpoly.cli import DEFAULT_SEED, jsonify, main, make_check, parse_cost_pairs, parse_int_seq
+from degpoly.cli import DEFAULT_SEED, SUITES, _report_text, build_parser, jsonify, main, make_check, parse_cost_pairs, parse_int_seq
 from degpoly.optimize import optimality_certificate
 from fractions import Fraction
-from math import gcd, lcm
-from python_o import run_under_python_O
+from math import gcd, inf, lcm, nan
+from python_o import SRC, run_under_python_O
 
 
 # stdout and exit status of main() for fixed argv lists, recorded once; any
@@ -541,23 +543,47 @@ def test_internal_error_exits_3_from_every_command(capsys, monkeypatch, error, d
     assert (code, report, err) == (3, None, f"internal error: {dependency} broke\n")
 
 
-def _leak_a_fraction(monkeypatch, where):
-    """Make a verify suite or a command leave a Fraction in its report; return the argv that runs it."""
+# a value no report may hold, left in one by a command: the writer raises on each
+_NOT_JSON_READY = {
+    "command": (1, Fraction(1, 2)),
+    "fraction-list": [Fraction(1, 2), Fraction(3, 2)],
+    "set": {1, 2},
+    "int-key": {1: "one"},
+    # 5,000 digits is past the 4,300 that str prints by default
+    "long-int-in-list": [1, 10**5000],
+}
+
+
+def _leak(monkeypatch, where):
+    """Make a verify suite or a command leave a value that is not JSON-ready in its report; return its argv."""
     import degpoly.cli as cli_module
 
     if where == "suite":
         monkeypatch.setitem(cli_module.SUITES, "edges", (3, 10, lambda n, seed, samples: ({"leak": Fraction(1, 2)}, [])))
         return ("verify", "--n", "3", "--suite", "edges")
-    monkeypatch.setattr(cli_module, "cmd_recognize", lambda args: {"checks": [], "leak": (1, Fraction(1, 2))})
+    monkeypatch.setattr(cli_module, "cmd_recognize", lambda args: {"checks": [], "leak": _NOT_JSON_READY[where]})
     return ("recognize", "--seq", "2,1,1")
 
 
-@pytest.mark.parametrize("where", ["suite", "command"])
+@pytest.mark.parametrize("where", ["suite", *_NOT_JSON_READY])
 def test_a_report_that_is_not_json_ready_exits_3(capsys, monkeypatch, where):
-    # reports go to json.dumps as built: a Fraction left in one is the program's fault, not text
-    code, report, err = run(capsys, *_leak_a_fraction(monkeypatch, where))
+    # reports are written as built: a value the writer refuses is the program's fault, not text
+    code, report, err = run(capsys, *_leak(monkeypatch, where))
     assert (code, report) == (3, None)
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [("optimize", "--costs=1,2"), ("recognize", "--seq=1,1")], ids=" ".join)
+def test_a_failed_report_write_exits_3(argv):
+    # every write to /dev/full fails with ENOSPC: the report is written and flushed inside main's try
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "degpoly.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+        )
+    assert done.returncode == 3
+    assert done.stderr.startswith("internal error: ") and done.stderr.count("\n") == 1
 
 
 def _reciprocal_primes(k, sign=""):
@@ -706,6 +732,59 @@ def test_golden_reports_byte_identical(capsys, case):
     code = main(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
+
+
+def _oracle_text(tree):
+    """The writer's oracle: the text the standard library prints for ``tree``."""
+    return json.dumps(tree, indent=2, sort_keys=True)
+
+
+_leaves = [
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats() | st.sampled_from([nan, inf, -inf, -0.0]),
+    st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028é😀')),
+]
+# lists of one leaf type take the writer's one-join route; bools mixed with ints do not
+_flat_lists = st.one_of(*(st.lists(leaf) for leaf in _leaves), st.lists(st.booleans() | st.integers()))
+_trees = st.recursive(
+    st.one_of(*_leaves, _flat_lists),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_leaves[-1], kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_trees)
+def test_report_text_matches_json_dumps(tree):
+    assert _report_text(tree) == _oracle_text(tree)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_report_text_matches_json_dumps_on_golden_reports(case):
+    if case["stdout"]:
+        tree = json.loads(case["stdout"])
+        assert _report_text(tree) == _oracle_text(tree)
+        assert _report_text(tree) + "\n" == case["stdout"]
+
+
+_COSTS_256 = ",".join(f"{(37 * i) % 201 - 100}/{i % 10 + 1}" for i in range(256))
+# one live report per shape: optimize in both modes, recognize on each route, every verify suite
+_LIVE = {
+    **{f"optimize n=256 {mode}": ("optimize", f"--costs={_COSTS_256}", "--mode", mode) for mode in ("max", "min")},
+    "recognize n=200": ("recognize", "--seq=" + ",".join(str((7 * i) % 200) for i in range(200))),
+    "recognize r=3": ("recognize", "--seq=3,3,2,2,2", "--r", "3"),
+    **{f"verify {suite}": ("verify", "--suite", suite, "--n", str(lo), "--samples", "1000") for suite, (lo, _, _) in SUITES.items()},
+}
+
+
+@pytest.mark.parametrize("argv", _LIVE.values(), ids=_LIVE)
+def test_report_text_matches_json_dumps_on_live_reports(argv):
+    args = build_parser().parse_args(list(argv))
+    report = args.run(args)
+    assert _report_text(report) == _oracle_text(report)
 
 
 def test_golden_reports_byte_identical_under_python_O():
