@@ -34,16 +34,17 @@ stands with ``_report_text``, which prints the bytes of
 ``json.dumps(report, indent=2, sort_keys=True)``, the writer's oracle in
 the tests: a rational becomes a string like "3/2" (an integer plainly,
 like "4") once, where the report is built, and tuples print as lists.
-``json.dumps`` with an indent runs the pure-Python encoder; the writer
-joins each list of one leaf type in one call, C for strs and ints,
-which takes an ``optimize`` report at n = 256 from about 0.78 to
-0.30 ms.  A leaf that is not exactly a str, int, float, bool or None
-and a dict key that is not a str raise ``TypeError``, and an int too
-long for ``str`` raises ``ValueError``: each exits 3.  The report is
-written and flushed inside the same ``try``, so a failed write, such as
-to a full disk or a closed pipe, exits 3 too.  The certificate's base and
-coefficients are written from its integers, one block mean per block,
-with no ``Fraction`` built per entry.  The one randomized suite, volume3,
+The writer joins each list of one leaf type in one call, C for strs and
+ints (measured in ``BENCH_29.json``).  A leaf that is not exactly a
+str, int, float, bool or None and a dict key that is not a str raise
+``TypeError``, and an int too long for ``str`` raises ``ValueError``:
+each exits 3.  The report is written and flushed inside the same
+``try``, so a failed write, such as to a full disk or a closed pipe,
+exits 3 too; part of the report may already be out.  Stdout is then
+pointed at ``os.devnull``, so that the flush at exit does not report the
+failure again.  The certificate's base and coefficients are written
+from its integers, one block mean per block, with no ``Fraction`` built
+per entry.  The one randomized suite, volume3,
 samples from ``random.Random(--seed)``, and --seed defaults to
 ``DEFAULT_SEED``, so identical flags give identical reports.
 """
@@ -51,6 +52,8 @@ samples from ``random.Random(--seed)``, and --seed defaults to
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import re
 import sys
 from fractions import Fraction
@@ -572,14 +575,33 @@ def _report_text(value: Any, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _write_report(text: str) -> None:
+    """Print ``text`` to stdout and flush it; a failed write raises, with stdout pointed at ``os.devnull``.
+
+    A stream whose flush failed may still hold bytes, and the interpreter
+    flushes stdout again at exit; there they go to ``os.devnull``, so the
+    failure is not reported a second time (with exit status 120).  Part of
+    the text may already be out when the write fails.
+    """
+    try:
+        print(text, flush=True)
+    except OSError:
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor holds no bytes for exit
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        raise
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.run(args)
         text = _report_text(report)
         passed = all(c["pass"] for c in report["checks"])
-        # flushed here, so that a failed write, to a full disk or a closed pipe, exits 3
-        print(text, flush=True)
+        # written here, so that a failed write, to a full disk or a closed pipe, exits 3
+        _write_report(text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -586,6 +586,45 @@ def test_a_failed_report_write_exits_3(argv):
     assert done.stderr.startswith("internal error: ") and done.stderr.count("\n") == 1
 
 
+# a stdout that keeps what a failed flush could not write, as a buffered stream
+# may, so that the interpreter's flush at exit writes it to the same descriptor again
+_KEEPING_STDOUT = """
+import os, sys
+from degpoly.cli import main
+
+class KeepingStdout:
+    closed = False
+    pending = b""
+
+    def write(self, text):
+        self.pending += text.encode()
+        return len(text)
+
+    def flush(self):
+        while self.pending:
+            self.pending = self.pending[os.write(1, self.pending):]
+
+    def fileno(self):
+        return 1
+
+sys.stdout = KeepingStdout()
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+def test_a_failed_report_write_is_not_reported_again_at_exit():
+    # without stdout pointed at os.devnull, the flush at exit fails again: a second report on stderr and exit 120
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-c", _KEEPING_STDOUT, "optimize", "--costs=1,2"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert done.returncode == 3
+    assert done.stderr.startswith("internal error: ") and done.stderr.count("\n") == 1
+
+
 def _reciprocal_primes(k, sign=""):
     """Costs 1/p (or -1/p, with ``sign="-"``) for the first k primes p, largest p first."""
     primes = []
