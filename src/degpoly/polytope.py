@@ -64,7 +64,7 @@ from .hypergraph import enumerate_degree_partitions
 from .threshold import enumerate_threshold_partitions, is_threshold_partition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacetInequality:
     """One linear constraint a . x <= rhs over integer coefficients.
 
@@ -109,7 +109,7 @@ def fhm_inequality(n: int, k: int, l: int) -> FacetInequality:
     return FacetInequality("fhm", coeff, k * (n - 1 - l), k=k, l=l)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FhmMembership:
     """Verdict of :func:`in_fhm_polytope` and the constraints behind it.
 
@@ -148,9 +148,9 @@ def in_fhm_polytope(x: Sequence[Rational], scale: int = 1) -> FhmMembership:
     n = len(vec)
     if n < 1:
         raise ValueError("membership needs a nonempty vector")
-    ascent = next((i for i in range(1, n) if vec[i - 1] < vec[i]), None)
-    if ascent is not None:
-        return FhmMembership(False, (monotone_inequality(n, ascent),))
+    for i in range(1, n):
+        if vec[i - 1] < vec[i]:
+            return FhmMembership(False, (monotone_inequality(n, i),))
     # suf[l] is the sum of the last l entries
     suf = list(accumulate(reversed(vec), initial=0))
     # (0, 0) is no constraint, but its excess 0 is never a violation
@@ -195,14 +195,16 @@ def fhm_violations(x: Sequence[Rational]) -> tuple[FacetInequality, ...]:
     return tuple(violations)
 
 
-def in_koren_polytope(x: Sequence[Rational]) -> bool:
-    """Unordered membership: every disjoint S, T obey the subset bound.
+def in_koren_polytope(x: Sequence[Rational], scale: int = 1) -> bool:
+    """Unordered membership of x / ``scale``: every disjoint S, T obey the subset bound.
 
-    Clears the denominators once, sorts the integer numerators
-    decreasingly (a positive common denominator D keeps their order) and
-    defers to :func:`in_fhm_polytope` with D as its scale.
+    ``scale`` is a positive ``int``, as for :func:`in_fhm_polytope`, so
+    a caller with integer numerators over one denominator passes them as
+    they are.  Clears the denominators once, to D times ``scale``, sorts
+    the integer numerators decreasingly (a positive D keeps their order)
+    and defers to :func:`in_fhm_polytope` with D as its scale.
     """
-    vec, scale = clear_denominators(x)
+    vec, scale = clear_denominators(x, scale)
     return in_fhm_polytope(sorted(vec, reverse=True), scale).member
 
 
@@ -487,8 +489,8 @@ class VolumeEstimate:
     estimate: Fraction
 
 
-# Samples are dyadic rationals k / 2^30 in [0, 2); membership clears the
-# common denominator and compares integers, which is the same exact test.
+# Samples are dyadic rationals k / 2^30 in [0, 2), kept as the integers k:
+# membership compares integers over the one denominator, the same exact test.
 _SCALE_BITS = 30
 _SCALE = 1 << _SCALE_BITS
 # Leading samples also decided by in_koren_polytope, to pin the fast path.
@@ -515,10 +517,12 @@ def ds3_volume_estimate(samples: int, seed: int) -> VolumeEstimate:
     """Monte Carlo volume of the unordered degree region inside [0,2]^3.
 
     Every membership decision is exact: coordinates are dyadic rationals
-    and the subset bounds are evaluated in integer arithmetic after
-    clearing the denominator.  The first ``_CROSS_CHECK_SAMPLES`` samples
-    are also routed through :func:`in_koren_polytope`, one at a time, and
-    a disagreement raises ``AssertionError``, also under ``python -O``;
+    k / 2^30, drawn and kept as the integers k, and the subset bounds are
+    evaluated in integer arithmetic over that one denominator.  The first
+    ``_CROSS_CHECK_SAMPLES`` samples are also handed to
+    :func:`in_koren_polytope` as those integers with 2^30 as its scale,
+    no ``Fraction`` per sample, one at a time, and a disagreement raises
+    ``AssertionError``, also under ``python -O``;
     the rest of the stream, three ``getrandbits(31)`` per sample, is
     counted in one pass.  Randomness enters only through the seeded
     generator; the estimate itself is the exact rational 8 * hits / samples.
@@ -531,7 +535,7 @@ def ds3_volume_estimate(samples: int, seed: int) -> VolumeEstimate:
     for idx in range(checked):
         a, b, c = draw(_SCALE_BITS + 1), draw(_SCALE_BITS + 1), draw(_SCALE_BITS + 1)
         member = _koren3_scaled(a, b, c)
-        reference = in_koren_polytope((Fraction(a, _SCALE), Fraction(b, _SCALE), Fraction(c, _SCALE)))
+        reference = in_koren_polytope((a, b, c), _SCALE)
         if member != reference:
             raise AssertionError(
                 f"integer test says {member} but in_koren_polytope says {reference} "

@@ -1,6 +1,7 @@
 """Membership, facets, edges, lattice points, and volume."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product, takewhile
 from operator import lt, sub
@@ -18,6 +19,7 @@ from degpoly.core import (
 )
 from degpoly.polytope import (
     FacetInequality,
+    FhmMembership,
     affine_rank,
     are_adjacent,
     count_edges,
@@ -247,6 +249,26 @@ def test_membership_over_a_scale_decides_the_quotient(data):
 def test_a_membership_scale_must_be_a_positive_int(scale):
     with pytest.raises(ValueError, match="scale must be a positive int"):
         in_fhm_polytope((2, 1, 1), scale)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_unordered_membership_over_a_scale_decides_the_quotient(data):
+    # the volume3 cross-check hands in_koren_polytope its samples as numerators over 2^30;
+    # the Fractions themselves, and for n <= 7 the 3^n enumeration, are the oracles
+    n, scale = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 60))
+    numerators = data.draw(_scaled_numerators(n, scale).flatmap(st.permutations))
+    quotient = [F(c, scale) for c in numerators]
+    member = in_koren_polytope(numerators, scale)
+    assert member == in_koren_polytope(quotient)
+    if n <= 7:
+        assert member == koren_oracle(quotient)
+
+
+@pytest.mark.parametrize("scale", [0, -1, F(3, 2), F(2), 2.0, True])
+def test_an_unordered_membership_scale_must_be_a_positive_int(scale):
+    with pytest.raises(ValueError, match="scale must be a positive int"):
+        in_koren_polytope((1, 2, 1), scale)
 
 
 def _inequalities(n):
@@ -683,7 +705,7 @@ def test_ds3_volume_estimate_deterministic_and_close():
 def test_volume_estimate_cross_checks_the_leading_samples_and_counts_the_rest(monkeypatch, samples):
     calls, tested = [], []
     real, real_scaled = polytope.in_koren_polytope, polytope._koren3_scaled
-    monkeypatch.setattr(polytope, "in_koren_polytope", lambda x: calls.append(x) or real(x))
+    monkeypatch.setattr(polytope, "in_koren_polytope", lambda x, scale: calls.append((x, scale)) or real(x, scale))
     monkeypatch.setattr(polytope, "_koren3_scaled", lambda *point: tested.append(point) or real_scaled(*point))
     est = ds3_volume_estimate(samples=samples, seed=DEFAULT_SEED)
     # the reference: one sample at a time, three draws each, from the same seeded stream
@@ -691,17 +713,19 @@ def test_volume_estimate_cross_checks_the_leading_samples_and_counts_the_rest(mo
     points = [(rng.getrandbits(31), rng.getrandbits(31), rng.getrandbits(31)) for _ in range(samples)]
     assert tested == points
     assert len(calls) == min(samples, 10_000)
-    assert calls == [tuple(F(v, 1 << 30) for v in point) for point in points[: len(calls)]]
+    assert calls == [(point, 1 << 30) for point in points[: len(calls)]]
     assert (est.samples, est.hits) == (samples, sum(map(real_scaled, *zip(*points))))
 
 
 def test_scaled_n3_test_matches_in_koren_polytope_on_the_boundary():
     # random samples never land on a facet; every point of {0, 1/4, ..., 2}^3 is checked,
-    # so a strict inequality in place of a facet's <= fails here
+    # so a strict inequality in place of a facet's <= fails here, in either integer route
     verdicts = set()
     for point in product([F(k, 4) for k in range(9)], repeat=3):
         member = in_koren_polytope(point)
-        assert polytope._koren3_scaled(*(int(x * polytope._SCALE) for x in point)) == member, point
+        ints = tuple(int(x * polytope._SCALE) for x in point)
+        assert polytope._koren3_scaled(*ints) == member, point
+        assert in_koren_polytope(ints, polytope._SCALE) == member, point
         verdicts.add(member)
     assert verdicts == {True, False}
 
@@ -712,6 +736,21 @@ def test_facet_inequality_serialization_shape():
     assert (f.kind, f.k, f.l, f.i) == ("fhm", 1, 3, None)
     m = monotone_inequality(4, 2)
     assert (m.kind, m.k, m.l, m.i) == ("monotone", None, None, 2)
+
+
+def test_slotted_rows_and_verdicts_keep_their_value_semantics():
+    row, again = fhm_inequality(6, 2, 1), fhm_inequality(6, 2, 1)
+    verdict, same = in_fhm_polytope((0, 1)), in_fhm_polytope((0, 1))
+    for value, twin, field in ((row, again, "rhs"), (verdict, same, "member")):
+        assert not hasattr(value, "__dict__")
+        assert value is not twin and value == twin and hash(value) == hash(twin)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, 0)
+    assert isinstance(verdict, FhmMembership) and verdict.violations == (monotone_inequality(2, 1),)
+    assert len({row, again, fhm_inequality(6, 1, 2), monotone_inequality(6, 2)}) == 3
+    for n in range(4, 11):
+        # the facet list stays duplicate-free as a set of rows
+        assert len(set(facet_inequalities(n))) == len(facet_inequalities(n)) == (n * n - 3 * n + 12) // 2
 
 
 def test_volume_cross_check_raises_under_python_O():
