@@ -25,7 +25,6 @@ from .hypergraph import (
     degree_sequence,
     enumerate_degree_partitions,
     enumerate_r_ideals,
-    format_hypergraph,
     havel_hakimi,
     is_r_graphical_partition,
     is_r_ideal,

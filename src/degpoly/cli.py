@@ -9,9 +9,10 @@ never reads as a failed check or a bad flag.  ``verify`` refuses an n
 outside its suite's range and a nonpositive --samples before any suite
 runs.  A ``recognize`` verdict is graph membership for r = 2 and the
 majorization chain's realization for any other r; only r = 2 with
-C(n, 2) <= 20 checks one against the other.  The witness is printed as ``realize_r_graph``
-returns it, already in the input's vertex labels.  The lattice-points
-suite walks no edge sets: each even-sum candidate's "yes" from graphs
+C(n, 2) <= 20 checks one against the other.  The witness is printed
+once, as a JSON edge list, as ``realize_r_graph`` returns it, already in
+the input's vertex labels.  The lattice-points suite walks no edge
+sets: each even-sum candidate's "yes" from graphs
 is a ``havel_hakimi`` witness whose degrees the suite recomputes, and
 its "no" from the polytope is the inequality ``in_fhm_polytope`` names,
 evaluated again at the candidate.
@@ -35,12 +36,13 @@ stands with ``_report_text``, which prints the bytes of
 the tests: a rational becomes a string like "3/2" (an integer plainly,
 like "4") once, where the report is built, and tuples print as lists.
 The writer joins each list of one leaf type in one call, C for strs and
-ints (measured in ``BENCH_29.json``).  A leaf that is not exactly a
-str, int, float, bool or None and a dict key that is not a str raise
-``TypeError``, and an int too long for ``str`` raises ``ValueError``:
-each exits 3.  The report is written and flushed inside the same
-``try``, so a failed write, such as to a full disk or a closed pipe,
-exits 3 too; part of the report may already be out.  Stdout is then
+ints (measured in ``BENCH_29.json``).  Every leaf is exact: a leaf that
+is not exactly a str, int, bool or None, a float or a ``Fraction``
+included, and a dict key that is not a str raise ``TypeError``, and an
+int too long for ``str`` raises ``ValueError``: each exits 3.  The
+report is written and flushed inside the same ``try``, so a failed
+write, such as to a full disk or a closed pipe, exits 3 too; part of
+the report may already be out.  Stdout is then
 pointed at ``os.devnull``, so that the flush at exit does not report the
 failure again.  The certificate's base and coefficients are written
 from its integers, one block mean per block, with no ``Fraction`` built
@@ -58,7 +60,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import comb, gcd, inf
+from math import comb, gcd
 from typing import Any, Callable, Sequence
 
 from .core import bounded_partitions, clear_denominators, clear_ratios, ratio_text, sort_decreasing
@@ -66,7 +68,6 @@ from .hypergraph import (
     POSET_SIZE_BOUND,
     degree_sequence,
     enumerate_degree_partitions,
-    format_hypergraph,
     havel_hakimi,
     is_r_graphical_partition,
     realize_r_graph,
@@ -115,7 +116,7 @@ def jsonify(obj: Any) -> Any:
     """
     # plain scalars first: Fraction's ABC metaclass makes isinstance slow
     # on each of a check's many ints
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
@@ -406,7 +407,6 @@ def _suite_volume3(n: int, seed: int, samples: int) -> SuiteReport:
         "samples": estimate.samples,
         "hits": estimate.hits,
         "estimate": str(estimate.estimate),
-        "estimate_float": float(estimate.estimate),
         "seed": seed,
     }
     checks = [
@@ -467,7 +467,7 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
         raise UsageError(
             f"recognition for r != 2 needs C(n, r) <= {POSET_SIZE_BOUND}, got {comb(n, r)}"
         )
-    witness_edges = witness_text = None
+    witness_edges = None
     witness = realize_r_graph(seq, n, r) if small_poset else None
     graphical = is_degree_sequence(seq) if r == 2 else witness is not None
     checks = []
@@ -477,7 +477,6 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
     if witness is not None:
         checks.append(make_check("witness-degrees-match-input", seq, degree_sequence(witness)))
         witness_edges = sorted(witness.edges)
-        witness_text = format_hypergraph(witness_edges)
     return {
         "command": "recognize",
         "inputs": {"seq": seq, "r": r, "n": n},
@@ -485,7 +484,6 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
             "graphical": graphical,
             "degree_partition": sort_decreasing(seq),
             "witness_edges": witness_edges,
-            "witness_text": witness_text,
         },
         "checks": checks,
     }
@@ -526,22 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _float_text(value: float) -> str:
-    """A float as ``json.dumps`` writes it: NaN and the infinities by name, any other by ``repr``."""
-    if value != value:
-        return "NaN"
-    if value == inf:
-        return "Infinity"
-    if value == -inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 # a leaf's printer, looked up by its exact type; a subclass, such as an IntEnum, has none
 _LEAF_TEXT: dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
@@ -550,9 +536,9 @@ _LEAF_TEXT: dict[type, Callable[[Any], str]] = {
 def _report_text(value: Any, newline: str = "\n") -> str:
     """The text ``json.dumps(value, indent=2, sort_keys=True)`` prints, for a value of exact JSON types.
 
-    A leaf must be exactly a str, int, float, bool or None, and a dict key
-    a str; any other value raises ``TypeError``.  ``newline`` ends with the
-    indent of the line ``value`` starts on.
+    A leaf must be exactly a str, int, bool or None, and a dict key a
+    str; any other value, a float included, raises ``TypeError``.
+    ``newline`` ends with the indent of the line ``value`` starts on.
     """
     leaf = _LEAF_TEXT.get(type(value))
     if leaf is not None:

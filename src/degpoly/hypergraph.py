@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     IntSequence,
@@ -355,8 +355,3 @@ def brute_force_r_graphical(d: Sequence[int], n: int, r: int) -> bool:
     A total not divisible by r gives no partition, which no set holds.
     """
     return _degree_query(d, n, r) in enumerate_degree_partitions(n, r)
-
-
-def format_hypergraph(edges: Iterable[RSubset]) -> str:
-    """Edges sorted, one per line, labels separated by spaces."""
-    return "\n".join(" ".join(str(v) for v in edge) for edge in sorted(edges))

@@ -200,12 +200,11 @@ def in_koren_polytope(x: Sequence[Rational], scale: int = 1) -> bool:
 
     ``scale`` is a positive ``int``, as for :func:`in_fhm_polytope`, so
     a caller with integer numerators over one denominator passes them as
-    they are.  Clears the denominators once, to D times ``scale``, sorts
-    the integer numerators decreasingly (a positive D keeps their order)
-    and defers to :func:`in_fhm_polytope` with D as its scale.
+    they are.  Sorts x decreasingly and defers to :func:`in_fhm_polytope`,
+    which clears the denominators once: a positive common denominator
+    keeps the order, so the sorted numerators are those of sorted x.
     """
-    vec, scale = clear_denominators(x, scale)
-    return in_fhm_polytope(sorted(vec, reverse=True), scale).member
+    return in_fhm_polytope(sorted(x, reverse=True), scale).member
 
 
 def koren_oracle(x: Sequence[Rational]) -> bool:

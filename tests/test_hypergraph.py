@@ -17,7 +17,6 @@ from degpoly.hypergraph import (
     degree_sequence,
     enumerate_degree_partitions,
     enumerate_r_ideals,
-    format_hypergraph,
     havel_hakimi,
     is_r_graphical_partition,
     is_r_ideal,
@@ -431,13 +430,6 @@ def test_walk_refuses_more_than_21_edges_before_any_work(monkeypatch):
     for n, r, edges in ((8, 2, 28), (7, 3, 35)):
         with pytest.raises(ValueError, match=rf"C\(n, r\) <= 21, got {edges}"):
             enumerate_degree_partitions(n, r)
-
-
-def test_format_hypergraph():
-    # one sorted edge per line; graphs are the r = 2 case of the same format
-    assert format_hypergraph([(1, 2, 4), (1, 2, 3)]) == "1 2 3\n1 2 4"
-    assert format_hypergraph([(2, 3), (1, 2), (1, 3)]) == "1 2\n1 3\n2 3"
-    assert format_hypergraph([]) == ""
 
 
 def test_realization_check_raises_under_python_O():

@@ -271,6 +271,16 @@ def test_an_unordered_membership_scale_must_be_a_positive_int(scale):
         in_koren_polytope((1, 2, 1), scale)
 
 
+@pytest.mark.parametrize("x", [(1, 2, 1), (F(1, 2), 2, F(3, 2)), (F(7, 3), F(1, 6)), (0, 2, 1)], ids=str)
+def test_unordered_membership_clears_its_input_once(monkeypatch, x):
+    # in_koren_polytope sorts x as given and leaves the one clearing to in_fhm_polytope
+    calls = []
+    real = polytope.clear_denominators
+    monkeypatch.setattr(polytope, "clear_denominators", lambda *a: calls.append(a) or real(*a))
+    in_koren_polytope(x, 3)
+    assert len(calls) == 1
+
+
 def _inequalities(n):
     """A monotone or prefix-suffix inequality on [n]."""
     monotone = st.integers(1, n - 1).map(lambda i: monotone_inequality(n, i)) if n > 1 else st.nothing()
@@ -380,12 +390,13 @@ def test_koren_oracle_agrees_with_in_koren_polytope():
         (in_fhm_polytope, ((),), "nonempty"),
         (fhm_violations, ((),), "nonempty"),
         (koren_oracle, ((),), "nonempty"),
+        (in_koren_polytope, ((),), "nonempty"),
         (monotone_inequality, (4, 0), "monotone index"),
         (fhm_inequality, (4, 0, 0), "1 <= k \\+ l"),
         # (1, 1) is a valid constraint at n = 4, but not a facet
         (irredundancy_witness, (4, fhm_inequality(4, 1, 1), []), "outside the facet list"),
     ],
-    ids=["in_fhm_polytope-empty", "fhm_violations-empty", "koren_oracle-empty", "monotone-i0", "fhm-k0-l0", "witness-non-facet"],
+    ids=["in_fhm_polytope-empty", "fhm_violations-empty", "koren_oracle-empty", "in_koren_polytope-empty", "monotone-i0", "fhm-k0-l0", "witness-non-facet"],
 )
 def test_polytope_refuses_out_of_range_input(refuse, args, match):
     with pytest.raises(ValueError, match=match):
