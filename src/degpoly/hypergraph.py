@@ -17,10 +17,14 @@ poset, its ideals are the proper threshold graphs of
 edges)``, as :func:`enumerate_r_ideals` does at every r, and tests
 closure with :func:`is_r_ideal`.
 
-One brute-force walk is the independent oracle of both directions, at any r:
-:func:`enumerate_degree_partitions` visits all 2^C(n, r) edge sets in
-Gray-code order and refuses C(n, r) > 21 before it starts, and
-:func:`brute_force_r_graphical` is membership in its result.
+One brute-force enumeration is the independent oracle of both
+directions, at any r: :func:`enumerate_degree_partitions` grows the set
+of labelled degree tuples of all 2^C(n, r) edge sets one edge at a time,
+with no majorization and no ideal, and refuses C(n, r) > 21 before it
+starts; :func:`brute_force_r_graphical` is membership in its result.
+The recognition side tabulates, once per (n, r), each total's ideal
+partitions, so a query is a lookup and a scan for the first that
+majorizes it.
 
 At r = 2 the Havel-Hakimi greedy construction, :func:`havel_hakimi`,
 builds a witness graph for any n, or shows that none exists; the
@@ -34,7 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from math import comb
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     IntSequence,
@@ -210,22 +215,31 @@ def enumerate_r_ideals(n: int, r: int) -> tuple[RGraph, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _ideal_partitions(n: int, r: int) -> Mapping[int, tuple[tuple[Partition, RGraph], ...]]:
+    """Each total's distinct r-ideal partitions, lexicographic, each with its first enumerated ideal.
+
+    Built once per (n, r) from :func:`enumerate_r_ideals`, as a read-only
+    mapping, since every caller shares it; an ideal whose degrees do not
+    weakly decrease raises ``AssertionError``, also under ``python -O``.
+    """
+    picks: dict[int, dict[Partition, RGraph]] = {}
+    for ideal in enumerate_r_ideals(n, r):
+        part = degree_sequence(ideal)
+        if not is_weakly_decreasing(part):
+            raise AssertionError(f"ideal degrees must weakly decrease, got {part!r}")
+        picks.setdefault(len(ideal.edges) * r, {}).setdefault(part, ideal)
+    return MappingProxyType({total: tuple(sorted(by_part.items())) for total, by_part in picks.items()})
+
+
 def _majorizing_ideal(vec: Partition, n: int, r: int) -> tuple[Partition, RGraph] | None:
     """The lexicographically least r-ideal partition with the total of ``vec`` that majorizes it.
 
     Returned with the first enumerated ideal of that partition, or None
     when no r-ideal partition majorizes ``vec``.
     """
-    total = sum(vec)
-    picks: dict[Partition, RGraph] = {}
-    for ideal in enumerate_r_ideals(n, r):
-        if len(ideal.edges) * r != total:
-            continue
-        part = degree_sequence(ideal)
-        if not is_weakly_decreasing(part):
-            raise AssertionError(f"ideal degrees must weakly decrease, got {part!r}")
-        picks.setdefault(part, ideal)
-    return next(((part, ideal) for part, ideal in sorted(picks.items()) if majorizes(part, vec)), None)
+    candidates = _ideal_partitions(n, r).get(sum(vec), ())
+    return next(((part, ideal) for part, ideal in candidates if majorizes(part, vec)), None)
 
 
 def _degree_query(d: Sequence[int], n: int, r: int) -> Partition | None:
@@ -325,9 +339,13 @@ def havel_hakimi(d: Sequence[int]) -> RGraph | None:
 def enumerate_degree_partitions(n: int, r: int) -> frozenset[Partition]:
     """Degree partitions of all 2^C(n, r) r-graphs on [n], by brute force.
 
-    Walks the edge sets of :func:`r_subsets` in Gray-code order, so each
-    step flips one edge and updates its r degrees; the distinct labelled
-    degree tuples are sorted once at the end.  Refuses C(n, r) >
+    Grows the set of labelled degree tuples reachable with the first t
+    edges of :func:`r_subsets`: the next edge adds its r degrees to each
+    tuple reached so far, and the union with the old set is the new one.
+    Each tuple is kept as an integer with one byte per vertex, vertex 1
+    leading, so adding an edge is one integer addition; no degree reaches
+    a byte's 256, since it is at most C(n - 1, r - 1) <= C(n, r).  The
+    distinct tuples are sorted once at the end.  Refuses C(n, r) >
     BRUTE_FORCE_EDGES before any work.
     """
     _check_size(n, r)
@@ -335,18 +353,11 @@ def enumerate_degree_partitions(n: int, r: int) -> frozenset[Partition]:
         raise ValueError(
             f"brute-force enumeration needs C(n, r) <= {BRUTE_FORCE_EDGES}, got {comb(n, r)}"
         )
-    edges = r_subsets(n, r)
-    deg = [0] * n
-    seen = {tuple(deg)}
-    present = 0
-    for t in range(1, 1 << len(edges)):
-        bit = (t & -t).bit_length() - 1
-        present ^= 1 << bit
-        delta = 1 if present >> bit & 1 else -1
-        for v in edges[bit]:
-            deg[v - 1] += delta
-        seen.add(tuple(deg))
-    return frozenset(map(sort_decreasing, seen))
+    reached = {0}
+    for edge in r_subsets(n, r):
+        step = sum(1 << 8 * (n - v) for v in edge)
+        reached |= {key + step for key in reached}
+    return frozenset(sort_decreasing(key.to_bytes(n, "big")) for key in reached)
 
 
 def brute_force_r_graphical(d: Sequence[int], n: int, r: int) -> bool:

@@ -13,13 +13,16 @@ ranging over all index pairs of disjoint subsets S, T gives the
 unordered (Koren) version, whose membership reduces to sorting.
 
 Membership takes O(n) after the sort: for each k only one l can give
-the largest excess, and one pointer finds it for every k.  A failed
-test names one witness: the first violated monotone constraint, or
-else the most violated prefix-suffix inequality.  :func:`fhm_violations`
-keeps the full O(n^2) scan as the oracle, and :func:`koren_oracle` the
-3^n enumeration of disjoint S, T for the unordered version.  The one
-graph degree test, :func:`is_degree_sequence`, is unordered membership
-plus an even integer sum, so it takes sorted input as it takes any.
+the largest excess, and one pointer finds it for every k.  That sweep
+runs once, over cleared integers, and names the parameters of one
+witness: the first violated monotone constraint, or else the most
+violated prefix-suffix inequality.  :func:`in_fhm_polytope` builds that
+row; :func:`in_koren_polytope` only asks whether there is one, so it
+builds none.  :func:`fhm_violations` keeps the full O(n^2) scan as the
+oracle, and :func:`koren_oracle` the 3^n enumeration of disjoint S, T
+for the unordered version.  The one graph degree test,
+:func:`is_degree_sequence`, is unordered membership plus an even
+integer sum, so it takes sorted input as it takes any.
 
 This module keeps every test exact and makes it in integers where it
 can: integer input is decided in integers, rational input is cleared
@@ -127,7 +130,33 @@ class FhmMembership:
 def in_fhm_polytope(x: Sequence[Rational], scale: int = 1) -> FhmMembership:
     """Check x / ``scale`` against x_1 >= ... >= x_n and every prefix-suffix inequality, in O(n).
 
-    Once x is weakly decreasing, the excess of (k, l),
+    The sweep runs in integers: integer input as it is, rational input
+    after clearing one common denominator, with every bound scaled by D,
+    that denominator times ``scale`` (a positive ``int``, so a caller
+    with cleared numerators passes their denominator).  A positive D
+    keeps each excess's sign and their order, so the verdict and the
+    witness are those of x / ``scale`` itself.  The one row that the
+    sweep names becomes the witness; see :func:`_fhm_witness` for the
+    sweep and :class:`FhmMembership` for what ``violations`` holds.
+    """
+    vec, scale = clear_denominators(x, scale)
+    n = len(vec)
+    if n < 1:
+        raise ValueError("membership needs a nonempty vector")
+    witness = _fhm_witness(vec, scale)
+    if witness is None:
+        return FhmMembership(True, ())
+    row = monotone_inequality(n, *witness) if len(witness) == 1 else fhm_inequality(n, *witness)
+    return FhmMembership(False, (row,))
+
+
+def _fhm_witness(vec: Sequence[int], scale: int) -> tuple[int, ...] | None:
+    """The parameters of the witness against integers ``vec`` / ``scale``: ``(i,)``, ``(k, l)`` or None.
+
+    ``(i,)`` is the first ascent vec_i < vec_{i+1}; else ``(k, l)`` is
+    the most violated prefix-suffix inequality, the smallest on ties;
+    None means no constraint is violated.  Once vec is weakly
+    decreasing, the excess of (k, l),
 
         pre_k - suf_l - k (n - 1 - l)
             = pre_k - k (n - 1) + sum of (k - x_t) over the last l entries,
@@ -135,22 +164,14 @@ def in_fhm_polytope(x: Sequence[Rational], scale: int = 1) -> FhmMembership:
     grows with l while the next entry from the back is below k and
     shrinks after that, so for each k the best l is the number of
     entries below k, capped at n - k.  That count only grows with k,
-    so one pointer from the back of x finds the best l for every k
-    (Erdos and Gallai, 1960).  The sweep runs in integers: integer
-    input as it is, rational input after clearing one common
-    denominator, with every bound scaled by D, that denominator times
-    ``scale`` (a positive ``int``, so a caller with cleared numerators
-    passes their denominator).  A positive D keeps each excess's sign and
-    their order, so the verdict and the witness are those of x / ``scale``
-    itself.  See :class:`FhmMembership` for what ``violations`` holds.
+    so one pointer from the back finds the best l for every k (Erdos
+    and Gallai, 1960).  Every bound is multiplied by ``scale``, since
+    vec is ``scale`` times the point decided.
     """
-    vec, scale = clear_denominators(x, scale)
     n = len(vec)
-    if n < 1:
-        raise ValueError("membership needs a nonempty vector")
     for i in range(1, n):
         if vec[i - 1] < vec[i]:
-            return FhmMembership(False, (monotone_inequality(n, i),))
+            return (i,)
     # suf[l] is the sum of the last l entries
     suf = list(accumulate(reversed(vec), initial=0))
     # (0, 0) is no constraint, but its excess 0 is never a violation
@@ -167,9 +188,7 @@ def in_fhm_polytope(x: Sequence[Rational], scale: int = 1) -> FhmMembership:
         excess = pre - suf[l] - bound * (n - 1 - l)
         if excess > best:
             best, best_k, best_l = excess, k, l
-    if best > 0:
-        return FhmMembership(False, (fhm_inequality(n, best_k, best_l),))
-    return FhmMembership(True, ())
+    return (best_k, best_l) if best > 0 else None
 
 
 def fhm_violations(x: Sequence[Rational]) -> tuple[FacetInequality, ...]:
@@ -200,11 +219,14 @@ def in_koren_polytope(x: Sequence[Rational], scale: int = 1) -> bool:
 
     ``scale`` is a positive ``int``, as for :func:`in_fhm_polytope`, so
     a caller with integer numerators over one denominator passes them as
-    they are.  Sorts x decreasingly and defers to :func:`in_fhm_polytope`,
-    which clears the denominators once: a positive common denominator
-    keeps the order, so the sorted numerators are those of sorted x.
+    they are.  Clears x once, sorts the integers decreasingly (a positive
+    common denominator keeps the order) and runs :func:`_fhm_witness`,
+    so it builds no witness row: x is a member when the sweep names none.
     """
-    return in_fhm_polytope(sorted(x, reverse=True), scale).member
+    vec, scale = clear_denominators(x, scale)
+    if not vec:
+        raise ValueError("membership needs a nonempty vector")
+    return _fhm_witness(sorted(vec, reverse=True), scale) is None
 
 
 def koren_oracle(x: Sequence[Rational]) -> bool:

@@ -346,9 +346,9 @@ def test_recognize_r3(capsys):
 
 
 @pytest.mark.parametrize(
-    "seq, r, memberships, majorizations",
+    "seq, r, sweeps, majorizations",
     [
-        # r = 2: one membership sweep, and one majorizing-ideal table where
+        # r = 2: one membership sweep, and one majorizing-ideal lookup where
         # C(n, 2) <= 20 and none past it; an odd total needs neither
         ("2,1,1", 2, 1, 1),
         ("3,1,0", 2, 1, 1),
@@ -356,7 +356,7 @@ def test_recognize_r3(capsys):
         ("4,3,3,2,2,2,2", 2, 1, 0),
         ("6,1,1,1,1,1,1", 2, 1, 0),
         ("4,3,3,2,2,2,1", 2, 0, 0),
-        # r = 3: the realization is the verdict, so one table and no membership,
+        # r = 3: the realization is the verdict, so one lookup and no sweep,
         # and neither for a total that 3 does not divide
         ("2,2,1,1", 3, 0, 1),
         ("3,1,1,1", 3, 0, 1),
@@ -364,8 +364,9 @@ def test_recognize_r3(capsys):
         ("2,1,1,1", 3, 0, 0),
     ],
 )
-def test_recognize_reaches_each_verdict_by_one_route(capsys, monkeypatch, seq, r, memberships, majorizations):
-    calls = {"in_fhm_polytope": 0, "_majorizing_ideal": 0}
+def test_recognize_reaches_each_verdict_by_one_route(capsys, monkeypatch, seq, r, sweeps, majorizations):
+    # the r = 2 verdict is in_koren_polytope's, which runs the sweep without in_fhm_polytope
+    calls = {"_fhm_witness": 0, "_majorizing_ideal": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -376,11 +377,11 @@ def test_recognize_reaches_each_verdict_by_one_route(capsys, monkeypatch, seq, r
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(polytope, "in_fhm_polytope")
+    counted(polytope, "_fhm_witness")
     counted(hypergraph, "_majorizing_ideal")
     code, report, _ = run(capsys, "recognize", "--seq", seq, "--r", str(r))
     assert code == 0
-    assert calls == {"in_fhm_polytope": memberships, "_majorizing_ideal": majorizations}
+    assert calls == {"_fhm_witness": sweeps, "_majorizing_ideal": majorizations}
 
 
 def test_recognize_big_r3_rejected(capsys):

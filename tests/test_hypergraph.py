@@ -416,6 +416,43 @@ def test_walk_matches_a_scan_of_every_edge_set():
         assert enumerate_degree_partitions(n, r) == _degree_partitions_by_scan(n, r), (n, r)
 
 
+def _majorizing_ideal_by_scan(vec, n, r):
+    """The lexicographically least majorizing ideal partition of vec's total, scanning every ideal per call."""
+    total = sum(vec)
+    picks = {}
+    for ideal in enumerate_r_ideals(n, r):
+        if len(ideal.edges) * r == total:
+            picks.setdefault(degree_sequence(ideal), ideal)
+    return next(((part, ideal) for part, ideal in sorted(picks.items()) if majorizes(part, vec)), None)
+
+
+def test_majorizing_ideal_matches_a_scan_of_every_ideal():
+    # the per-(n, r) table must give the pair the per-call scan gives, None included,
+    # on every partition with entries up to C(n - 1, r - 1), whatever its total
+    cases = [(n, r) for n in range(1, 7) for r in range(1, n + 2) if comb(n, r) <= 20]
+    checked = found = 0
+    for n, r in cases:
+        for d in bounded_partitions(n, r * comb(n, r), max_entry=comb(n - 1, r - 1)):
+            pick = hypergraph._majorizing_ideal(d, n, r)
+            assert pick == _majorizing_ideal_by_scan(d, n, r), (n, r, d)
+            checked += 1
+            found += pick is not None
+    assert (len(cases), checked, found) == (27, 17_792, 711)
+
+
+def test_ideal_table_refuses_increasing_degrees_under_python_O():
+    script = (
+        "import sys\n"
+        "from degpoly import hypergraph\n"
+        "hypergraph.degree_sequence = lambda ideal: (0, 1)\n"
+        "try:\n"
+        "    hypergraph.is_r_graphical_partition((1, 1), 2, 2)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised', sys.flags.optimize, 'weakly decrease' in str(exc))\n"
+    )
+    assert run_under_python_O(script).split() == ["raised", "1", "True"]
+
+
 def test_walk_with_r_above_n_has_only_the_empty_graph():
     for n in (1, 3, 6):
         assert enumerate_degree_partitions(n, n + 1) == {(0,) * n}

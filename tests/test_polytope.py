@@ -265,6 +265,19 @@ def test_unordered_membership_over_a_scale_decides_the_quotient(data):
         assert member == koren_oracle(quotient)
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_unordered_membership_of_rationals_over_a_scale_matches_the_enumeration(data):
+    # in_koren_polytope clears x's own denominators and the scale at once, then sorts the
+    # integers; the 3^n enumeration of disjoint S, T on x / scale is the oracle
+    n, scale = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 12))
+    numerators = data.draw(_scaled_numerators(n, scale).flatmap(st.permutations))
+    denominators = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    nudges = data.draw(st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=n, max_size=n))
+    x = [F(c * q + e, q) if q > 1 else c for c, q, e in zip(numerators, denominators, nudges)]
+    assert in_koren_polytope(x, scale) == koren_oracle([F(v, scale) for v in x])
+
+
 @pytest.mark.parametrize("scale", [0, -1, F(3, 2), F(2), 2.0, True])
 def test_an_unordered_membership_scale_must_be_a_positive_int(scale):
     with pytest.raises(ValueError, match="scale must be a positive int"):
@@ -273,12 +286,30 @@ def test_an_unordered_membership_scale_must_be_a_positive_int(scale):
 
 @pytest.mark.parametrize("x", [(1, 2, 1), (F(1, 2), 2, F(3, 2)), (F(7, 3), F(1, 6)), (0, 2, 1)], ids=str)
 def test_unordered_membership_clears_its_input_once(monkeypatch, x):
-    # in_koren_polytope sorts x as given and leaves the one clearing to in_fhm_polytope
+    # in_koren_polytope clears x once and sorts the integers it gets back
     calls = []
     real = polytope.clear_denominators
     monkeypatch.setattr(polytope, "clear_denominators", lambda *a: calls.append(a) or real(*a))
     in_koren_polytope(x, 3)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x", [(1, 2, 1), (0, 2, 1), (3, 0, 0), (F(1, 2), 2, F(3, 2)), (1, 2, 3, 4)], ids=str)
+def test_unordered_membership_builds_no_witness_row(monkeypatch, x):
+    # the verdict is whether the sweep names a row, so no row and no FhmMembership is built
+    def refuse(*args):
+        raise AssertionError("in_koren_polytope built a witness")
+
+    for name in ("FhmMembership", "monotone_inequality", "fhm_inequality"):
+        monkeypatch.setattr(polytope, name, refuse)
+    assert in_koren_polytope(x) == koren_oracle(x)
+
+
+def test_unordered_membership_clears_text_entries_before_it_sorts():
+    # as text, "10" sorts below "9"; cleared first, the entries sort as the integers do
+    entries = (10,) + (9,) * 10 + (1,)
+    assert in_koren_polytope(entries)
+    assert in_koren_polytope(tuple(map(str, entries)))
 
 
 def _inequalities(n):
