@@ -47,10 +47,11 @@ builds a witness graph for each "yes", and a "no" from
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby, product, repeat
+from itertools import accumulate, groupby, product
 from typing import Sequence
 
 from .core import (
@@ -176,15 +177,12 @@ def _fhm_witness(vec: Sequence[int], scale: int) -> tuple[int, ...] | None:
     suf = list(accumulate(reversed(vec), initial=0))
     # (0, 0) is no constraint, but its excess 0 is never a violation
     best, best_k, best_l = 0, 0, 0
-    pre = 0
     below = 0  # entries below k; they form a suffix of vec
-    for k in range(n + 1):
-        if k:
-            pre += vec[k - 1]
+    for k, pre in enumerate(accumulate(vec, initial=0)):
         bound = k * scale
         while below < n and vec[n - 1 - below] < bound:
             below += 1
-        l = min(below, n - k)
+        l = below if below < n - k else n - k
         excess = pre - suf[l] - bound * (n - 1 - l)
         if excess > best:
             best, best_k, best_l = excess, k, l
@@ -510,60 +508,84 @@ class VolumeEstimate:
     estimate: Fraction
 
 
-# Samples are dyadic rationals k / 2^30 in [0, 2), kept as the integers k:
-# membership compares integers over the one denominator, the same exact test.
+# Samples are dyadic rationals k / 2^30 in [0, 2), kept as the integers k, each the top
+# 31 bits of one 32-bit generator word: membership compares integers over one denominator.
 _SCALE_BITS = 30
 _SCALE = 1 << _SCALE_BITS
-# Leading samples also decided by in_koren_polytope, to pin the fast path.
+# Samples per draw; sample i is the three words in bits 96i to 96i + 95.
+_LANES = 1024
+# The leading samples are also decided one at a time by in_koren_polytope, to pin the lanes.
 _CROSS_CHECK_SAMPLES = 10_000
 
 
-def _koren3_scaled(a: int, b: int, c: int) -> bool:
-    """The n = 3 subset bounds on (a, b, c) / 2^30, in integer arithmetic.
+def _in_every_lane(value: int) -> int:
+    return int.from_bytes(value.to_bytes(12, "little") * _LANES, "little")
 
+
+_EVEN = _in_every_lane(0xFFFF_FFFE)
+_GUARD = _in_every_lane(1 << 40)
+_GUARD_AND_BOUND = _in_every_lane((1 << 40) + (2 << _SCALE_BITS))
+
+
+def _koren3_lanes(words: int, m: int) -> int:
+    """Bit 40 of lane i is set exactly when sample i of ``m`` <= 1,024 is a member.
+
+    Sample i is the top 31 bits (a, b, c) of the three words in lane i.
     Sorted, the region is the tetrahedron on (0,0,0), (1,1,0), (2,1,1)
-    and (2,2,2); a >= b >= c are two of its facets, and the other two
-    are checked here.
+    and (2,2,2), so with s = a + b + c it holds 0 <= s - 2x <= 2^31 for
+    each coordinate x.  A word less its low bit is 2x.  Each bound is one
+    lane-wise sum, G + s - 2x or G + 2^31 - s + 2x with G = 2^40, which
+    stays in [0, 2^41), so no lane borrows from the next, and has bit 40
+    set exactly when the bound holds.
     """
-    if a < b:
-        a, b = b, a
-    if b < c:
-        b, c = c, b
-        if a < b:
-            a, b = b, a
-    return a <= b + c and a + b - c <= 2 * _SCALE
+    two_a = words & _EVEN
+    two_b = (words >> 32) & _EVEN
+    two_c = (words >> 64) & _EVEN
+    s = (two_a + two_b + two_c) >> 1
+    low, high = _GUARD + s, _GUARD_AND_BOUND - s
+    return (
+        (low - two_a) & (low - two_b) & (low - two_c)
+        & (high + two_a) & (high + two_b) & (high + two_c)
+        & (_GUARD >> 96 * (_LANES - m))
+    )
 
 
 def ds3_volume_estimate(samples: int, seed: int) -> VolumeEstimate:
     """Monte Carlo volume of the unordered degree region inside [0,2]^3.
 
-    Every membership decision is exact: coordinates are dyadic rationals
-    k / 2^30, drawn and kept as the integers k, and the subset bounds are
-    evaluated in integer arithmetic over that one denominator.  The first
+    Every membership decision is exact, in integers over the one
+    denominator 2^30.  Each chunk of m <= ``_LANES`` samples is one
+    ``getrandbits(96 * m)``: CPython fills it, least significant first,
+    with the 32-bit words that 3m calls of ``getrandbits(31)`` would take
+    the top 31 bits of, so the stream is three such draws per sample, and
+    :func:`_koren3_lanes` decides the chunk.  The first
     ``_CROSS_CHECK_SAMPLES`` samples are also handed to
-    :func:`in_koren_polytope` as those integers with 2^30 as its scale,
-    no ``Fraction`` per sample, one at a time, and a disagreement raises
-    ``AssertionError``, also under ``python -O``;
-    the rest of the stream, three ``getrandbits(31)`` per sample, is
-    counted in one pass.  Randomness enters only through the seeded
-    generator; the estimate itself is the exact rational 8 * hits / samples.
+    :func:`in_koren_polytope` in order, with 2^30 as its scale, and a
+    disagreement with their lane raises ``AssertionError``, also under
+    ``python -O``.  ``samples`` other than a positive ``int`` raises
+    ``ValueError`` before any draw.  The estimate is the exact rational
+    8 * hits / samples.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not is_int_vector((samples,)) or samples < 1:
+        raise ValueError(f"need a positive int number of samples, got {samples!r}")
     draw = random.Random(seed).getrandbits
     hits = 0
-    checked = min(_CROSS_CHECK_SAMPLES, samples)
-    for idx in range(checked):
-        a, b, c = draw(_SCALE_BITS + 1), draw(_SCALE_BITS + 1), draw(_SCALE_BITS + 1)
-        member = _koren3_scaled(a, b, c)
-        reference = in_koren_polytope((a, b, c), _SCALE)
-        if member != reference:
-            raise AssertionError(
-                f"integer test says {member} but in_koren_polytope says {reference} "
-                f"at sample {idx}: {(a, b, c)!r} / 2^{_SCALE_BITS}"
-            )
-        hits += member
-    # map draws from the one stream in turn, so each call gets three consecutive draws
-    stream = map(draw, repeat(_SCALE_BITS + 1, 3 * (samples - checked)))
-    hits += sum(map(_koren3_scaled, stream, stream, stream))
+    for start in range(0, samples, _LANES):
+        m = min(_LANES, samples - start)
+        words = draw(96 * m)
+        members = _koren3_lanes(words, m)
+        hits += members.bit_count()
+        checked = min(m, _CROSS_CHECK_SAMPLES - start)
+        if checked > 0:
+            member_bytes = members.to_bytes(12 * m, "little")
+            triples = struct.iter_unpack("<3I", words.to_bytes(12 * m, "little"))
+            for idx, (wa, wb, wc) in zip(range(checked), triples):
+                point = (wa >> 1, wb >> 1, wc >> 1)
+                member = bool(member_bytes[12 * idx + 5] & 1)
+                reference = in_koren_polytope(point, _SCALE)
+                if member != reference:
+                    raise AssertionError(
+                        f"integer lanes say {member} but in_koren_polytope says {reference} "
+                        f"at sample {start + idx}: {point!r} / 2^{_SCALE_BITS}"
+                    )
     return VolumeEstimate(samples, hits, Fraction(8 * hits, samples))

@@ -743,33 +743,56 @@ def test_ds3_volume_estimate_deterministic_and_close():
     assert abs(est.estimate - 2) <= F(1, 25)
 
 
-@pytest.mark.parametrize("samples", [1, 9_999, 10_000, 10_001, 25_000])
+@pytest.mark.parametrize("samples", [1, 1_023, 1_024, 1_025, 9_999, 10_000, 10_001, 25_000])
 def test_volume_estimate_cross_checks_the_leading_samples_and_counts_the_rest(monkeypatch, samples):
-    calls, tested = [], []
-    real, real_scaled = polytope.in_koren_polytope, polytope._koren3_scaled
+    calls = []
+    real = polytope.in_koren_polytope
     monkeypatch.setattr(polytope, "in_koren_polytope", lambda x, scale: calls.append((x, scale)) or real(x, scale))
-    monkeypatch.setattr(polytope, "_koren3_scaled", lambda *point: tested.append(point) or real_scaled(*point))
     est = ds3_volume_estimate(samples=samples, seed=DEFAULT_SEED)
     # the reference: one sample at a time, three draws each, from the same seeded stream
     rng = random.Random(DEFAULT_SEED)
     points = [(rng.getrandbits(31), rng.getrandbits(31), rng.getrandbits(31)) for _ in range(samples)]
-    assert tested == points
     assert len(calls) == min(samples, 10_000)
     assert calls == [(point, 1 << 30) for point in points[: len(calls)]]
-    assert (est.samples, est.hits) == (samples, sum(map(real_scaled, *zip(*points))))
+    assert (est.samples, est.hits) == (samples, sum(real(point, 1 << 30) for point in points))
+
+
+@pytest.mark.parametrize(
+    "samples, seed, hits",
+    [(1_000_000, 1729, 250_746), (200_000, 0, 49_941), (200_000, 1, 49_818), (200_000, 2, 50_094), (20_000, 1729, 4_864)],
+)
+def test_volume_estimate_hits_are_frozen(samples, seed, hits):
+    # the counts of the one-sample-at-a-time stream; the lanes must read the same words
+    est = ds3_volume_estimate(samples=samples, seed=seed)
+    assert (est.samples, est.hits, est.estimate) == (samples, hits, F(8 * hits, samples))
+
+
+@pytest.mark.parametrize("samples", [0, -1, True, False, 2.5, 3.0, F(3), "3", None])
+def test_volume_estimate_refuses_a_sample_count_that_is_not_a_positive_int(monkeypatch, samples):
+    monkeypatch.setattr(polytope.random, "Random", lambda seed: pytest.fail("drew before refusing"))
+    with pytest.raises(ValueError, match="positive int"):
+        ds3_volume_estimate(samples=samples, seed=DEFAULT_SEED)
 
 
 def test_scaled_n3_test_matches_in_koren_polytope_on_the_boundary():
     # random samples never land on a facet; every point of {0, 1/4, ..., 2}^3 is checked,
-    # so a strict inequality in place of a facet's <= fails here, in either integer route
-    verdicts = set()
+    # so a strict inequality in place of a facet's <= fails here, in either integer route.
+    # A 31-bit draw stays below 2, so the points with a coordinate 2 skip the lanes.
+    verdicts, lanes = {}, []
     for point in product([F(k, 4) for k in range(9)], repeat=3):
         member = in_koren_polytope(point)
         ints = tuple(int(x * polytope._SCALE) for x in point)
-        assert polytope._koren3_scaled(*ints) == member, point
         assert in_koren_polytope(ints, polytope._SCALE) == member, point
-        verdicts.add(member)
-    assert verdicts == {True, False}
+        verdicts[point] = member
+        if max(point) < 2:
+            lanes.append(point)
+    assert set(verdicts.values()) == {True, False}
+    # each word is 2k plus a low bit that the draw drops, set on every other word
+    words = [2 * int(x * polytope._SCALE) + (j % 2) for j, x in enumerate(x for point in lanes for x in point)]
+    packed = int.from_bytes(b"".join(w.to_bytes(4, "little") for w in words), "little")
+    members = polytope._koren3_lanes(packed, len(lanes))
+    assert members >> 96 * len(lanes) == 0
+    assert [members >> (96 * i + 40) & 1 == 1 for i in range(len(lanes))] == [verdicts[p] for p in lanes]
 
 
 def test_facet_inequality_serialization_shape():
@@ -800,8 +823,7 @@ def test_volume_cross_check_raises_under_python_O():
     script = (
         "import sys\n"
         "from degpoly import polytope\n"
-        "real = polytope._koren3_scaled\n"
-        "polytope._koren3_scaled = lambda a, b, c: not real(a, b, c)\n"
+        "polytope._koren3_lanes = lambda words, m: 0\n"
         "try:\n"
         "    polytope.ds3_volume_estimate(samples=50, seed=1)\n"
         "except AssertionError:\n"
