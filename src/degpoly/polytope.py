@@ -167,7 +167,16 @@ def _fhm_witness(vec: Sequence[int], scale: int) -> tuple[int, ...] | None:
     entries below k, capped at n - k.  That count only grows with k,
     so one pointer from the back finds the best l for every k (Erdos
     and Gallai, 1960).  Every bound is multiplied by ``scale``, since
-    vec is ``scale`` times the point decided.
+    vec is ``scale`` times the point decided.  With s = ``scale``, that
+    best excess is
+
+        f(k) = pre_k - k (k - 1) s - sum over t > k of min(x_t, k s),
+
+    and f(k) - f(k - 1) <= 0 once x_k <= (k - 1) s, which then holds for
+    every later k too (x falls, the bound rises).  So the sweep stops at
+    the first such k >= 1: no later k exceeds the best so far, and the
+    smallest-k tie rule keeps the same witness (Erdos and Gallai's index
+    bound).
     """
     n = len(vec)
     for i in range(1, n):
@@ -180,6 +189,8 @@ def _fhm_witness(vec: Sequence[int], scale: int) -> tuple[int, ...] | None:
     below = 0  # entries below k; they form a suffix of vec
     for k, pre in enumerate(accumulate(vec, initial=0)):
         bound = k * scale
+        if k and vec[k - 1] <= bound - scale:
+            break
         while below < n and vec[n - 1 - below] < bound:
             below += 1
         l = below if below < n - k else n - k

@@ -1,5 +1,6 @@
 """The degpoly command line: JSON reports, exit codes, seeds."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from degpoly import core, hypergraph, polytope, runs
-from degpoly.cli import DEFAULT_SEED, SUITES, _report_text, build_parser, jsonify, main, make_check, parse_cost_pairs, parse_int_seq
+from degpoly.cli import COMMANDS, DEFAULT_SEED, SUITES, _report_text, build_parser, jsonify, main, make_check, parse_cost_pairs, parse_int_seq
 from degpoly.optimize import optimality_certificate
 from fractions import Fraction
 from math import gcd, lcm
@@ -762,16 +763,75 @@ def test_facets_suite_hands_each_facet_its_tight_vertices(capsys, monkeypatch, n
         assert sorted(tight) == sorted(d for d in enumerate_threshold_partitions(n) if facet.tight(d))
 
 
+# one passing argv per command
+_FIRST_CALLS = {
+    "optimize": ("optimize", "--costs=1,2"),
+    "verify": ("verify", "--n", "3", "--suite", "edges"),
+    "recognize": ("recognize", "--seq", "2,1,1"),
+}
+
+
 def test_rebound_command_is_honoured_after_first_call(capsys, monkeypatch):
-    # a cmd_* rebound after the first call, as bench/spans.py does, is the one that runs
+    # a cmd_* rebound after the first call, as bench/spans.py does, is the one that runs:
+    # the same command's (no parser kept per command) and every other's (no parser kept whole)
     import degpoly.cli as cli_module
 
-    assert run(capsys, "recognize", "--seq", "2,1,1")[0] == 0
-    stub = {"command": "recognize", "checks": [{"name": "stub", "pass": False}]}
-    monkeypatch.setattr(cli_module, "cmd_recognize", lambda args: stub)
-    code, report, _ = run(capsys, "recognize", "--seq", "2,1,1")
-    assert code == 1
-    assert report == stub
+    for first in _FIRST_CALLS.values():
+        with monkeypatch.context() as patch:
+            assert run(capsys, *first)[0] == 0
+            for command, argv in _FIRST_CALLS.items():
+                stub = {"command": command, "checks": [{"name": "stub", "pass": False}]}
+                patch.setattr(cli_module, f"cmd_{command}", lambda args, stub=stub: stub)
+                assert run(capsys, *argv)[:2] == (1, stub)
+
+
+# argvs that parsing alone ends: help, usage errors and argparse's refusals
+_PARSE_EXITS = {
+    "no argv": (),
+    "-h": ("-h",),
+    "--help": ("--help",),
+    "unknown command": ("nope",),
+    "unknown option before the command": ("-x",),
+    **{f"{command} -h": (command, "-h") for command in COMMANDS},
+    "optimize without --costs": ("optimize",),
+    "verify without --suite": ("verify", "--n", "4"),
+    "recognize without --seq": ("recognize",),
+    "optimize --seed": ("optimize", "--costs=1", "--seed", "3"),
+    "verify --r": ("verify", "--n", "4", "--suite", "counts", "--r", "2"),
+    "recognize --n": ("recognize", "--seq=1,1", "--n", "2"),
+    "bad --mode": ("optimize", "--costs=1,2", "--mode", "mid"),
+    "bad --suite": ("verify", "--n", "4", "--suite", "nope"),
+    "bad --n": ("verify", "--n", "x", "--suite", "counts"),
+    "bad --r": ("recognize", "--seq=1,1", "--r", "x"),
+    "stray positional after the command": ("optimize", "--costs=1,2", "recognize"),
+}
+
+
+def _parse_exit(call):
+    """(SystemExit code, stdout, stderr) of ``call()``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        call()
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSE_EXITS.values(), ids=_PARSE_EXITS)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, argv):
+    # main builds only the subparser argv[0] names; every help and error byte and the status stay the full tree's
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_exit(lambda: build_parser().parse_args(list(argv)))
+    assert _parse_exit(lambda: main(list(argv))) == full
+    monkeypatch.setattr(sys, "argv", ["degpoly", *argv])
+    assert _parse_exit(main) == full
+
+
+def test_a_parser_for_one_command_registers_only_that_command():
+    def commands(parser):
+        (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert commands(build_parser("recognize")) == ["recognize"]
+    assert commands(build_parser()) == commands(build_parser("nope")) == ["optimize", "verify", "recognize"]
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))

@@ -142,6 +142,38 @@ def test_sweep_matches_scan_on_unsorted_vectors(x):
     assert in_koren_polytope(x) == (not fhm_violations(sort_decreasing(x)))
 
 
+@st.composite
+def _stopping_vectors(draw, where):
+    """(vec, scale, k0): tie-heavy decreasing integers whose first k >= 1 with vec_k <= (k - 1) scale is k0.
+
+    ``where`` puts k0 at 1, inside the vector (2 <= k0 <= n) or past
+    its end (n + 1: the sweep never stops early).  The first k0 - 1
+    entries share one value above (k0 - 2) scale; the rest come from a
+    palette of at most three values at most (k0 - 1) scale.
+    """
+    n = draw(st.integers(min_value=2 if where == "mid" else 1, max_value=12))
+    scale = draw(st.integers(min_value=1, max_value=4))
+    k0 = draw(st.integers(min_value=2, max_value=n)) if where == "mid" else {"k=1": 1, "never": n + 1}[where]
+    head = draw(st.integers(min_value=(k0 - 2) * scale + 1, max_value=(k0 - 2) * scale + 3)) if k0 > 1 else 0
+    top = min(head, (k0 - 1) * scale) if k0 > 1 else 0
+    palette = draw(st.lists(st.integers(min_value=top - 2 * scale, max_value=top), min_size=1, max_size=3))
+    tail = draw(st.lists(st.sampled_from(palette), min_size=n - k0 + 1, max_size=n - k0 + 1))
+    return (head,) * (k0 - 1) + tuple(sorted(tail, reverse=True)), scale, k0
+
+
+@pytest.mark.parametrize("where", ["k=1", "mid", "never"])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_sweep_stopped_early_matches_scan(where, data):
+    # past the first k >= 1 with x_k <= k - 1 no excess is higher: the witness and its tie rule hold
+    vec, scale, k0 = data.draw(_stopping_vectors(where))
+    n = len(vec)
+    assert next((k for k in range(1, n + 1) if vec[k - 1] <= (k - 1) * scale), n + 1) == k0
+    x = tuple(F(v, scale) for v in vec)
+    assert in_fhm_polytope(vec, scale) == in_fhm_polytope(x)
+    _check_sweep_against_scan(x)
+
+
 def _complement(x):
     """phi(x) = (n - 1) - reverse(x): the degrees of the complement graph, relabelled to decrease."""
     return tuple(len(x) - 1 - v for v in reversed(x))
