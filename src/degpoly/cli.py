@@ -49,15 +49,13 @@ from its integers, one block mean per block, with no ``Fraction`` built
 per entry.  The one randomized suite, volume3,
 samples from ``random.Random(--seed)``, and --seed defaults to
 ``DEFAULT_SEED``, so identical flags give identical reports.
-Each ``main`` call builds the top-level parser and only the subparser
-that argv[0] names, from the one ``COMMANDS`` table, or all three when
-argv[0] names no command (``-h``, a typo, no argv); every help and error
-line is the full tree's, byte for byte.  The parser is built per call,
-not cached, so a ``cmd_*`` rebound after the first call is the one that
-runs.  A cached parser is cheaper still, but the benchmark keeps about
-211 bytes per op, so more ops per run read as more memory:
-``recognize-small`` peak RSS rose 54% with the parser built once per
-process and 27% with a bare per-command parser, past its 20% bound.
+A ``main`` call whose argv[0] names a command in ``COMMANDS`` builds
+that command's parser alone and parses argv[1:] with it.  Any other
+argv (``-h``, a typo, no argv), and any argv that parser refuses, is
+parsed by the full tree, ``build_parser``, which prints the refusal, so
+every help and error line is the full tree's, byte for byte.  Parsers
+are built per call, not cached, so a ``cmd_*`` rebound after the first
+call is the one that runs, and no state is kept between calls.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from .core import bounded_partitions, clear_denominators, clear_ratios, ratio_text, sort_decreasing
 from .hypergraph import (
@@ -465,7 +463,7 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
     seq = parse_int_seq(args.seq)
-    if any(v < 0 for v in seq):
+    if min(seq) < 0:
         raise UsageError("degrees must be nonnegative")
     n = len(seq)
     r = args.r
@@ -531,29 +529,23 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with ``command``'s subparser alone, or with all three when ``command`` names none.
-
-    For an argv that starts with ``command``, the parser with one
-    subparser prints every usage and error line as the full tree does,
-    since its metavar names all three choices.  The full tree leaves the
-    metavar unset: with it set, a missing or unknown command would be
-    named by the metavar rather than as "command".
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command's subparser: ``main`` parses with it only to print help or an error."""
     parser = argparse.ArgumentParser(
         prog="degpoly",
         description="Exact computations on degree partitions of graphs and hypergraphs.",
     )
-    if command in COMMANDS:
-        names = (command,)
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
-    else:
-        names = tuple(COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_line, add_arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, built as the full tree builds its subparser; it raises a refusal for the tree to print."""
+
+    def error(self, message: str) -> NoReturn:
+        raise argparse.ArgumentError(None, message)
 
 
 # a leaf's printer, looked up by its exact type; a subclass, such as an IntEnum, has none
@@ -616,7 +608,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # built per call, so that a cmd_* rebound after the first call is the one that runs
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = None
+    if argv and argv[0] in COMMANDS:
+        parser = _CommandParser(prog=f"degpoly {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        with contextlib.suppress(argparse.ArgumentError):
+            args = parser.parse_args(argv[1:])
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         report = args.run(args)
         text = _report_text(report)

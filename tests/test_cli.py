@@ -804,6 +804,10 @@ _PARSE_EXITS = {
     "bad --n": ("verify", "--n", "x", "--suite", "counts"),
     "bad --r": ("recognize", "--seq=1,1", "--r", "x"),
     "stray positional after the command": ("optimize", "--costs=1,2", "recognize"),
+    "unknown option after the command": ("recognize", "--seq=1,1", "--bogus"),
+    "stray token after --": ("optimize", "--costs=1", "--", "2"),
+    "-h after a valid option": ("verify", "--n", "4", "-h"),
+    "bad value for an option given twice": ("recognize", "--seq=1,1", "--r", "2", "--r", "x"),
 }
 
 
@@ -817,7 +821,7 @@ def _parse_exit(call):
 
 @pytest.mark.parametrize("argv", _PARSE_EXITS.values(), ids=_PARSE_EXITS)
 def test_main_prints_what_the_full_parser_prints(monkeypatch, argv):
-    # main builds only the subparser argv[0] names; every help and error byte and the status stay the full tree's
+    # main parses with argv[0]'s own parser first; every help and error byte and the status stay the full tree's
     monkeypatch.setenv("COLUMNS", "80")
     full = _parse_exit(lambda: build_parser().parse_args(list(argv)))
     assert _parse_exit(lambda: main(list(argv))) == full
@@ -825,13 +829,28 @@ def test_main_prints_what_the_full_parser_prints(monkeypatch, argv):
     assert _parse_exit(main) == full
 
 
-def test_a_parser_for_one_command_registers_only_that_command():
-    def commands(parser):
-        (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
-        return list(sub.choices)
+def test_a_successful_call_builds_one_parser_and_a_refusal_the_full_tree(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
 
-    assert commands(build_parser("recognize")) == ["recognize"]
-    assert commands(build_parser()) == commands(build_parser("nope")) == ["optimize", "verify", "recognize"]
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser()
+    full = len(built)
+    assert full == 1 + len(COMMANDS)
+    for argv in _FIRST_CALLS.values():
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(built) == 1, argv
+    for argv in _PARSE_EXITS.values():
+        built.clear()
+        code = _parse_exit(lambda: main(list(argv)))[0]
+        named = bool(argv) and argv[0] in COMMANDS
+        # a command's own parser prints its help; a refusal, or an argv that names no command, goes to the tree
+        assert len(built) == (1 if named and code == 0 else named + full), argv
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
@@ -891,6 +910,30 @@ def test_report_text_matches_json_dumps_on_live_reports(argv):
     args = build_parser().parse_args(list(argv))
     report = args.run(args)
     assert _report_text(report) == _oracle_text(report)
+
+
+# golden and live argvs, and an abbreviated option, which both parsers expand
+_PARSED = {
+    **{" ".join(case["argv"]): case["argv"] for case in GOLDEN},
+    **_LIVE,
+    "recognize --se": ("recognize", "--se=1,1"),
+    "optimize --c --m": ("optimize", "--c=1", "--m", "min"),
+}
+
+
+@pytest.mark.parametrize("argv", _PARSED.values(), ids=_PARSED)
+def test_main_parses_argv_as_the_full_tree_does(capsys, monkeypatch, argv):
+    import degpoly.cli as cli_module
+
+    parsed = []
+    for command in COMMANDS:
+        monkeypatch.setattr(cli_module, f"cmd_{command}", lambda args: parsed.append(args) or {"checks": []})
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    full = vars(build_parser().parse_args(list(argv)))
+    # only the tree records the command's name, and no code reads it
+    assert full.pop("command") == argv[0]
+    assert [vars(args) for args in parsed] == [full]
 
 
 def test_golden_reports_byte_identical_under_python_O():
