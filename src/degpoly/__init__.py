@@ -22,6 +22,7 @@ from .core import (
 from .hypergraph import (
     RGraph,
     brute_force_r_graphical,
+    degree_partition_of_ideal,
     degree_sequence,
     enumerate_degree_partitions,
     enumerate_r_ideals,
@@ -52,7 +53,6 @@ from .polytope import (
     facet_rank_adjacent,
     fhm_inequality,
     in_fhm_polytope,
-    in_koren_polytope,
     irredundancy_witness,
     is_degree_sequence,
     koren_oracle,
@@ -65,7 +65,6 @@ from .runs import (
     pool,
 )
 from .threshold import (
-    degree_partition_of_ideal,
     enumerate_threshold_partitions,
     graph_from_weights,
     ideal_from_partition,

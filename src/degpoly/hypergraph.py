@@ -119,6 +119,14 @@ def degree_sequence(graph: RGraph) -> IntSequence:
     return tuple(deg)
 
 
+def degree_partition_of_ideal(ideal: RGraph) -> Partition:
+    """Vertex degrees of the ideal, which come out weakly decreasing; else ``AssertionError``, also under -O."""
+    deg = degree_sequence(ideal)
+    if not is_weakly_decreasing(deg):
+        raise AssertionError(f"ideal degrees must weakly decrease, got {deg!r}")
+    return deg
+
+
 def is_r_ideal(graph: RGraph) -> bool:
     """Is the edge set downward closed in the coordinatewise order?
 
@@ -220,15 +228,12 @@ def _ideal_partitions(n: int, r: int) -> Mapping[int, tuple[tuple[Partition, RGr
     """Each total's distinct r-ideal partitions, lexicographic, each with its first enumerated ideal.
 
     Built once per (n, r) from :func:`enumerate_r_ideals`, as a read-only
-    mapping, since every caller shares it; an ideal whose degrees do not
-    weakly decrease raises ``AssertionError``, also under ``python -O``.
+    mapping, since every caller shares it; each partition is the
+    :func:`degree_partition_of_ideal` of its ideal.
     """
     picks: dict[int, dict[Partition, RGraph]] = {}
     for ideal in enumerate_r_ideals(n, r):
-        part = degree_sequence(ideal)
-        if not is_weakly_decreasing(part):
-            raise AssertionError(f"ideal degrees must weakly decrease, got {part!r}")
-        picks.setdefault(len(ideal.edges) * r, {}).setdefault(part, ideal)
+        picks.setdefault(len(ideal.edges) * r, {}).setdefault(degree_partition_of_ideal(ideal), ideal)
     return MappingProxyType({total: tuple(sorted(by_part.items())) for total, by_part in picks.items()})
 
 

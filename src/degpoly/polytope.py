@@ -10,19 +10,22 @@ solution set of those inequalities together with x_1 >= ... >= x_n is a
 polytope whose vertices are precisely the threshold partitions of
 :mod:`degpoly.threshold`; dropping the ordering constraints instead and
 ranging over all index pairs of disjoint subsets S, T gives the
-unordered (Koren) version, whose membership reduces to sorting.
+unordered (Koren) version, the polytope's symmetrization: x lies in it
+exactly when its decreasing rearrangement lies in the polytope, so its
+membership is ``in_fhm_polytope(sort_decreasing(x)).member``.
 
 Membership takes O(n) after the sort: for each k only one l can give
-the largest excess, and one pointer finds it for every k.  That sweep
-runs once, over cleared integers, and names the parameters of one
-witness: the first violated monotone constraint, or else the most
-violated prefix-suffix inequality.  :func:`in_fhm_polytope` builds that
-row; :func:`in_koren_polytope` only asks whether there is one, so it
-builds none.  :func:`fhm_violations` keeps the full O(n^2) scan as the
-oracle, and :func:`koren_oracle` the 3^n enumeration of disjoint S, T
-for the unordered version.  The one graph degree test,
-:func:`is_degree_sequence`, is unordered membership plus an even
-integer sum, so it takes sorted input as it takes any.
+the largest excess, and one pointer finds it for every k.  That sweep,
+:func:`_fhm_witness`, runs once, over integers and their one
+denominator, and names the parameters of one witness: the first
+violated monotone constraint, or else the most violated prefix-suffix
+inequality.  :func:`in_fhm_polytope` builds that row.  The one graph
+degree test, :func:`is_degree_sequence`, sorts its integers and only
+asks the sweep whether it names a row, so it builds none and takes
+sorted input as it takes any; the volume cross-check does the same
+over the denominator 2^30.  :func:`fhm_violations` keeps the full
+O(n^2) scan as the oracle, and :func:`koren_oracle` the 3^n
+enumeration of disjoint S, T for the unordered version.
 
 This module keeps every test exact and makes it in integers where it
 can: integer input is decided in integers, rational input is cleared
@@ -128,19 +131,19 @@ class FhmMembership:
     violations: tuple[FacetInequality, ...]
 
 
-def in_fhm_polytope(x: Sequence[Rational], scale: int = 1) -> FhmMembership:
-    """Check x / ``scale`` against x_1 >= ... >= x_n and every prefix-suffix inequality, in O(n).
+def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
+    """Check x against x_1 >= ... >= x_n and every prefix-suffix inequality, in O(n).
 
     The sweep runs in integers: integer input as it is, rational input
-    after clearing one common denominator, with every bound scaled by D,
-    that denominator times ``scale`` (a positive ``int``, so a caller
-    with cleared numerators passes their denominator).  A positive D
-    keeps each excess's sign and their order, so the verdict and the
-    witness are those of x / ``scale`` itself.  The one row that the
+    after clearing one common denominator D, with every bound scaled by
+    D.  A positive D keeps each excess's sign and their order, so the
+    verdict and the witness are those of x itself.  The one row that the
     sweep names becomes the witness; see :func:`_fhm_witness` for the
     sweep and :class:`FhmMembership` for what ``violations`` holds.
+    Unordered membership, in the symmetrization of the polytope, is
+    this verdict on ``sort_decreasing(x)``.
     """
-    vec, scale = clear_denominators(x, scale)
+    vec, scale = clear_denominators(x)
     n = len(vec)
     if n < 1:
         raise ValueError("membership needs a nonempty vector")
@@ -223,26 +226,13 @@ def fhm_violations(x: Sequence[Rational]) -> tuple[FacetInequality, ...]:
     return tuple(violations)
 
 
-def in_koren_polytope(x: Sequence[Rational], scale: int = 1) -> bool:
-    """Unordered membership of x / ``scale``: every disjoint S, T obey the subset bound.
-
-    ``scale`` is a positive ``int``, as for :func:`in_fhm_polytope`, so
-    a caller with integer numerators over one denominator passes them as
-    they are.  Clears x once, sorts the integers decreasingly (a positive
-    common denominator keeps the order) and runs :func:`_fhm_witness`,
-    so it builds no witness row: x is a member when the sweep names none.
-    """
-    vec, scale = clear_denominators(x, scale)
-    if not vec:
-        raise ValueError("membership needs a nonempty vector")
-    return _fhm_witness(sorted(vec, reverse=True), scale) is None
-
-
 def koren_oracle(x: Sequence[Rational]) -> bool:
     """Unordered membership by enumerating every disjoint S, T (n <= 12).
 
-    The oracle for :func:`in_koren_polytope`: each of the 3^n
-    assignments puts every index in S, in T, or in neither.
+    The oracle for unordered membership, which :func:`is_degree_sequence`
+    decides on even-sum integer vectors and ``in_fhm_polytope`` on
+    sorted rationals: each of the 3^n assignments puts every index in
+    S, in T, or in neither.
     """
     if len(x) < 1:
         raise ValueError("membership needs a nonempty vector")
@@ -268,9 +258,11 @@ def koren_oracle(x: Sequence[Rational]) -> bool:
 def is_degree_sequence(x: Sequence[int]) -> bool:
     """Degree sequence of a simple graph, any vertex order.
 
-    ``False`` unless every entry is exactly an ``int``.
+    ``False`` unless every entry is exactly an ``int``.  Otherwise an
+    even sum and unordered membership: the sweep on the decreasing
+    rearrangement names no row, and none is built.
     """
-    return bool(x) and is_int_vector(x) and sum(x) % 2 == 0 and in_koren_polytope(x)
+    return bool(x) and is_int_vector(x) and sum(x) % 2 == 0 and _fhm_witness(sorted(x, reverse=True), 1) is None
 
 
 @lru_cache(maxsize=None)
@@ -525,7 +517,7 @@ _SCALE_BITS = 30
 _SCALE = 1 << _SCALE_BITS
 # Samples per draw; sample i is the three words in bits 96i to 96i + 95.
 _LANES = 1024
-# The leading samples are also decided one at a time by in_koren_polytope, to pin the lanes.
+# The leading samples are also decided one at a time by the sweep, sorted, to pin the lanes.
 _CROSS_CHECK_SAMPLES = 10_000
 
 
@@ -570,12 +562,12 @@ def ds3_volume_estimate(samples: int, seed: int) -> VolumeEstimate:
     with the 32-bit words that 3m calls of ``getrandbits(31)`` would take
     the top 31 bits of, so the stream is three such draws per sample, and
     :func:`_koren3_lanes` decides the chunk.  The first
-    ``_CROSS_CHECK_SAMPLES`` samples are also handed to
-    :func:`in_koren_polytope` in order, with 2^30 as its scale, and a
-    disagreement with their lane raises ``AssertionError``, also under
-    ``python -O``.  ``samples`` other than a positive ``int`` raises
-    ``ValueError`` before any draw.  The estimate is the exact rational
-    8 * hits / samples.
+    ``_CROSS_CHECK_SAMPLES`` samples are also decided in order by
+    :func:`_fhm_witness`, each sorted decreasingly, with 2^30 as its
+    scale, and a disagreement with their lane raises ``AssertionError``,
+    also under ``python -O``.  ``samples`` other than a positive
+    ``int`` raises ``ValueError`` before any draw.  The estimate is the
+    exact rational 8 * hits / samples.
     """
     if not is_int_vector((samples,)) or samples < 1:
         raise ValueError(f"need a positive int number of samples, got {samples!r}")
@@ -593,10 +585,10 @@ def ds3_volume_estimate(samples: int, seed: int) -> VolumeEstimate:
             for idx, (wa, wb, wc) in zip(range(checked), triples):
                 point = (wa >> 1, wb >> 1, wc >> 1)
                 member = bool(member_bytes[12 * idx + 5] & 1)
-                reference = in_koren_polytope(point, _SCALE)
+                reference = _fhm_witness(sorted(point, reverse=True), _SCALE) is None
                 if member != reference:
                     raise AssertionError(
-                        f"integer lanes say {member} but in_koren_polytope says {reference} "
+                        f"integer lanes say {member} but the sorted sweep says {reference} "
                         f"at sample {start + idx}: {point!r} / 2^{_SCALE_BITS}"
                     )
     return VolumeEstimate(samples, hits, Fraction(8 * hits, samples))

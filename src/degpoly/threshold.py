@@ -36,7 +36,7 @@ from .core import (
     is_partition,
     is_weakly_decreasing,
 )
-from .hypergraph import RGraph, degree_sequence, is_r_ideal, r_subsets
+from .hypergraph import RGraph, degree_partition_of_ideal, degree_sequence, is_r_ideal, r_subsets
 
 Pair = tuple[int, int]
 
@@ -55,14 +55,6 @@ def _pair_ideal(n: int, edges: Iterable[Pair]) -> RGraph:
     return graph
 
 
-def degree_partition_of_ideal(ideal: RGraph) -> Partition:
-    """Vertex degrees of the ideal, which come out weakly decreasing."""
-    deg = degree_sequence(ideal)
-    if not is_weakly_decreasing(deg):
-        raise AssertionError(f"ideal degrees must weakly decrease, got {deg!r}")
-    return deg
-
-
 def _creation_word(d: Sequence[int]) -> int | None:
     """Bit m - 2 set when vertex m dominates, clear when isolated; None off threshold.
 
@@ -73,21 +65,25 @@ def _creation_word(d: Sequence[int]) -> int | None:
     removed so far.  The last is isolated when d[hi] == offset, else the
     first dominates when d[lo] - offset == hi - lo and sets bit k - 2.
     Isolated is tested first, so the values left never go negative.
+    The bits are set in a byte array and the word is built from it once,
+    so the peel is O(n).
     """
     if not is_partition(d):
         return None
-    word = 0
-    lo, hi, offset = 0, len(d) - 1, 0
+    n = len(d)
+    bits = bytearray((n + 6) // 8)  # the n - 1 bits of vertices 2..n
+    lo, hi, offset = 0, n - 1, 0
     while lo <= hi:
         if d[hi] == offset:
             hi -= 1
         elif d[lo] - offset == hi - lo:
-            word |= 1 << (hi - lo - 1)
+            bit = hi - lo - 1
+            bits[bit >> 3] |= 1 << (bit & 7)
             lo += 1
             offset += 1
         else:
             return None
-    return word
+    return int.from_bytes(bits, "little")
 
 
 def is_threshold_partition(d: Sequence[int]) -> bool:

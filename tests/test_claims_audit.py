@@ -12,6 +12,11 @@ with it; that route, the first word of its description, must be a
 public top-level ``def`` of the package, and some function of
 ``tests/`` must call the two together.  Code that none of these reach
 is a third route or a dead one, and should be deleted with its tests.
+
+Likewise every defaulted parameter of a public top-level ``def`` is
+passed by some call of ``src/`` or ``bench/``, or listed in
+``UNPASSED_KNOBS`` with the reason it stays: a knob that only the tests
+turn is a second behaviour to keep for no caller.
 """
 
 import ast
@@ -27,9 +32,14 @@ UNREAD_IMPORTS = {
 ORACLES = {
     "polytope.facet_rank_adjacent": "are_adjacent: two vertices span an edge when the facets tight at both have rank n - 1",
     "polytope.fhm_violations": "in_fhm_polytope: the full O(n^2) scan of every constraint",
-    "polytope.koren_oracle": "in_koren_polytope: all 3^n choices of disjoint S, T",
+    "polytope.koren_oracle": "is_degree_sequence: all 3^n choices of disjoint S, T, on even-sum integer vectors",
     "threshold.ideal_from_partition": "enumerate_r_ideals at r = 2: the shifted shape {(i, j) : i < j <= d_i + 1} of degrees d",
     "threshold.proper_threshold_oracle": "is_r_ideal at r = 2: peel isolated and dominating vertices",
+}
+
+# defaulted parameters that no call of the program or the benchmark passes, and why each stays
+UNPASSED_KNOBS = {
+    "threshold.graph_from_weights.strict": "the min-mode oracle of Certificate.optimizer: the edge-minimal ideal",
 }
 
 
@@ -225,3 +235,67 @@ def test_the_unread_import_scan_catches_a_leftover_import():
         ),
     }
     assert unread_imports(modules) == ["a.over"]
+
+
+def unpassed_knobs(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function.parameter`` of each defaulted parameter of a public top-level def that no call passes.
+
+    ``modules`` maps a package module's stem to its source; the calls
+    counted are those in the ``callers`` sources, matched by the called
+    name.  A call passes a parameter by position or by keyword, and a
+    starred call (``*args`` or ``**kwargs``) passes every one.
+    """
+    defs = {}
+    for stem, text in modules.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults) :]
+                defaulted += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                if defaulted:
+                    defs[node.name] = (stem, positional, defaulted)
+    passed = {name: set() for name in defs}
+    for text in callers:
+        for call in ast.walk(ast.parse(text)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defs:
+                continue
+            _, positional, defaulted = defs[name]
+            if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+                passed[name].update(defaulted)
+            passed[name].update(positional[: len(call.args)])
+            passed[name].update(k.arg for k in call.keywords)
+    return [
+        f"{stem}.{name}.{param}"
+        for name, (stem, _, defaulted) in defs.items()
+        for param in defaulted
+        if param not in passed[name]
+    ]
+
+
+def test_every_knob_is_passed_by_the_program_or_listed():
+    modules = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "degpoly").glob("*.py"))}
+    callers = [*modules.values(), *(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))]
+    assert unpassed_knobs(modules, callers) == list(UNPASSED_KNOBS), "a knob only the tests turn: delete it or list why"
+
+
+def test_the_knob_scan_counts_positional_keyword_and_starred_calls():
+    modules = {
+        "a": (
+            "def route(x, scale=1, *, strict=False):\n    return x\n"
+            "def loose(x, mode='max'):\n    return x\n"
+            "def spread(x, y=0, z=0):\n    return x\n"
+            "def _private(x, k=1):\n    return x\n"
+            "def plain(x):\n    return x\n"
+        ),
+    }
+    callers = [
+        "from .a import route\n\ndef f(x):\n    return route(x, 2) + _private(x)\n",
+        "from degpoly import a\na.loose(1, mode='min')\na.spread(*(1,))\nprint('route(1, strict=True)')\n",
+    ]
+    # strict is passed only inside a string, and _private is not public
+    assert unpassed_knobs(modules, callers) == ["a.route.strict"]

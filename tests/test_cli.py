@@ -366,7 +366,7 @@ def test_recognize_r3(capsys):
     ],
 )
 def test_recognize_reaches_each_verdict_by_one_route(capsys, monkeypatch, seq, r, sweeps, majorizations):
-    # the r = 2 verdict is in_koren_polytope's, which runs the sweep without in_fhm_polytope
+    # the r = 2 verdict is is_degree_sequence's, which runs the sweep without in_fhm_polytope
     calls = {"_fhm_witness": 0, "_majorizing_ideal": 0}
 
     def counted(module, name):

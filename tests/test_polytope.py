@@ -14,6 +14,7 @@ from degpoly import polytope
 from degpoly.cli import DEFAULT_SEED
 from degpoly.core import (
     bounded_partitions,
+    is_int_vector,
     is_weakly_decreasing,
     sort_decreasing,
 )
@@ -32,7 +33,6 @@ from degpoly.polytope import (
     fhm_inequality,
     fhm_violations,
     in_fhm_polytope,
-    in_koren_polytope,
     irredundancy_witness,
     is_degree_sequence,
     koren_oracle,
@@ -139,7 +139,6 @@ def test_sweep_matches_scan_on_decreasing_vectors(values):
 @given(exact_vectors)
 def test_sweep_matches_scan_on_unsorted_vectors(x):
     _check_sweep_against_scan(x)
-    assert in_koren_polytope(x) == (not fhm_violations(sort_decreasing(x)))
 
 
 @st.composite
@@ -170,7 +169,9 @@ def test_sweep_stopped_early_matches_scan(where, data):
     n = len(vec)
     assert next((k for k in range(1, n + 1) if vec[k - 1] <= (k - 1) * scale), n + 1) == k0
     x = tuple(F(v, scale) for v in vec)
-    assert in_fhm_polytope(vec, scale) == in_fhm_polytope(x)
+    # the sweep over vec / scale names the row that in_fhm_polytope builds for x
+    witness = polytope._fhm_witness(vec, scale)
+    assert [(f.k, f.l) for f in in_fhm_polytope(x).violations] == ([] if witness is None else [witness])
     _check_sweep_against_scan(x)
 
 
@@ -264,84 +265,40 @@ def _scaled_numerators(n, scale):
 
 @settings(max_examples=300)
 @given(st.data())
-def test_membership_over_a_scale_decides_the_quotient(data):
-    # in_koren_polytope hands its cleared numerators over with their denominator;
-    # the membership of the Fractions themselves is the oracle
-    n, scale = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 60))
-    numerators = data.draw(_scaled_numerators(n, scale))
-    if data.draw(st.booleans()):
-        numerators.sort(reverse=True)
-    verdict = in_fhm_polytope(numerators, scale)
-    oracle = in_fhm_polytope([F(c, scale) for c in numerators])
-    assert verdict.member == oracle.member
-    assert [(f.i, f.k, f.l) for f in verdict.violations] == [(f.i, f.k, f.l) for f in oracle.violations]
-
-
-@pytest.mark.parametrize("scale", [0, -1, F(3, 2), F(2), 2.0, True])
-def test_a_membership_scale_must_be_a_positive_int(scale):
-    with pytest.raises(ValueError, match="scale must be a positive int"):
-        in_fhm_polytope((2, 1, 1), scale)
-
-
-@settings(max_examples=300)
-@given(st.data())
-def test_unordered_membership_over_a_scale_decides_the_quotient(data):
-    # the volume3 cross-check hands in_koren_polytope its samples as numerators over 2^30;
-    # the Fractions themselves, and for n <= 7 the 3^n enumeration, are the oracles
-    n, scale = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 60))
+def test_unordered_membership_near_vertices_matches_the_enumeration(data):
+    # DS(n) is the symmetrization of DP(n): x is a member when its decreasing rearrangement
+    # is; the 3^n enumeration of disjoint S, T is the oracle
+    n, scale = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 60))
     numerators = data.draw(_scaled_numerators(n, scale).flatmap(st.permutations))
-    quotient = [F(c, scale) for c in numerators]
-    member = in_koren_polytope(numerators, scale)
-    assert member == in_koren_polytope(quotient)
-    if n <= 7:
-        assert member == koren_oracle(quotient)
+    x = [F(c, scale) for c in numerators]
+    assert in_fhm_polytope(sort_decreasing(x)).member == koren_oracle(x)
 
 
 @settings(max_examples=200)
 @given(st.data())
-def test_unordered_membership_of_rationals_over_a_scale_matches_the_enumeration(data):
-    # in_koren_polytope clears x's own denominators and the scale at once, then sorts the
-    # integers; the 3^n enumeration of disjoint S, T on x / scale is the oracle
+def test_unordered_membership_of_mixed_denominators_matches_the_enumeration(data):
+    # entries with their own denominators over one more; the sorted sweep clears them at once
     n, scale = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 12))
     numerators = data.draw(_scaled_numerators(n, scale).flatmap(st.permutations))
     denominators = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     nudges = data.draw(st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=n, max_size=n))
-    x = [F(c * q + e, q) if q > 1 else c for c, q, e in zip(numerators, denominators, nudges)]
-    assert in_koren_polytope(x, scale) == koren_oracle([F(v, scale) for v in x])
+    x = [F(c * q + e, q * scale) for c, q, e in zip(numerators, denominators, nudges)]
+    assert in_fhm_polytope(sort_decreasing(x)).member == koren_oracle(x)
 
 
-@pytest.mark.parametrize("scale", [0, -1, F(3, 2), F(2), 2.0, True])
-def test_an_unordered_membership_scale_must_be_a_positive_int(scale):
-    with pytest.raises(ValueError, match="scale must be a positive int"):
-        in_koren_polytope((1, 2, 1), scale)
-
-
-@pytest.mark.parametrize("x", [(1, 2, 1), (F(1, 2), 2, F(3, 2)), (F(7, 3), F(1, 6)), (0, 2, 1)], ids=str)
-def test_unordered_membership_clears_its_input_once(monkeypatch, x):
-    # in_koren_polytope clears x once and sorts the integers it gets back
-    calls = []
-    real = polytope.clear_denominators
-    monkeypatch.setattr(polytope, "clear_denominators", lambda *a: calls.append(a) or real(*a))
-    in_koren_polytope(x, 3)
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("x", [(1, 2, 1), (0, 2, 1), (3, 0, 0), (F(1, 2), 2, F(3, 2)), (1, 2, 3, 4)], ids=str)
-def test_unordered_membership_builds_no_witness_row(monkeypatch, x):
-    # the verdict is whether the sweep names a row, so no row and no FhmMembership is built
+@pytest.mark.parametrize("x", [(1, 2, 1), (0, 2, 2), (2, 2, 1, 1), (1, 2, 3, 4), (0, 0, 1, 3)], ids=str)
+def test_degree_test_builds_no_witness_row(monkeypatch, x):
+    # the verdict is whether the one sweep names a row, so no row and no FhmMembership is built
     def refuse(*args):
-        raise AssertionError("in_koren_polytope built a witness")
+        raise AssertionError("is_degree_sequence built a witness")
 
     for name in ("FhmMembership", "monotone_inequality", "fhm_inequality"):
         monkeypatch.setattr(polytope, name, refuse)
-    assert in_koren_polytope(x) == koren_oracle(x)
-
-
-def test_unordered_membership_clears_text_entries_before_it_sorts():
-    # as text, "10" sorts below "9"; cleared first, the entries sort as the integers do
-    entries = (10,) + (9,) * 10 + (1,)
-    assert in_koren_polytope(entries)
-    assert in_koren_polytope(tuple(map(str, entries)))
+    calls = []
+    real = polytope._fhm_witness
+    monkeypatch.setattr(polytope, "_fhm_witness", lambda vec, scale: calls.append((vec, scale)) or real(vec, scale))
+    assert is_degree_sequence(x) == koren_oracle(x)
+    assert calls == [(sorted(x, reverse=True), 1)]
 
 
 def _inequalities(n):
@@ -412,26 +369,27 @@ def test_unsorted_input_gets_one_witness_at_20000_vertices():
     assert verdict.violations == (monotone_inequality(20_000, 1),)
 
 
-def test_in_koren_polytope_frozen_cases():
-    assert not in_koren_polytope((0, 2, 1))
-    assert in_koren_polytope((1, 2, 1))
-    assert in_koren_polytope((2, 1, 1))
-    assert not in_koren_polytope((3, 0, 0))
+def test_unordered_membership_frozen_cases():
+    assert not in_fhm_polytope(sort_decreasing((0, 2, 1))).member
+    assert in_fhm_polytope(sort_decreasing((1, 2, 1))).member
+    assert in_fhm_polytope(sort_decreasing((2, 1, 1))).member
+    assert not in_fhm_polytope(sort_decreasing((3, 0, 0))).member
 
 
-def test_in_koren_polytope_is_sort_invariant():
+def test_is_degree_sequence_is_sort_invariant():
     rng = random.Random(22)
     for _ in range(200):
         n = rng.randint(1, 8)
-        x = random_rational_vector(rng, n)
-        member = in_koren_polytope(x)
-        assert member == in_koren_polytope(sort_decreasing(x))
-        assert member == in_fhm_polytope(sort_decreasing(x)).member
+        x = [rng.randint(-1, n) for _ in range(n)]
+        member = is_degree_sequence(x)
+        assert member == is_degree_sequence(sort_decreasing(x))
+        assert member == (sum(x) % 2 == 0 and in_fhm_polytope(sort_decreasing(x)).member)
 
 
-def test_koren_oracle_agrees_with_in_koren_polytope():
+def test_koren_oracle_agrees_with_unordered_membership():
     # the rational draws are all nonmembers, so shuffled threshold partitions, which are
-    # members, and integer points of [0, n - 1]^n, which are often either, come with each
+    # members, and integer points of [0, n - 1]^n, which are often either, come with each;
+    # on even-sum integer points is_degree_sequence is the unordered membership
     rng = random.Random(23)
     verdicts = set()
     for _ in range(150):
@@ -440,7 +398,9 @@ def test_koren_oracle_agrees_with_in_koren_polytope():
         rng.shuffle(vertex)
         for x in (random_rational_vector(rng, n), vertex, [rng.randint(0, n - 1) for _ in range(n)]):
             member = koren_oracle(x)
-            assert member == in_koren_polytope(x), x
+            assert member == in_fhm_polytope(sort_decreasing(x)).member, x
+            if is_int_vector(x) and sum(x) % 2 == 0:
+                assert member == is_degree_sequence(x), x
             verdicts.add(member)
     assert verdicts == {False, True}
     with pytest.raises(ValueError):
@@ -453,13 +413,12 @@ def test_koren_oracle_agrees_with_in_koren_polytope():
         (in_fhm_polytope, ((),), "nonempty"),
         (fhm_violations, ((),), "nonempty"),
         (koren_oracle, ((),), "nonempty"),
-        (in_koren_polytope, ((),), "nonempty"),
         (monotone_inequality, (4, 0), "monotone index"),
         (fhm_inequality, (4, 0, 0), "1 <= k \\+ l"),
         # (1, 1) is a valid constraint at n = 4, but not a facet
         (irredundancy_witness, (4, fhm_inequality(4, 1, 1), []), "outside the facet list"),
     ],
-    ids=["in_fhm_polytope-empty", "fhm_violations-empty", "koren_oracle-empty", "in_koren_polytope-empty", "monotone-i0", "fhm-k0-l0", "witness-non-facet"],
+    ids=["in_fhm_polytope-empty", "fhm_violations-empty", "koren_oracle-empty", "monotone-i0", "fhm-k0-l0", "witness-non-facet"],
 )
 def test_polytope_refuses_out_of_range_input(refuse, args, match):
     with pytest.raises(ValueError, match=match):
@@ -571,6 +530,37 @@ def _threshold_from_word(n, word):
     for m in range(2, n + 1):
         d = (m - 1, *(v + 1 for v in d)) if word >> (m - 2) & 1 else (*d, 0)
     return d
+
+
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n - 1) - 1))))
+def test_creation_word_round_trips(case):
+    n, word = case
+    assert _creation_word(_threshold_from_word(n, word)) == word
+
+
+def _threshold_from_word_linear(n, word):
+    """:func:`_threshold_from_word` in O(n): read the bits once, then each vertex's degree.
+
+    A dominating vertex m has degree m - 1 plus the dominating vertices
+    added after it, any other vertex only the latter.  The dominating ones
+    lead, latest first; vertex 1 follows, then the isolated ones in order.
+    """
+    bits = format(word, "b").zfill(n - 1)[::-1] if n > 1 else ""
+    dominating = [bit == "1" for bit in bits]  # index m - 2 for vertex m
+    later = [0] * (n + 1)  # later[m]: dominating vertices among m + 1, ..., n
+    for m in range(n - 1, 0, -1):
+        later[m] = later[m + 1] + dominating[m - 1]
+    lead = [m - 1 + later[m] for m in range(n, 1, -1) if dominating[m - 2]]
+    rest = [later[m] for m in range(2, n + 1) if not dominating[m - 2]]
+    return (*lead, later[1], *rest)
+
+
+def test_creation_word_round_trips_at_100000_vertices():
+    # no time bound; at this size a peel that copies the word at every dominating step is quadratic
+    assert [_threshold_from_word_linear(7, w) for w in range(64)] == [_threshold_from_word(7, w) for w in range(64)]
+    n = 100_000
+    word = random.Random(20).getrandbits(n - 1)
+    assert _creation_word(_threshold_from_word_linear(n, word)) == word
 
 
 def _one_block_near_misses(d):
@@ -778,15 +768,17 @@ def test_ds3_volume_estimate_deterministic_and_close():
 @pytest.mark.parametrize("samples", [1, 1_023, 1_024, 1_025, 9_999, 10_000, 10_001, 25_000])
 def test_volume_estimate_cross_checks_the_leading_samples_and_counts_the_rest(monkeypatch, samples):
     calls = []
-    real = polytope.in_koren_polytope
-    monkeypatch.setattr(polytope, "in_koren_polytope", lambda x, scale: calls.append((x, scale)) or real(x, scale))
+    real = polytope._fhm_witness
+    monkeypatch.setattr(polytope, "_fhm_witness", lambda vec, scale: calls.append((vec, scale)) or real(vec, scale))
     est = ds3_volume_estimate(samples=samples, seed=DEFAULT_SEED)
     # the reference: one sample at a time, three draws each, from the same seeded stream
     rng = random.Random(DEFAULT_SEED)
     points = [(rng.getrandbits(31), rng.getrandbits(31), rng.getrandbits(31)) for _ in range(samples)]
+    # each checked sample is sorted and swept over the denominator 2^30
+    swept = [sorted(point, reverse=True) for point in points]
     assert len(calls) == min(samples, 10_000)
-    assert calls == [(point, 1 << 30) for point in points[: len(calls)]]
-    assert (est.samples, est.hits) == (samples, sum(real(point, 1 << 30) for point in points))
+    assert calls == [(vec, 1 << 30) for vec in swept[: len(calls)]]
+    assert (est.samples, est.hits) == (samples, sum(real(vec, 1 << 30) is None for vec in swept))
 
 
 @pytest.mark.parametrize(
@@ -806,19 +798,24 @@ def test_volume_estimate_refuses_a_sample_count_that_is_not_a_positive_int(monke
         ds3_volume_estimate(samples=samples, seed=DEFAULT_SEED)
 
 
-def test_scaled_n3_test_matches_in_koren_polytope_on_the_boundary():
+def test_scaled_n3_test_matches_the_sorted_sweep_on_the_boundary(monkeypatch):
     # random samples never land on a facet; every point of {0, 1/4, ..., 2}^3 is checked,
     # so a strict inequality in place of a facet's <= fails here, in either integer route.
     # A 31-bit draw stays below 2, so the points with a coordinate 2 skip the lanes.
+    scales = []
+    real = polytope._fhm_witness
+    monkeypatch.setattr(polytope, "_fhm_witness", lambda vec, scale: scales.append(scale) or real(vec, scale))
     verdicts, lanes = {}, []
     for point in product([F(k, 4) for k in range(9)], repeat=3):
-        member = in_koren_polytope(point)
-        ints = tuple(int(x * polytope._SCALE) for x in point)
-        assert in_koren_polytope(ints, polytope._SCALE) == member, point
+        member = in_fhm_polytope(sort_decreasing(point)).member
+        ints = sorted((int(x * polytope._SCALE) for x in point), reverse=True)
+        assert (polytope._fhm_witness(ints, polytope._SCALE) is None) == member, point
         verdicts[point] = member
         if max(point) < 2:
             lanes.append(point)
     assert set(verdicts.values()) == {True, False}
+    # both routes are the one sweep: the quarters over their own denominator, the integers over 2^30
+    assert scales.count(polytope._SCALE) == len(verdicts) and set(scales) <= {1, 2, 4, polytope._SCALE}
     # each word is 2k plus a low bit that the draw drops, set on every other word
     words = [2 * int(x * polytope._SCALE) + (j % 2) for j, x in enumerate(x for point in lanes for x in point)]
     packed = int.from_bytes(b"".join(w.to_bytes(4, "little") for w in words), "little")
@@ -862,6 +859,18 @@ def test_volume_cross_check_raises_under_python_O():
         "    print('raised', sys.flags.optimize)\n"
     )
     assert run_under_python_O(script).split() == ["raised", "1"]
+
+
+def test_volume_cross_check_names_the_sweep_and_the_sample(monkeypatch):
+    # with every lane stubbed to miss, the first sample the sweep keeps is the one reported
+    monkeypatch.setattr(polytope, "_koren3_lanes", lambda words, m: 0)
+    rng = random.Random(DEFAULT_SEED)
+    points = [(rng.getrandbits(31), rng.getrandbits(31), rng.getrandbits(31)) for _ in range(50)]
+    first = next(i for i, p in enumerate(points) if polytope._fhm_witness(sorted(p, reverse=True), 1 << 30) is None)
+    message = f"integer lanes say False but the sorted sweep says True at sample {first}: {points[first]!r} / 2^30"
+    with pytest.raises(AssertionError) as raised:
+        ds3_volume_estimate(samples=50, seed=DEFAULT_SEED)
+    assert str(raised.value) == message
 
 
 def test_count_edges_rejects_a_bad_enumeration_under_python_O():
