@@ -47,6 +47,14 @@ def test_clear_ratios_gives_each_pair_over_the_lcm(pairs):
     assert clear_denominators(fractions, 7) == (expected[0], expected[1] * 7)
 
 
+@pytest.mark.parametrize("scale", [0, -1, Fraction(3, 2), Fraction(2), 2.0, True])
+def test_a_clearing_scale_must_be_a_positive_int(scale):
+    # the one place a caller's denominator is checked; int and Fraction input alike
+    for values in ((2, 1, 1), (Fraction(1, 2), 2, Fraction(3, 2))):
+        with pytest.raises(ValueError, match="scale must be a positive int"):
+            clear_denominators(values, scale)
+
+
 def test_is_weakly_decreasing():
     assert is_weakly_decreasing(())
     assert is_weakly_decreasing((5,))

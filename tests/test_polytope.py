@@ -265,6 +265,34 @@ def _scaled_numerators(n, scale):
 
 @settings(max_examples=300)
 @given(st.data())
+def test_the_sweep_over_a_scale_decides_the_quotient(data):
+    # the volume3 cross-check hands the sweep its samples as numerators over 2^30;
+    # the membership of the Fractions themselves is the oracle, row for row
+    n, scale = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 60))
+    numerators = data.draw(_scaled_numerators(n, scale))
+    if data.draw(st.booleans()):
+        numerators.sort(reverse=True)
+    witness = polytope._fhm_witness(numerators, scale)
+    x = [F(c, scale) for c in numerators]
+    oracle = in_fhm_polytope(x)
+    assert (witness is None) == oracle.member == (not fhm_violations(x))
+    assert [(f.k, f.l) if f.i is None else (f.i,) for f in oracle.violations] == ([] if witness is None else [witness])
+
+
+@pytest.mark.parametrize("x", [(1, 2, 1), (F(1, 2), 2, F(3, 2)), (F(7, 3), F(1, 6)), (0, 2, 1)], ids=str)
+def test_membership_clears_its_input_once(monkeypatch, x):
+    # in_fhm_polytope clears x once and hands the sweep the integers and their denominator
+    calls, swept = [], []
+    real_clear, real_sweep = polytope.clear_denominators, polytope._fhm_witness
+    monkeypatch.setattr(polytope, "clear_denominators", lambda *a: calls.append(a) or real_clear(*a))
+    monkeypatch.setattr(polytope, "_fhm_witness", lambda vec, scale: swept.append((vec, scale)) or real_sweep(vec, scale))
+    in_fhm_polytope(x)
+    assert len(calls) == 1
+    assert swept == [real_clear(x)]
+
+
+@settings(max_examples=300)
+@given(st.data())
 def test_unordered_membership_near_vertices_matches_the_enumeration(data):
     # DS(n) is the symmetrization of DP(n): x is a member when its decreasing rearrangement
     # is; the 3^n enumeration of disjoint S, T is the oracle
@@ -435,6 +463,19 @@ def test_is_degree_sequence_frozen_cases():
     assert not is_degree_sequence((1, 1, 1))
     assert not is_degree_sequence((0, 3, 1))
     assert is_degree_sequence((F(1, 2), F(1, 2))) is False  # entries not ints
+
+
+@pytest.mark.parametrize(
+    "x",
+    [(True, True), (2.0, 1.0, 1.0), (F(2), F(1), F(1)), ("2", "1", "1"), (2, 1, True)],
+    ids=["bools", "floats", "fractions", "text", "one-bool"],
+)
+def test_is_degree_sequence_is_false_unless_every_entry_is_an_int(monkeypatch, x):
+    # each x equals the degrees of a graph, (1, 1) or (2, 1, 1), entry for entry; the
+    # degree test answers False before it sums or sorts, so it neither raises nor sweeps
+    assert is_degree_sequence(tuple(map(int, x)))
+    monkeypatch.setattr(polytope, "_fhm_witness", lambda vec, scale: pytest.fail("swept a vector of non-ints"))
+    assert is_degree_sequence(x) is False
 
 
 def test_threshold_partitions_are_degree_sequences():
