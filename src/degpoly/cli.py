@@ -197,7 +197,8 @@ def _cost_pair(token: str) -> tuple[int, int]:
             return p // g, q // g
     value = Fraction(token)
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+    top = max(abs(value.numerator), value.denominator)  # at most 3 * limit bits is below 8^limit < 10^limit
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
         raise UsageError(_TOO_LONG["cost"])
     return value.numerator, value.denominator
 

@@ -3,9 +3,10 @@
 Every quantity in this package is an ``int`` or a ``fractions.Fraction``;
 no decision anywhere is made in floating point.  This module owns the
 input rules every entry point calls - an integer entry is exactly an
-``int``, a partition, and one common denominator for rationals, given
-as ``Fraction``s or as integer pairs (p, q) - the one printer of such a
-pair, and the sequence utilities everything else leans on: decreasing
+``int``, a partition, a rational vector is nonempty and each entry
+exactly an ``int`` or ``Fraction``, and one common denominator for such
+vectors or integer pairs (p, q) - the one printer of such a pair, and
+the sequence utilities everything else leans on: decreasing
 rearrangement, weak-decrease tests, the majorization preorder, and the
 enumeration of bounded partitions.  Prefix sums are
 ``itertools.accumulate``.
@@ -31,9 +32,23 @@ IntSequence = tuple[int, ...]
 Partition = tuple[int, ...]
 
 
+def check_rational_vector(values: Iterable[Rational]) -> tuple[Rational, ...]:
+    """``values`` as a tuple, under the rational rule: nonempty, each entry exactly an ``int`` or ``Fraction``.
+
+    Not ``bool``, ``IntEnum``, ``float``, ``str`` or ``Decimal``.  Other input raises one
+    ``ValueError``, naming the first offending entry's type and never echoing the vector.
+    """
+    vec = tuple(values)
+    if vec and set(map(type, vec)) <= {int, Fraction}:
+        return vec
+    bad = next((t.__name__ for t in map(type, vec) if t not in (int, Fraction)), None)
+    got = "an empty vector" if bad is None else f"an entry of type {bad}"
+    raise ValueError(f"a rational vector is nonempty and each entry exactly an int or a Fraction, got {got}")
+
+
 def as_rational_vector(values: Iterable[Rational]) -> RationalVector:
-    """Coerce a sequence of ints/Fractions to a tuple of Fractions."""
-    return tuple(Fraction(v) for v in values)
+    """``values``, under :func:`check_rational_vector`'s rule, as a tuple of Fractions."""
+    return tuple(map(Fraction, check_rational_vector(values)))
 
 
 def is_int_vector(values: Iterable) -> bool:
@@ -41,25 +56,21 @@ def is_int_vector(values: Iterable) -> bool:
     return set(map(type, values)) <= {int}
 
 
-def _exact(value: Rational) -> Rational:
-    """``value`` itself when it is an ``int`` or ``Fraction``, else ``Fraction(value)``."""
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
-
-
 def clear_denominators(values: Iterable[Rational], scale: int = 1) -> tuple[IntSequence, int]:
     """``values`` times D, the lcm of their denominators, as ints; and D * ``scale``.
 
     That is ``values`` / ``scale`` over one common denominator.
     ``scale`` must be a positive ``int``, so a caller that has cleared
-    its values passes the numerators and their denominator.  All-int
-    input comes back as it is, over ``scale``.
+    its values passes the numerators and their denominator.  ``values``
+    must keep the rule of :func:`check_rational_vector`; all-int input
+    comes back as it is, over ``scale``, after one pass over the types.
     """
     if type(scale) is not int or scale < 1:
         raise ValueError(f"scale must be a positive int, got {scale!r}")
     vec = tuple(values)
-    if is_int_vector(vec):
+    if vec and is_int_vector(vec):
         return vec, scale
-    numerators, denominator = clear_ratios(v.as_integer_ratio() for v in map(_exact, vec))
+    numerators, denominator = clear_ratios(v.as_integer_ratio() for v in check_rational_vector(vec))
     return numerators, denominator * scale
 
 

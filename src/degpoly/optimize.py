@@ -236,8 +236,6 @@ def optimality_certificate(c: Sequence[Rational], scale: int = 1) -> Certificate
     numerators.
     """
     numerators, scale = clear_denominators(c, scale)
-    if not numerators:
-        raise ValueError("cannot certify an empty vector")
     blocks = runs._pava_blocks(numerators)
     alpha: list[int] = []
     start = 0

@@ -33,8 +33,6 @@ def average_runs(c: Sequence[Rational]) -> RationalVector:
     where c_i > c_{i+1}, and ties do not split.
     """
     vec = as_rational_vector(c)
-    if not vec:
-        raise ValueError("cannot average an empty vector")
     out: list[Fraction] = []
     start = 0
     for end in range(1, len(vec) + 1):
@@ -58,9 +56,7 @@ def pool(c: Sequence[Rational]) -> PoolResult:
     the loop enforces it rather than trusting it.
     """
     cur = as_rational_vector(c)
-    if not cur:
-        raise ValueError("cannot pool an empty vector")
-    limit = max(1, len(cur) - 1)
+    limit = len(cur) - 1
     for rounds in range(limit + 1):
         if is_weakly_decreasing(cur):
             return PoolResult(cur, rounds)
@@ -103,6 +99,4 @@ def pava_oracle(c: Sequence[Rational]) -> RationalVector:
     can cross-check each other.
     """
     numerators, scale = clear_denominators(c)
-    if not numerators:
-        raise ValueError("cannot project an empty vector")
     return _block_means(_pava_blocks(numerators), scale)

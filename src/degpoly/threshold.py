@@ -137,8 +137,6 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
     :meth:`degpoly.optimize.Certificate.optimizer`.
     """
     vec = as_rational_vector(b)
-    if not vec:
-        raise ValueError("need at least one weight")
     if not is_weakly_decreasing(vec):
         raise ValueError(f"weights must be weakly decreasing, got {b!r}")
     n = len(vec)

@@ -680,6 +680,49 @@ def test_a_cost_too_long_to_print_exits_2_however_spelled(capsys):
     assert parse_cost_pairs(f"{'9' * 4300},1e4299,1_{zeros[:4299]}") == ((10**4300 - 1, 1), (10**4299, 1), (10**4299, 1))
 
 
+_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+needs_limit = pytest.mark.skipif(not _LIMIT, reason="this Python prints integers of any length")
+
+
+@needs_limit
+@pytest.mark.parametrize(
+    "token, refused",
+    [
+        (f"1e{_LIMIT - 1}", False),
+        (f"1e{_LIMIT}", True),
+        ("9" * _LIMIT + "e0", False),
+        ("9" * _LIMIT + ".9", True),
+    ],
+    ids=["1e(limit-1)", "1e(limit)", "limit-nines-e0", "limit-nines-point-9"],
+)
+def test_a_cost_is_refused_from_the_first_value_str_cannot_print(capsys, token, refused):
+    code, report, err = run(capsys, "optimize", f"--costs={token},0")
+    if refused:
+        assert (code, report, err) == (2, None, "error: a cost has a numerator or denominator with more digits than str prints\n")
+    else:
+        assert (code, err) == (0, "") and report["inputs"]["costs"][0] == str(Fraction(token))
+
+
+@needs_limit
+def test_a_cost_short_in_bits_builds_no_power_of_ten(monkeypatch):
+    built = []
+
+    class Limit(int):
+        """The digit limit, noting each power 10**limit built from it."""
+
+        def __rpow__(self, base):
+            built.append(base)
+            return base ** int(self)
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: Limit(_LIMIT))
+    # 10^(3 limit / 4) has about 2.5 * limit bits: short enough without the power
+    assert parse_cost_pairs(f"1.5,3/2,1e{3 * _LIMIT // 4}") == ((3, 2), (3, 2), (10 ** (3 * _LIMIT // 4), 1))
+    assert built == []
+    with pytest.raises(ValueError, match="more digits than str prints"):
+        parse_cost_pairs(f"1e{_LIMIT}")
+    assert built == [10]
+
+
 def test_an_over_long_degree_exits_2_without_echo(capsys):
     # the size rule of --costs holds for --seq too: one short line, and the list is not echoed
     ones = "1" * 5000

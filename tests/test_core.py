@@ -36,13 +36,12 @@ def test_clear_ratios_gives_each_pair_over_the_lcm(pairs):
     fractions = [Fraction(p, q) for p, q in pairs]
     expected = clear_ratios((f.numerator, f.denominator) for f in fractions)
     assert clear_denominators(fractions) == expected
-    # whole values as ints among the Fractions, and a bool among either, clear the same way
+    # whole values as ints among the Fractions clear the same way; a bool among either is refused
     mixed = [int(f) if f.denominator == 1 else f for f in fractions]
     assert clear_denominators(mixed) == expected
     for vec in ([*mixed, True], [*fractions, False]):
-        numerators, scale = clear_denominators(vec)
-        assert (numerators[:-1], scale) == expected and numerators[-1] == vec[-1] * scale
-        assert all(type(c) is int for c in numerators)
+        with pytest.raises(ValueError, match="exactly an int or a Fraction, got an entry of type bool"):
+            clear_denominators(vec)
     # over a scale the numerators stay and the denominator grows by it
     assert clear_denominators(fractions, 7) == (expected[0], expected[1] * 7)
 

@@ -1,4 +1,4 @@
-"""Every integer entry point applies the one rule of degpoly.core, and no module restates it.
+"""Every integer and every rational entry point applies its one rule of degpoly.core, and no module restates it.
 
 No module states an invariant as a bare ``assert`` either, which ``python -O`` would strip,
 and ``cli.py`` builds each named check in one place.
@@ -6,16 +6,19 @@ and ``cli.py`` builds each named check in one place.
 
 import ast
 from collections import Counter
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from degpoly.core import check_partition, is_partition
+from degpoly.core import as_rational_vector, check_partition, clear_denominators, is_partition
 from degpoly.hypergraph import RGraph, havel_hakimi, is_r_graphical_partition, realize_r_graph
-from degpoly.polytope import is_degree_sequence
-from degpoly.threshold import is_threshold_partition
+from degpoly.optimize import brute_force_optimal_partition, optimal_threshold_partition, optimality_certificate
+from degpoly.polytope import affine_rank, fhm_violations, in_fhm_polytope, is_degree_sequence, koren_oracle
+from degpoly.runs import average_runs, pava_oracle, pool
+from degpoly.threshold import graph_from_weights, is_threshold_partition
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "degpoly"
 
@@ -40,6 +43,29 @@ ENTRY_POINTS = {
 }
 
 
+# entry point -> a call on one rational vector; each accepts (1, 1/2, 0)
+RATIONAL_ENTRY_POINTS = {
+    "as_rational_vector": as_rational_vector,
+    "clear_denominators": clear_denominators,
+    "average_runs": average_runs,
+    "pool": pool,
+    "pava_oracle": pava_oracle,
+    "graph_from_weights": graph_from_weights,
+    "optimality_certificate": optimality_certificate,
+    "optimal_threshold_partition": optimal_threshold_partition,
+    "brute_force_optimal_partition": brute_force_optimal_partition,
+    "in_fhm_polytope": in_fhm_polytope,
+    "fhm_violations": fhm_violations,
+    "koren_oracle": koren_oracle,
+    # the rule holds for every point, not only the first
+    "affine_rank": lambda x: affine_rank([(0,) * len(x), x]),
+}
+RATIONAL = (1, Fraction(1, 2), 0)
+# none is exactly an int or a Fraction
+NOT_RATIONALS = [True, 0.5, "1", Decimal(1), Degree.TWO]
+RATIONAL_RULE = "a rational vector is nonempty and each entry exactly an int or a Fraction, got "
+
+
 def _accepts(call, d):
     """A truthy answer; ``False`` or ``ValueError`` is a refusal."""
     try:
@@ -62,6 +88,33 @@ def test_every_entry_point_refuses_what_is_not_exactly_an_int(name, value):
 def test_predicates_answer_false_rather_than_raise(name, value):
     plain = (int(value),) * (int(value) + 1)
     assert ENTRY_POINTS[name]((value,) + plain[1:]) is False
+
+
+@pytest.mark.parametrize("name", RATIONAL_ENTRY_POINTS)
+def test_every_rational_entry_point_refuses_an_empty_vector(name):
+    call = RATIONAL_ENTRY_POINTS[name]
+    call(RATIONAL)
+    with pytest.raises(ValueError, match=RATIONAL_RULE + "an empty vector$"):
+        call(())
+
+
+@pytest.mark.parametrize("position", [0, 2])
+@pytest.mark.parametrize("value", NOT_RATIONALS, ids=repr)
+@pytest.mark.parametrize("name", RATIONAL_ENTRY_POINTS)
+def test_every_rational_entry_point_refuses_what_is_not_exactly_an_int_or_a_fraction(name, value, position):
+    call = RATIONAL_ENTRY_POINTS[name]
+    call(RATIONAL)
+    vec = list(RATIONAL)
+    vec[position] = value
+    with pytest.raises(ValueError, match=f"{RATIONAL_RULE}an entry of type {type(value).__name__}$"):
+        call(tuple(vec))
+
+
+def test_the_rational_rule_names_the_first_offender_and_never_echoes_the_vector():
+    vec = (Fraction(1, 3),) * 10**5 + (0.5, "1")
+    with pytest.raises(ValueError) as refusal:
+        as_rational_vector(vec)
+    assert str(refusal.value) == RATIONAL_RULE + "an entry of type float"
 
 
 def _is_int(node):

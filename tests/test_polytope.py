@@ -438,15 +438,12 @@ def test_koren_oracle_agrees_with_unordered_membership():
 @pytest.mark.parametrize(
     "refuse, args, match",
     [
-        (in_fhm_polytope, ((),), "nonempty"),
-        (fhm_violations, ((),), "nonempty"),
-        (koren_oracle, ((),), "nonempty"),
         (monotone_inequality, (4, 0), "monotone index"),
         (fhm_inequality, (4, 0, 0), "1 <= k \\+ l"),
         # (1, 1) is a valid constraint at n = 4, but not a facet
         (irredundancy_witness, (4, fhm_inequality(4, 1, 1), []), "outside the facet list"),
     ],
-    ids=["in_fhm_polytope-empty", "fhm_violations-empty", "koren_oracle-empty", "monotone-i0", "fhm-k0-l0", "witness-non-facet"],
+    ids=["monotone-i0", "fhm-k0-l0", "witness-non-facet"],
 )
 def test_polytope_refuses_out_of_range_input(refuse, args, match):
     with pytest.raises(ValueError, match=match):

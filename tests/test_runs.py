@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,17 +33,6 @@ def test_average_runs_splits_only_at_strict_descents():
     assert average_runs((1, 1, 2, 0)) == (F(4, 3), F(4, 3), F(4, 3), F(0))
     assert average_runs((2, 2, 1)) == (F(2), F(2), F(1))
     assert average_runs((1, 1, 1)) == (F(1), F(1), F(1))
-
-
-def test_average_runs_rejects_empty():
-    with pytest.raises(ValueError):
-        average_runs(())
-
-
-@pytest.mark.parametrize("refuse", [pool, pava_oracle])
-def test_pool_and_pava_oracle_refuse_empty(refuse):
-    with pytest.raises(ValueError, match="empty vector"):
-        refuse(())
 
 
 def test_average_runs_preserves_sum():
