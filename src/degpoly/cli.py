@@ -50,18 +50,21 @@ per entry.  The one randomized suite, volume3,
 samples from ``random.Random(--seed)``, and --seed defaults to
 ``DEFAULT_SEED``, so identical flags give identical reports.
 A ``main`` call whose argv[0] names a command in ``COMMANDS`` builds
-that command's parser alone and parses argv[1:] with it.  Any other
-argv (``-h``, a typo, no argv), and any argv that parser refuses, is
-parsed by the full tree, ``build_parser``, which prints the refusal, so
-every help and error line is the full tree's, byte for byte.  Parsers
-are built per call, not cached, so a ``cmd_*`` rebound after the first
-call is the one that runs, and no state is kept between calls.
+that command's parser alone and parses argv[1:] with it.  That parser
+builds nothing for printing: it has no ``-h`` option and asks the
+terminal for no width.  Any other argv (``-h``, a typo, no argv), and
+any argv that parser refuses, ``{command} -h`` among them, is parsed by
+the full tree, ``build_parser``, which prints every help and error
+line.  Parsers are built per call, not cached, so a ``cmd_*`` rebound
+after the first call is the one that runs, and no state is kept
+between calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import re
 import sys
@@ -477,7 +480,9 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
         )
     witness_edges = None
     witness = realize_r_graph(seq, n, r) if small_poset else None
-    graphical = is_degree_sequence(seq) if r == 2 else witness is not None
+    # sorted once: is_degree_sequence re-sorts a sorted partition in one linear pass
+    partition = sort_decreasing(seq)
+    graphical = is_degree_sequence(partition) if r == 2 else witness is not None
     checks = []
     if r == 2 and small_poset:
         # polytope membership against majorization: the one pair of independent routes
@@ -490,7 +495,7 @@ def cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
         "inputs": {"seq": seq, "r": r, "n": n},
         "result": {
             "graphical": graphical,
-            "degree_partition": sort_decreasing(seq),
+            "degree_partition": partition,
             "witness_edges": witness_edges,
         },
         "checks": checks,
@@ -542,8 +547,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# any width will do: nothing the command's parser formats is printed
+_UNPRINTED_FORMATTER = functools.partial(argparse.HelpFormatter, width=80)
+
+
 class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, built as the full tree builds its subparser; it raises a refusal for the tree to print."""
+    """One command's parser, which prints nothing: the full tree prints every help and error line.
+
+    It has no ``-h`` option, so ``-h`` is refused like any unknown
+    option, and each refusal is raised for the tree to print.  Its
+    formatter, which ``add_argument`` builds to check each metavar, has
+    a fixed width, so building the parser asks the terminal for none.
+    """
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog=prog, add_help=False, formatter_class=_UNPRINTED_FORMATTER)
 
     def error(self, message: str) -> NoReturn:
         raise argparse.ArgumentError(None, message)

@@ -5,8 +5,9 @@ no decision anywhere is made in floating point.  This module owns the
 input rules every entry point calls - an integer entry is exactly an
 ``int``, a partition, a rational vector is nonempty and each entry
 exactly an ``int`` or ``Fraction``, and one common denominator for such
-vectors or integer pairs (p, q) - the one printer of such a pair, and
-the sequence utilities everything else leans on: decreasing
+vectors or integer pairs (p, q) - the one printer of such a pair, the
+texts by which a refusal names one offending entry rather than echo the
+vector, and the sequence utilities everything else leans on: decreasing
 rearrangement, weak-decrease tests, the majorization preorder, and the
 enumeration of bounded partitions.  Prefix sums are
 ``itertools.accumulate``.
@@ -124,10 +125,41 @@ def is_partition(values: Sequence) -> bool:
 
 
 def check_partition(values: Sequence, what: str = "sequence") -> Partition:
-    """Return ``values`` as a tuple, raising if it is not a partition."""
-    if not is_partition(values):
-        raise ValueError(f"{what} must be weakly decreasing nonnegative integers: {values!r}")
-    return tuple(values)
+    """Return ``values`` as a tuple, raising if it is not a partition.
+
+    The ``ValueError`` names the first entry that breaks the rule, never the whole sequence.
+    """
+    if is_partition(values):
+        return tuple(values)
+    if not len(values):
+        fault = "an empty sequence"
+    else:
+        bad = next((i for i, t in enumerate(map(type, values), 1) if t is not int), None)
+        if bad is not None:
+            fault = f"entry {bad} of type {type(values[bad - 1]).__name__}"
+        elif is_weakly_decreasing(values):
+            first = next(i for i, v in enumerate(values, 1) if v < 0)
+            fault = f"entry {first} = {value_text(values[first - 1])}, which is negative"
+        else:
+            fault = ascent_text(values)
+    raise ValueError(f"{what} must be weakly decreasing nonnegative integers, got {fault}")
+
+
+def value_text(value: Rational) -> str:
+    """``str(value)`` for a refusal, cut to 40 characters; an int past ``str``'s digit limit by its size."""
+    try:
+        text = str(value)
+    except ValueError:  # more digits than str prints
+        return f"a {type(value).__name__} too long to print"
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def ascent_text(values: Sequence[Rational]) -> str:
+    """Where ``values`` first rises, for a refusal: "entry i + 1 = b exceeds entry i = a", 1-based; never the vector."""
+    i = next((i for i in range(1, len(values)) if values[i - 1] < values[i]), None)
+    if i is None:
+        return "no entry above the one before it"
+    return f"entry {i + 1} = {value_text(values[i])} exceeds entry {i} = {value_text(values[i - 1])}"
 
 
 def bounded_partitions(n: int, max_total: int, max_entry: int | None = None) -> list[Partition]:

@@ -44,11 +44,13 @@ from typing import Iterator, Mapping, Sequence
 from .core import (
     IntSequence,
     Partition,
+    ascent_text,
     check_partition,
     is_int_vector,
     is_weakly_decreasing,
     majorizes,
     sort_decreasing,
+    value_text,
 )
 
 RSubset = tuple[int, ...]
@@ -123,7 +125,7 @@ def degree_partition_of_ideal(ideal: RGraph) -> Partition:
     """Vertex degrees of the ideal, which come out weakly decreasing; else ``AssertionError``, also under -O."""
     deg = degree_sequence(ideal)
     if not is_weakly_decreasing(deg):
-        raise AssertionError(f"ideal degrees must weakly decrease, got {deg!r}")
+        raise AssertionError(f"ideal degrees must weakly decrease, got {ascent_text(deg)}")
     return deg
 
 
@@ -163,7 +165,10 @@ def muirhead_chain(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, int],
         src = order[next(t for t in range(len(cur)) if val_prefix[t] > goal_prefix[t])]
         tgt = order[next(t for t in range(len(cur)) if vals[t] < goal[t])]
         if cur[src] < cur[tgt] + 2:
-            raise AssertionError(f"transfer {src + 1} -> {tgt + 1} lacks a surplus of two in {cur!r}")
+            raise AssertionError(
+                f"transfer {src + 1} -> {tgt + 1} lacks a surplus of two:"
+                f" entries {value_text(cur[src])} and {value_text(cur[tgt])}"
+            )
         chain.append((src + 1, tgt + 1))
         cur[src] -= 1
         cur[tgt] += 1

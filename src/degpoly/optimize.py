@@ -45,6 +45,7 @@ from .core import (
     Partition,
     Rational,
     RationalVector,
+    ascent_text,
     clear_denominators,
     is_weakly_decreasing,
     ratio_text,
@@ -79,7 +80,7 @@ def _degree_sweep(ratios: Sequence[tuple[int, int]], strict: bool) -> Partition:
             hi -= 1
         deg.append(hi - 1 if i <= hi else hi)
     if not is_weakly_decreasing(deg):
-        raise AssertionError(f"threshold degrees must weakly decrease, got {tuple(deg)!r}")
+        raise AssertionError(f"threshold degrees must weakly decrease, got {ascent_text(deg)}")
     return tuple(deg)
 
 

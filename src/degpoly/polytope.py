@@ -179,27 +179,35 @@ def _fhm_witness(vec: Sequence[int], scale: int) -> tuple[int, ...] | None:
     every later k too (x falls, the bound rises).  So the sweep stops at
     the first such k >= 1: no later k exceeds the best so far, and the
     smallest-k tie rule keeps the same witness (Erdos and Gallai's index
-    bound).
+    bound).  The sweep keeps three running sums in place of prefix and
+    suffix lists: ``pre``, the first k entries; ``low``, the ``below``
+    smallest entries, those under the bound; and ``total``, so that the
+    last n - k entries, where the best l is capped, sum to total - pre.
     """
     n = len(vec)
     for i in range(1, n):
         if vec[i - 1] < vec[i]:
             return (i,)
-    # suf[l] is the sum of the last l entries
-    suf = list(accumulate(reversed(vec), initial=0))
+    total = sum(vec)
     # (0, 0) is no constraint, but its excess 0 is never a violation
     best, best_k, best_l = 0, 0, 0
-    below = 0  # entries below k; they form a suffix of vec
-    for k, pre in enumerate(accumulate(vec, initial=0)):
-        bound = k * scale
-        if k and vec[k - 1] <= bound - scale:
-            break
-        while below < n and vec[n - 1 - below] < bound:
+    k = pre = low = below = bound = 0  # below: entries under bound = k * scale, a suffix of vec
+    last = n - 1
+    while True:
+        while below < n and vec[last - below] < bound:
+            low += vec[last - below]
             below += 1
-        l = below if below < n - k else n - k
-        excess = pre - suf[l] - bound * (n - 1 - l)
+        if below < n - k:
+            excess, l = pre - low - bound * (last - below), below
+        else:
+            excess, l = 2 * pre - total - bound * (k - 1), n - k
         if excess > best:
             best, best_k, best_l = excess, k, l
+        if k == n or vec[k] <= bound:
+            break
+        pre += vec[k]
+        k += 1
+        bound += scale
     return (best_k, best_l) if best > 0 else None
 
 
@@ -409,8 +417,9 @@ def affine_rank(points: Sequence[Sequence[Rational]]) -> int:
     if not points:
         return 0
     base, *rest = map(check_rational_vector, points)
-    if any(len(p) != len(base) for p in rest):
-        raise ValueError(f"affine rank needs points of one length, got {points!r}")
+    for j, p in enumerate(rest, 2):
+        if len(p) != len(base):
+            raise ValueError(f"affine rank needs points of one length, got {len(base)} at point 1 and {len(p)} at point {j}")
     rows = [clear_denominators([v - b for v, b in zip(p, base)])[0] for p in rest]
     rank, prev = 0, 1
     for col in range(len(base)):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Rational, RationalVector, as_rational_vector, clear_denominators, is_weakly_decreasing
+from .core import Rational, RationalVector, as_rational_vector, ascent_text, clear_denominators, is_weakly_decreasing
 
 
 def average_runs(c: Sequence[Rational]) -> RationalVector:
@@ -61,7 +61,7 @@ def pool(c: Sequence[Rational]) -> PoolResult:
         if is_weakly_decreasing(cur):
             return PoolResult(cur, rounds)
         cur = average_runs(cur)
-    raise AssertionError(f"averaging failed to stabilize within {limit} rounds: {c!r}")
+    raise AssertionError(f"averaging failed to stabilize within {limit} rounds: {ascent_text(cur)}")
 
 
 def _pava_blocks(numerators: Sequence[int]) -> list[tuple[int, int]]:

@@ -33,6 +33,8 @@ from .core import (
     Partition,
     Rational,
     as_rational_vector,
+    ascent_text,
+    check_partition,
     is_partition,
     is_weakly_decreasing,
 )
@@ -59,17 +61,27 @@ def _creation_word(d: Sequence[int]) -> int | None:
     """Bit m - 2 set when vertex m dominates, clear when isolated; None off threshold.
 
     That is the order of :func:`enumerate_threshold_partitions`.  Word 0,
-    the empty graph, is falsy, so callers test ``is None``.  The peel
-    reads vertices from the last one added: the k = hi - lo + 1 still to
-    peel are d[lo..hi] (0-based) minus ``offset``, the dominating ones
-    removed so far.  The last is isolated when d[hi] == offset, else the
-    first dominates when d[lo] - offset == hi - lo and sets bit k - 2.
+    the empty graph, is falsy, so callers test ``is None``.  See
+    :func:`_peel` for how the word is read off ``d``.
+    """
+    if not is_partition(d):
+        return None
+    lo, hi, bits = _peel(d)
+    return int.from_bytes(bits, "little") if lo > hi else None
+
+
+def _peel(d: Partition) -> tuple[int, int, bytearray]:
+    """Peel the partition ``d`` as far as it goes: (lo, hi, the creation word's bits); threshold when lo > hi.
+
+    The peel reads vertices from the last one added: the k = hi - lo + 1
+    still to peel are d[lo..hi] (0-based) minus ``offset``, the
+    dominating ones removed so far.  The last is isolated when
+    d[hi] == offset, else the first dominates when d[lo] - offset ==
+    hi - lo and sets bit k - 2; when neither holds, the peel stops.
     Isolated is tested first, so the values left never go negative.
     The bits are set in a byte array and the word is built from it once,
     so the peel is O(n).
     """
-    if not is_partition(d):
-        return None
     n = len(d)
     bits = bytearray((n + 6) // 8)  # the n - 1 bits of vertices 2..n
     lo, hi, offset = 0, n - 1, 0
@@ -82,8 +94,8 @@ def _creation_word(d: Sequence[int]) -> int | None:
             lo += 1
             offset += 1
         else:
-            return None
-    return int.from_bytes(bits, "little")
+            break
+    return lo, hi, bits
 
 
 def is_threshold_partition(d: Sequence[int]) -> bool:
@@ -103,12 +115,17 @@ def ideal_from_partition(d: Sequence[int]) -> RGraph:
     Its edges are the shifted shape {(i, j) : i < j <= d_i + 1}.
     Raises ``ValueError`` for non-threshold input.
     """
-    if _creation_word(d) is None:
-        raise ValueError(f"not a threshold partition: {d!r}")
+    d = check_partition(d, "a threshold partition")
+    lo, hi, _ = _peel(d)
+    if lo <= hi:
+        raise ValueError(
+            f"not a threshold partition: the peel stops at entries {lo + 1}..{hi + 1},"
+            f" where entry {hi + 1} is not isolated and entry {lo + 1} does not dominate"
+        )
     n = len(d)
     ideal = _pair_ideal(n, ((i, j) for i in range(1, n + 1) for j in range(i + 1, d[i - 1] + 2)))
-    if degree_partition_of_ideal(ideal) != tuple(d):
-        raise AssertionError(f"the ideal rebuilt from {tuple(d)!r} has other degrees")
+    if degree_partition_of_ideal(ideal) != d:
+        raise AssertionError(f"the ideal rebuilt from a threshold partition of length {n} has other degrees")
     return ideal
 
 
@@ -138,7 +155,7 @@ def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:
     """
     vec = as_rational_vector(b)
     if not is_weakly_decreasing(vec):
-        raise ValueError(f"weights must be weakly decreasing, got {b!r}")
+        raise ValueError(f"weights must be weakly decreasing, got {ascent_text(vec)}")
     n = len(vec)
     if strict:
         edges = {(i, j) for i, j in r_subsets(n, 2) if vec[i - 1] + vec[j - 1] > 0}

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -851,6 +852,13 @@ _PARSE_EXITS = {
     "stray token after --": ("optimize", "--costs=1", "--", "2"),
     "-h after a valid option": ("verify", "--n", "4", "-h"),
     "bad value for an option given twice": ("recognize", "--seq=1,1", "--r", "2", "--r", "x"),
+    # help asked for by an abbreviation, before or after other options, or where an option's value should be
+    "recognize --he": ("recognize", "--he"),
+    "optimize --costs=1 --h": ("optimize", "--costs=1", "--h"),
+    "recognize -h --seq=1,1": ("recognize", "-h", "--seq=1,1"),
+    "verify --n 4 --suite counts --help": ("verify", "--n", "4", "--suite", "counts", "--help"),
+    "recognize --seq -h": ("recognize", "--seq", "-h"),
+    "optimize --co=1 --he": ("optimize", "--co=1", "--he"),
 }
 
 
@@ -890,10 +898,40 @@ def test_a_successful_call_builds_one_parser_and_a_refusal_the_full_tree(capsys,
         assert len(built) == 1, argv
     for argv in _PARSE_EXITS.values():
         built.clear()
-        code = _parse_exit(lambda: main(list(argv)))[0]
+        _parse_exit(lambda: main(list(argv)))
         named = bool(argv) and argv[0] in COMMANDS
-        # a command's own parser prints its help; a refusal, or an argv that names no command, goes to the tree
-        assert len(built) == (1 if named and code == 0 else named + full), argv
+        # help is refused by the command's parser like any unknown option; the tree prints it and every refusal
+        assert len(built) == named + full, argv
+
+
+def test_a_successful_call_builds_nothing_for_printing(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def no_terminal(*args, **kwargs):
+        raise AssertionError("asked the terminal for its width")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(shutil, "get_terminal_size", no_terminal)
+        for argv in _FIRST_CALLS.values():
+            built.clear()
+            assert run(capsys, *argv)[0] == 0
+            [parser] = built
+            assert not any("-h" in action.option_strings for action in parser._actions), argv
+    # the tree prints each command's help, wrapped at COLUMNS
+    for command in COMMANDS:
+        helps = {}
+        for columns in (40, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            helps[columns] = _parse_exit(lambda: main([command, "-h"]))
+            assert helps[columns] == _parse_exit(lambda: build_parser().parse_args([command, "-h"]))
+            assert helps[columns][0] == 0
+        assert helps[40][1].count("\n") > helps[120][1].count("\n"), command
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))

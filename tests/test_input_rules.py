@@ -18,7 +18,8 @@ from degpoly.hypergraph import RGraph, havel_hakimi, is_r_graphical_partition, r
 from degpoly.optimize import brute_force_optimal_partition, optimal_threshold_partition, optimality_certificate
 from degpoly.polytope import affine_rank, fhm_violations, in_fhm_polytope, is_degree_sequence, koren_oracle
 from degpoly.runs import average_runs, pava_oracle, pool
-from degpoly.threshold import graph_from_weights, is_threshold_partition
+from degpoly import runs
+from degpoly.threshold import graph_from_weights, ideal_from_partition, is_threshold_partition
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "degpoly"
 
@@ -115,6 +116,43 @@ def test_the_rational_rule_names_the_first_offender_and_never_echoes_the_vector(
     with pytest.raises(ValueError) as refusal:
         as_rational_vector(vec)
     assert str(refusal.value) == RATIONAL_RULE + "an entry of type float"
+
+
+ASCENT = (0,) * 10**5 + (1,)
+# refusal -> (a call on about 10^5 entries, what its message must say)
+LONG_REFUSALS = {
+    "check_partition": (lambda: check_partition(ASCENT), "entry 100001 = 1 exceeds entry 100000 = 0"),
+    "check_partition negative": (lambda: check_partition((0,) * 10**5 + (-1,)), "entry 100001 = -1, which is negative"),
+    "check_partition type": (lambda: check_partition((0,) * 10**5 + (0.0,)), "entry 100001 of type float"),
+    "check_partition long int": (lambda: check_partition((0,) * 10**5 + (10**5000,)), "a int too long to print"),
+    "ideal_from_partition": (lambda: ideal_from_partition(ASCENT), "entry 100001 = 1 exceeds entry 100000 = 0"),
+    "ideal_from_partition peel": (
+        lambda: ideal_from_partition((2, 2, 1, 1) + (0,) * 10**5),
+        "the peel stops at entries 1..4, where entry 4 is not isolated and entry 1 does not dominate",
+    ),
+    "graph_from_weights": (lambda: graph_from_weights(ASCENT), "entry 100001 = 1 exceeds entry 100000 = 0"),
+    "graph_from_weights long value": (
+        lambda: graph_from_weights((0,) * 10**5 + (Fraction(10**60 + 1, 3),)),
+        "entry 100001 = 1000000000000000000000000000000000000... exceeds",
+    ),
+    "affine_rank": (lambda: affine_rank([(0,) * 10**5, (1,)]), "got 100000 at point 1 and 1 at point 2"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_REFUSALS)
+def test_a_refusal_names_the_first_offending_entry_and_never_echoes_the_vector(name):
+    call, fault = LONG_REFUSALS[name]
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert fault in str(refusal.value)
+    assert len(str(refusal.value)) < 200
+
+
+def test_an_unstable_pool_names_its_first_ascent_and_never_echoes_the_vector(monkeypatch):
+    monkeypatch.setattr(runs, "average_runs", lambda vec: vec)
+    with pytest.raises(AssertionError) as failure:
+        runs.pool((0, 1) + (0,) * 2000)
+    assert str(failure.value) == "averaging failed to stabilize within 2001 rounds: entry 2 = 1 exceeds entry 1 = 0"
 
 
 def _is_int(node):

@@ -1,13 +1,14 @@
-"""tools/replay.py finds exactly the ops whose output differs between two trees, and counts lines."""
+"""tools/replay.py finds exactly the ops whose output differs between two trees, and counts lines; tools/opcount.py counts the same on every run."""
 
-import importlib.util
 import shutil
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("replay", ROOT / "tools" / "replay.py")
-replay = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(replay)
+# the tools import their shared helpers, tools/trees.py, as a top-level module
+sys.path.insert(0, str(ROOT / "tools"))
+import opcount
+import replay
 
 COUNTS = ["verify", "--n", "4", "--suite", "counts"]
 # two argvs per command; of these, only COUNTS reports dominating-sum-identity
@@ -73,3 +74,16 @@ def test_line_counts_skip_docstrings_comments_and_blank_lines(tmp_path):
     )
     (tmp_path / "pkg" / "empty.py").write_text("")
     assert replay.line_counts(tmp_path) == (18, 7)
+
+
+def test_opcount_counts_an_op_the_same_twice_after_one_warm_up():
+    # one small argv per command, each run three times in one process: the first warms its caches
+    argvs = [argv for argv in ARGVS[::2] for _ in range(3)]
+    counts = opcount.opcounts(ROOT / "src", argvs)
+    assert len(counts) == len(argvs)
+    for first, second, third in zip(counts[::3], counts[1::3], counts[2::3]):
+        assert second == third
+        opcodes, calls = second
+        assert opcodes > calls > 0
+    # the warm-up op is run once more and not counted
+    assert opcount.per_op(ROOT / "src", ARGVS[:1]) == counts[1]

@@ -22,24 +22,17 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import json
-import os
-import subprocess
 import sys
-import tarfile
-import tempfile
 import tokenize
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from trees import ROOT, archived_src, pool_argvs, run_child
+
 SEEDS = (1, 2, 3)
 ARGV_WIDTH = 120
 
-# One op per line of stdin, as a JSON list; one JSON line per op back: [exit code, stdout, stderr].
+# one JSON line per op back: [exit code, stdout, stderr]
 _CHILD = """
-import contextlib, io, json, sys
-import degpoly.cli
-print(json.dumps(degpoly.cli.__file__), flush=True)
 for line in sys.stdin:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -55,28 +48,12 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, t
 
 def workload_argvs() -> list[list[str]]:
     """The argv of every op of seeds 1-3 of each pool in ``bench/workloads.py``."""
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import WORKLOADS, ops_for
-
-    return [list(op.argv) for workload in WORKLOADS.values() for seed in SEEDS for op in ops_for(workload, seed)]
+    return [argv for argvs in pool_argvs(SEEDS).values() for argv in argvs]
 
 
 def replay(src: Path, argvs: list[list[str]]) -> list[tuple]:
     """(exit code, stdout, stderr) of each argv, run in order by one ``python -B`` on ``src``'s degpoly."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    feed = "".join(json.dumps(argv) + "\n" for argv in argvs)
-    # cwd holds no degpoly, so PYTHONPATH is where it comes from
-    with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run(
-            [sys.executable, "-B", "-c", _CHILD], input=feed, capture_output=True, text=True, env=env, cwd=cwd
-        )
-    if proc.returncode:
-        raise RuntimeError(f"the replay on {src} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    module, *lines = proc.stdout.splitlines()
-    if not Path(json.loads(module)).resolve().is_relative_to(Path(src).resolve()):
-        raise RuntimeError(f"the replay on {src} imported {json.loads(module)}")
-    return [tuple(json.loads(line)) for line in lines]
+    return [tuple(result) for result in run_child(src, _CHILD, argvs)]
 
 
 def differing(argvs: list[list[str]], left: Path, right: Path) -> list[list[str]]:
@@ -126,15 +103,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare the working tree with, such as HEAD~")
     args = parser.parse_args(argv)
-    archive = subprocess.run(["git", "archive", args.parent, "src"], cwd=ROOT, capture_output=True, check=True)
     argvs = workload_argvs()
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            if hasattr(tarfile, "data_filter"):
-                tar.extractall(tmp, filter="data")
-            else:
-                tar.extractall(tmp)
-        return compare(argvs, {args.parent: Path(tmp) / "src", "working tree": ROOT / "src"})
+    with archived_src(args.parent) as parent_src:
+        return compare(argvs, {args.parent: parent_src, "working tree": ROOT / "src"})
 
 
 if __name__ == "__main__":
