@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from math import comb
+from operator import ge
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -246,10 +247,11 @@ def _majorizing_ideal(vec: Partition, n: int, r: int) -> tuple[Partition, RGraph
     """The lexicographically least r-ideal partition with the total of ``vec`` that majorizes it.
 
     Returned with the first enumerated ideal of that partition, or None
-    when no r-ideal partition majorizes ``vec``.
+    when none does: both sorted and of one total, each prefix sum is at least ``vec``'s.
     """
     candidates = _ideal_partitions(n, r).get(sum(vec), ())
-    return next(((part, ideal) for part, ideal in candidates if majorizes(part, vec)), None)
+    prefix = tuple(accumulate(vec))
+    return next(((part, ideal) for part, ideal in candidates if all(map(ge, accumulate(part), prefix))), None)
 
 
 def _degree_query(d: Sequence[int], n: int, r: int) -> Partition | None:
@@ -262,9 +264,14 @@ def _degree_query(d: Sequence[int], n: int, r: int) -> Partition | None:
 
 
 def _unsorted_degree_query(d: Sequence[int], n: int, r: int) -> Partition | None:
-    """:func:`_degree_query` of ``d`` in any vertex order, sorted."""
+    """:func:`_degree_query` of ``d`` in any vertex order, sorted, with one type pass and one sort."""
     # unsorted, an entry that is not an int meets check_partition's ValueError, not a sort's TypeError
-    return _degree_query(sort_decreasing(d) if is_int_vector(d) else d, n, r)
+    if not is_int_vector(d):
+        return _degree_query(d, n, r)
+    vec = sort_decreasing(d)
+    if vec and vec[-1] >= 0 and len(vec) == n and r >= 1:
+        return None if sum(vec) % r else vec
+    return _degree_query(vec, n, r)  # each refusal in _degree_query's words
 
 
 def is_r_graphical_partition(d: Sequence[int], n: int, r: int) -> bool:

@@ -44,6 +44,7 @@ Pair = tuple[int, int]
 
 # Enumerations double per vertex; past ~20 vertices they stop being useful.
 ENUMERATION_BOUND = 20
+_SHIFT_UP = bytes.maketrans(bytes(range(255)), bytes(range(1, 256)))  # v -> v + 1 on a partition's bytes
 
 
 def _pair_ideal(n: int, edges: Iterable[Pair]) -> RGraph:
@@ -138,10 +139,10 @@ def enumerate_threshold_partitions(n: int) -> tuple[Partition, ...]:
     """
     if not 1 <= n <= ENUMERATION_BOUND:
         raise ValueError(f"n={n} outside the enumeration bound 1..{ENUMERATION_BOUND}")
-    tps: list[Partition] = [(0,)]
+    tps = [b"\0"]
     for m in range(2, n + 1):
-        tps = [t + (0,) for t in tps] + [(m - 1,) + tuple(v + 1 for v in t) for t in tps]
-    return tuple(tps)
+        tps = [t + b"\0" for t in tps] + [bytes((m - 1,)) + t.translate(_SHIFT_UP) for t in tps]
+    return tuple(map(tuple, tps))
 
 
 def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:

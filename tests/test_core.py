@@ -1,6 +1,7 @@
 """Shared vector/partition helpers."""
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from degpoly.core import (
     as_rational_vector,
+    bounded_partitions,
     check_partition,
     clear_denominators,
     clear_ratios,
@@ -118,3 +120,25 @@ def test_check_partition_raises_with_context():
     check_partition((2, 1, 1), "degrees")
     with pytest.raises(ValueError, match="degrees"):
         check_partition((1, 2), "degrees")
+
+
+def test_an_unbinding_total_gives_the_recursive_walks_list_in_its_order():
+    # n * cap <= max_total takes combinations_with_replacement; one below it the total binds and
+    # the recursive walk runs, which lacks only the first tuple, every entry at the cap
+    for n in range(1, 8):
+        for cap in range(1, 7):
+            fast = bounded_partitions(n, n * cap, max_entry=cap)
+            assert fast[0] == (cap,) * n
+            assert fast[1:] == bounded_partitions(n, n * cap - 1, max_entry=cap), (n, cap)
+            assert bounded_partitions(n, n * cap + 3, max_entry=cap) == fast
+
+
+def test_bounded_partitions_match_a_filter_of_every_tuple():
+    # reverse lexicographic order is the descending sort, with caps that do and do not bind
+    for n in range(1, 6):
+        for cap in range(0, 4):
+            for total in range(-1, n * cap + 2):
+                every = product(range(cap + 1), repeat=n)
+                expected = sorted((d for d in every if is_weakly_decreasing(d) and sum(d) <= total), reverse=True)
+                assert bounded_partitions(n, total, max_entry=cap) == expected, (n, cap, total)
+    assert bounded_partitions(0, 5) == [()]

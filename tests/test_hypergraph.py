@@ -427,17 +427,20 @@ def _majorizing_ideal_by_scan(vec, n, r):
 
 
 def test_majorizing_ideal_matches_a_scan_of_every_ideal():
-    # the per-(n, r) table must give the pair the per-call scan gives, None included,
-    # on every partition with entries up to C(n - 1, r - 1), whatever its total
+    # the per-(n, r) table and its prefix-sum comparison must give the pair that the per-call
+    # scan gives, and that core.majorizes picks from the same table, None included, on every
+    # partition with entries up to one past C(n - 1, r - 1), whatever its total
     cases = [(n, r) for n in range(1, 7) for r in range(1, n + 2) if comb(n, r) <= 20]
     checked = found = 0
     for n, r in cases:
-        for d in bounded_partitions(n, r * comb(n, r), max_entry=comb(n - 1, r - 1)):
+        table = hypergraph._ideal_partitions(n, r)
+        for d in bounded_partitions(n, r * comb(n, r), max_entry=comb(n - 1, r - 1) + 1):
             pick = hypergraph._majorizing_ideal(d, n, r)
             assert pick == _majorizing_ideal_by_scan(d, n, r), (n, r, d)
+            assert pick == next(((p, ideal) for p, ideal in table.get(sum(d), ()) if majorizes(p, d)), None)
             checked += 1
             found += pick is not None
-    assert (len(cases), checked, found) == (27, 17_792, 711)
+    assert (len(cases), checked, found) == (27, 28_028, 711)
 
 
 def test_ideal_table_refuses_increasing_degrees_under_python_O():

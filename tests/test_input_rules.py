@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from degpoly.core import as_rational_vector, check_partition, clear_denominators, is_partition
+from degpoly.core import as_rational_vector, bounded_partitions, check_partition, clear_denominators, is_partition
 from degpoly.hypergraph import RGraph, havel_hakimi, is_r_graphical_partition, realize_r_graph
 from degpoly.optimize import brute_force_optimal_partition, optimal_threshold_partition, optimality_certificate
 from degpoly.polytope import affine_rank, fhm_violations, in_fhm_polytope, is_degree_sequence, koren_oracle
@@ -146,6 +146,17 @@ def test_a_refusal_names_the_first_offending_entry_and_never_echoes_the_vector(n
         call()
     assert fault in str(refusal.value)
     assert len(str(refusal.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1, 5), (2.5, 3), (True, 3), (3, 2.0), (3, Fraction(6)), (3, 6, 2.0), (3, 6, True), ("3", 6)],
+    ids=repr,
+)
+def test_bounded_partitions_refuses_a_bad_length_or_bound_before_any_work(args):
+    # unrefused, a negative or fractional n recurses until RecursionError
+    with pytest.raises(ValueError, match=r"^need an int n >= 0 and int bounds, got \(n, max_total, max_entry\) = \("):
+        bounded_partitions(*args)
 
 
 def test_an_unstable_pool_names_its_first_ascent_and_never_echoes_the_vector(monkeypatch):

@@ -655,14 +655,14 @@ def test_count_edges_formula_and_enumeration():
 
 
 def test_count_edges_key_hits_dominate_their_moves():
-    # count_edges reads key(a) - key(m) in keys as the vertex a - m; that needs a >= m
-    # componentwise at every hit, which this checks for every n count_edges accepts
+    # count_edges reads key(a) - key(b) in the move keys as the move a - b; that needs a >= b
+    # componentwise at every hit pair, which this checks for every n count_edges accepts
     for n in range(3, 13):
-        vertices = {polytope._base_n_key(d, n): d for d in enumerate_threshold_partitions(n)}
-        moves = [(polytope._base_n_key(m, n), m) for m in polytope._edge_moves(n)]
-        hits = [(a, m) for key, a in vertices.items() for move_key, m in moves if key - move_key in vertices]
+        vertices = sorted(((polytope._base_n_key(d, n), d) for d in enumerate_threshold_partitions(n)), reverse=True)
+        moves = {polytope._base_n_key(m, n) for m in polytope._edge_moves(n)}
+        hits = [(a, b) for (key_a, a), (key_b, b) in combinations(vertices, 2) if key_a - key_b in moves]
         assert len(hits) == 2 ** (n - 2) * (2 * n - 3)
-        assert [(a, m) for a, m in hits if any(map(lt, a, m))] == [], n
+        assert [(a, b) for a, b in hits if any(map(lt, a, b))] == [], n
 
 
 def test_edge_moves_are_the_differences_the_rule_accepts():

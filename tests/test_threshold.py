@@ -127,10 +127,12 @@ def test_enumerate_threshold_partitions_small():
 
 
 def test_enumerate_threshold_partitions_counts_and_validity():
-    # entry w decodes to creation word w, so the 2^(n-1) entries are distinct threshold partitions
+    # entry w decodes to creation word w, so the 2^(n-1) entries are distinct threshold partitions;
+    # the shift runs on bytes, which also read as ints, so each entry must come back a tuple
     for n in range(1, 13):
         tps = enumerate_threshold_partitions(n)
         assert [_creation_word(d) for d in tps] == list(range(2 ** (n - 1)))
+        assert {type(d) for d in tps} == {tuple}
 
 
 def test_enumeration_bound_enforced(monkeypatch):
