@@ -26,9 +26,9 @@ whose value is that long in fewer digits, such as "1e5000".
 clears the pairs once to numerators C over D = lcm(q), and one
 optimality certificate is built from C and D; the partition, the value
 and the certificate checks are all read off it, and the costs are
-echoed from the pairs with the certificate's own ratio printer,
-``core.ratio_text``.  Past the reading of a token that is not ``p/q``,
-only ``--oracle`` builds a ``Fraction`` per cost.
+echoed from the pairs as they stand, "p" or "p/q": a pair is already
+reduced, so no second ``gcd`` is taken.  Past the reading of a token
+that is not ``p/q``, only ``--oracle`` builds a ``Fraction`` per cost.
 A list refused as malformed is echoed up to ``_ECHO_LIMIT`` characters.
 Each command builds its report JSON-ready, and ``main`` writes it as it
 stands with ``_report_text``, which prints the bytes of
@@ -73,7 +73,7 @@ from json.encoder import encode_basestring_ascii
 from math import comb, gcd
 from typing import Any, Callable, NoReturn, Sequence
 
-from .core import bounded_partitions, clear_denominators, clear_ratios, ratio_text, sort_decreasing
+from .core import bounded_partitions, clear_denominators, clear_ratios, sort_decreasing
 from .hypergraph import (
     POSET_SIZE_BOUND,
     degree_sequence,
@@ -249,9 +249,10 @@ def cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
         checks.append(make_check("oracle-extreme-optimizer", extreme, partition))
         checks.append(make_check("oracle-argmax-contains-output", True, partition in argmax))
     base, coefficients = cert.text()
+    echo = [str(p) if q == 1 else f"{p}/{q}" for p, q in pairs]  # each pair is already in lowest terms
     return {
         "command": "optimize",
-        "inputs": {"costs": [ratio_text(p, q) for p, q in pairs], "mode": mode, "oracle": bool(args.oracle)},
+        "inputs": {"costs": echo, "mode": mode, "oracle": bool(args.oracle)},
         "result": {
             "partition": partition,
             "value": str(value),

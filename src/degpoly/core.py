@@ -174,6 +174,8 @@ def bounded_partitions(n: int, max_total: int, max_entry: int | None = None) -> 
     if not is_int_vector((n, max_total) if max_entry is None else (n, max_total, max_entry)) or n < 0:
         got = ", ".join(map(value_text, (n, max_total, max_entry)))
         raise ValueError(f"need an int n >= 0 and int bounds, got (n, max_total, max_entry) = ({got})")
+    if max_total < 0:  # no tuple, the empty one included, has a negative sum
+        return []
     first_cap = max_total if max_entry is None else min(max_entry, max_total)
     if n * first_cap <= max_total:
         return list(combinations_with_replacement(range(first_cap, -1, -1), n))

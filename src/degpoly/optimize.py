@@ -3,8 +3,9 @@
 The optimizer maximizes sum(c_i * d_i) over threshold partitions d.
 The projection b of c onto the weakly decreasing vectors, computed by
 pool-adjacent-violators (:func:`degpoly.runs._pava_blocks`), gives the
-optimizer in time linear in n: one two-pointer sweep counts the partners
-j of each vertex with b_i + b_j >= 0 (strict > for the minimal variant).
+optimizer in time linear in n: one two-pointer sweep, one step per pooled
+block (b is constant on each), counts the partners j of each vertex with
+b_i + b_j >= 0 (strict > for the minimal variant).
 Iterated run averaging (:func:`degpoly.runs.pool`) and the explicit edge
 set (:func:`degpoly.threshold.graph_from_weights`) are the oracles the
 tests hold this route to.  A certificate makes the optimum checkable by
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import mul
+from itertools import compress, islice, repeat
+from operator import mul, ne, sub
 from typing import Sequence
 
 from . import runs
@@ -61,26 +62,34 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _degree_sweep(ratios: Sequence[tuple[int, int]], strict: bool) -> Partition:
-    """Degrees of the pair-sum ideal of weakly decreasing weights b_i = p_i/q_i, q_i > 0.
+def _degree_sweep(weight_runs: Sequence[tuple[int, int, int]], strict: bool) -> Partition:
+    """Degrees of the pair-sum ideal of weakly decreasing weights b_i, as runs (p, q, size): p/q, q > 0, size times.
 
     b_i + b_j has the sign of the integer p_i q_j + p_j q_i.  The partners
     j of vertex i (that sign >= 0, or > 0 when ``strict``) form a prefix
-    1..hi of [n], and hi only shrinks as i grows: one two-pointer sweep
-    counts every d_i, and the nested prefixes are the downward closure of
-    the edge set.  The weights need not be in lowest terms, and scaling
-    them all by one positive factor changes no sign.
+    1..end of [n], and end only shrinks as i grows: one two-pointer sweep,
+    one step per run, counts every d_i.  A partner test reads only the
+    partner's weight, so end stops on run boundaries and a run's entries
+    share one degree.  The nested prefixes are the downward closure of the
+    edge set.  The weights need not be in lowest terms, and scaling them
+    all by one positive factor changes no sign.
     """
     # a pair is dropped when its integer cross sum is below 0, or below 1 when strict
     floor = 1 if strict else 0
-    deg = []
-    hi = len(ratios)
-    for i, (p, q) in enumerate(ratios, start=1):
-        while hi and p * ratios[hi - 1][1] + ratios[hi - 1][0] * q < floor:
+    deg, per_run = [], []  # each entry's degree, and each run's
+    hi = len(weight_runs)
+    end = sum(size for _, _, size in weight_runs)  # the entries of weight_runs[:hi]
+    start = 0  # the entries before the current run
+    for p, q, size in weight_runs:
+        while hi and p * weight_runs[hi - 1][1] + weight_runs[hi - 1][0] * q < floor:
             hi -= 1
-        deg.append(hi - 1 if i <= hi else hi)
-    if not is_weakly_decreasing(deg):
-        raise AssertionError(f"threshold degrees must weakly decrease, got {ascent_text(deg)}")
+            end -= weight_runs[hi][2]
+        degree = end - 1 if start < end else end
+        per_run.append(degree)
+        deg += [degree] * size
+        start += size
+    if not is_weakly_decreasing(per_run):
+        raise AssertionError(f"threshold degrees must weakly decrease run by run, got {ascent_text(per_run)}")
     return tuple(deg)
 
 
@@ -145,10 +154,6 @@ class Certificate:
         if min(self.numerators, default=0) < 0:
             raise ValueError("certificate coefficients must be nonnegative")
 
-    def entry_blocks(self) -> list[tuple[int, int]]:
-        """Each entry's block (T, S), entry by entry."""
-        return [block for block in self.blocks for _ in range(block[1])]
-
     @property
     def base(self) -> RationalVector:
         return runs._block_means(self.blocks, self.scale)
@@ -156,20 +161,21 @@ class Certificate:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """alpha_1 .. alpha_{n-1}."""
-        return tuple(Fraction(a, size * self.scale) for a, (_, size) in zip(self.numerators, self.entry_blocks()))
+        sizes = (size for _, size in self.blocks for _ in range(size))  # each entry's block size
+        return tuple(Fraction(a, size * self.scale) for a, size in zip(self.numerators, sizes))
 
     @property
     def support(self) -> frozenset[int]:
         """The positions i (1-based) whose coefficient alpha_i is nonzero."""
-        return frozenset(i for i, a in enumerate(self.numerators, start=1) if a)
+        return frozenset(compress(range(1, len(self.numerators) + 1), self.numerators))
 
     def optimizer(self, mode: str) -> Partition:
         """The extreme optimizer in ``mode``: the degrees of the pair-sum ideal of the base.
 
-        The sweep reads each entry's block (T, S), whose T/S is its base
-        entry times the positive factor D.
+        The sweep reads each block (T, S) once, as the run (T, S, S): T/S
+        is its base entry times the positive factor D.
         """
-        return _degree_sweep(self.entry_blocks(), strict=(_check_mode(mode) == "min"))
+        return _degree_sweep([(total, size, size) for total, size in self.blocks], strict=(_check_mode(mode) == "min"))
 
     def value(self, d: Sequence[int]) -> Fraction:
         """The objective sum(c_i * d_i), as an integer dot product over D."""
@@ -183,14 +189,20 @@ class Certificate:
         alpha_0 = alpha_n = 0.  With entry t in a block (T, S) and entry
         t-1 in a block of size S', the identity times S*S'*D reads
         S'*(T - A_t) + S*A_{t-1} = S*S'*C_t, which is tested in ``int``.
+        Past a block's first entry S' = S, and A_{t-1} - A_t = S*C_t - T is
+        tested over the rest of the block in one pass.
         """
         a = (0, *self.numerators, 0)
-        out = []
-        before = 1  # S' at t = 1, where A_0 = 0 makes any S' > 0 do
-        for t, ((total, size), cost) in enumerate(zip(self.entry_blocks(), self.costs), start=1):
-            if before * (total - a[t]) + size * a[t - 1] != size * before * cost:
-                out.append(t)
-            before = size
+        out: list[int] = []
+        before, start = 1, 0  # S' at t = 1, where A_0 = 0 makes any S' > 0 do; the entries before the block
+        for total, size in self.blocks:
+            if before * (total - a[start + 1]) + size * a[start] != size * before * self.costs[start]:
+                out.append(start + 1)
+            stop = start + size
+            steps = map(sub, a[start + 1 : stop], a[start + 2 : stop + 1])
+            scaled = map(sub, map(mul, repeat(size), self.costs[start + 1 : stop]), repeat(total))
+            out += compress(range(start + 2, stop + 1), map(ne, steps, scaled))
+            before, start = size, stop
         return out
 
     def text(self) -> tuple[list[str], list[str]]:

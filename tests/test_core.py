@@ -135,7 +135,7 @@ def test_an_unbinding_total_gives_the_recursive_walks_list_in_its_order():
 
 def test_bounded_partitions_match_a_filter_of_every_tuple():
     # reverse lexicographic order is the descending sort, with caps that do and do not bind
-    for n in range(1, 6):
+    for n in range(0, 6):
         for cap in range(0, 4):
             for total in range(-1, n * cap + 2):
                 every = product(range(cap + 1), repeat=n)

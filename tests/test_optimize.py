@@ -238,6 +238,18 @@ def test_complementation_swaps_the_extreme_optimizers(c):
         assert optimal_threshold_partition(c, mode) == _complement(optimal_threshold_partition(mirrored, other))
 
 
+@given(_tied_mixed_costs, st.sampled_from(("max", "min")))
+def test_the_optimizer_gives_each_pava_block_one_degree(c, mode):
+    # the sweep steps once per block, and the pair-sum graph of the base, entry by entry, is its oracle
+    cert = optimality_certificate(c)
+    d = cert.optimizer(mode)
+    start = 0
+    for _, size in cert.blocks:
+        assert len(set(d[start : start + size])) == 1, (cert.blocks, d)
+        start += size
+    assert d == degree_partition_of_ideal(graph_from_weights(cert.base, mode == "min"))
+
+
 # a palette of at most 3 costs makes ties common; denominators up to 1000 make the lcm large
 _mixed_costs = st.lists(
     st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=1000), min_size=1, max_size=3, unique=True

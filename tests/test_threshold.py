@@ -215,10 +215,25 @@ def test_threshold_degrees_match_graph_from_weights(b, mode):
 
 @given(tie_heavy_weights, st.booleans(), st.lists(st.integers(1, 7), min_size=20, max_size=20), st.integers(1, 30))
 def test_sweep_reads_unreduced_ratios_without_their_common_factor(b, strict, factors, common):
-    # the optimizer hands the sweep each entry's block (T, S), and T/S is b_i times
-    # the common denominator D: not in lowest terms, and scaled by a positive factor
-    ratios = [(F(v).numerator * m * common, F(v).denominator * m) for v, m in zip(b, factors)]
-    assert _degree_sweep(ratios, strict) == degree_partition_of_ideal(graph_from_weights(b, strict))
+    # the optimizer hands the sweep each block (T, S) as a run of weight T/S, which is b_i
+    # times the common denominator D: not in lowest terms, and scaled by a positive factor
+    runs = [(F(v).numerator * m * common, F(v).denominator * m, 1) for v, m in zip(b, factors)]
+    assert _degree_sweep(runs, strict) == degree_partition_of_ideal(graph_from_weights(b, strict))
+
+
+@given(tie_heavy_weights, st.booleans(), st.data())
+def test_sweep_over_merged_runs_matches_the_sweep_entry_by_entry(b, strict, data):
+    # consecutive equal weights merged into runs (p, q, size), each maximal tie cut at drawn
+    # places, get the degrees that size-1 runs get: the pointer stops on run boundaries
+    cuts = data.draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b)))
+    runs: list[list] = []
+    for i, v in enumerate(b):
+        if i and v == b[i - 1] and not cuts[i]:
+            runs[-1][2] += 1
+        else:
+            runs.append([F(v).numerator, F(v).denominator, 1])
+    single = [(F(v).numerator, F(v).denominator, 1) for v in b]
+    assert _degree_sweep([tuple(run) for run in runs], strict) == _degree_sweep(single, strict)
 
 
 def test_threshold_degrees():
@@ -242,6 +257,20 @@ def test_ideal_degree_check_raises_under_python_O():
         "    print('raised', sys.flags.optimize)\n"
     )
     assert run_under_python_O(script).split() == ["raised", "1"]
+
+
+def test_sweep_degree_check_raises_under_python_O():
+    # with the weak-decrease test stubbed to fail, the run sweep must raise, not an assert that -O strips
+    script = (
+        "import sys\n"
+        "from degpoly import optimize\n"
+        "optimize.is_weakly_decreasing = lambda values: False\n"
+        "try:\n"
+        "    optimize._degree_sweep([(1, 1, 2), (-1, 1, 1)], strict=False)\n"
+        "except AssertionError as failure:\n"
+        "    print('raised', sys.flags.optimize, 'run by run' in str(failure))\n"
+    )
+    assert run_under_python_O(script).split() == ["raised", "1", "True"]
 
 
 def test_producers_check_closure_under_python_O():
