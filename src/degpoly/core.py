@@ -23,8 +23,9 @@ recognition theorem in :mod:`degpoly.hypergraph`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import gcd, lcm
+from operator import ge
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -79,8 +80,8 @@ def clear_denominators(values: Iterable[Rational], scale: int = 1) -> tuple[IntS
 def clear_ratios(ratios: Iterable[tuple[int, int]]) -> tuple[IntSequence, int]:
     """The values p/q of integer pairs with q >= 1 as numerators over D, the lcm of the q; and D."""
     pairs = tuple(ratios)
-    scale = lcm(*(q for _, q in pairs))
-    return tuple(p * (scale // q) for p, q in pairs), scale
+    scale = lcm(*[q for _, q in pairs])
+    return tuple([p * (scale // q) for p, q in pairs]), scale
 
 
 def ratio_text(p: int, q: int) -> str:
@@ -91,7 +92,7 @@ def ratio_text(p: int, q: int) -> str:
 
 
 def is_weakly_decreasing(values: Sequence[Rational]) -> bool:
-    return all(a >= b for a, b in zip(values, values[1:]))
+    return all(map(ge, values, islice(values, 1, None)))
 
 
 def sort_decreasing(values: Iterable[Rational]) -> tuple:

@@ -14,8 +14,7 @@ result takes the caller's vertex labels, rank for rank.
 Graphs are the case r = 2: the pairs ordered componentwise form the same
 poset, its ideals are the proper threshold graphs of
 :mod:`degpoly.threshold`, and that module builds them as ``RGraph(n, 2,
-edges)``, as :func:`enumerate_r_ideals` does at every r, and tests
-closure with :func:`is_r_ideal`.
+edges)``, checked in full, and tests closure with :func:`is_r_ideal`.
 
 One brute-force enumeration is the independent oracle of both
 directions, at any r: :func:`enumerate_degree_partitions` grows the set
@@ -36,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, compress
 from math import comb
 from operator import ge
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     IntSequence,
@@ -90,7 +89,9 @@ class RGraph:
     """An r-uniform hypergraph on [n]; edges stored sorted.
 
     Each edge is r distinct exact-``int`` labels in [n], given in any
-    order.  When r > n only the empty edge set exists.
+    order, and all of that is checked.  When r > n only the empty edge
+    set exists.  The routes of this module that build a graph from edges
+    they made build it with :func:`_built`, which checks nothing.
     """
 
     n: int
@@ -100,7 +101,7 @@ class RGraph:
     def __post_init__(self) -> None:
         _check_size(self.n, self.r)
         edges = tuple(self.edges)
-        # one pass over all labels keeps construction cheap on the recognize path
+        # every label's type in one pass, then each edge's size and range
         if not is_int_vector(chain.from_iterable(edges)):
             bad = next(e for e in edges if not is_int_vector(e))
             raise ValueError(f"edge labels must be integers: {bad!r}")
@@ -111,6 +112,15 @@ class RGraph:
             if not (1 <= e[0] and e[-1] <= self.n):
                 raise ValueError(f"edge {e!r} leaves [{self.n}]")
         object.__setattr__(self, "edges", normalized)
+
+
+def _built(n: int, r: int, edges: Iterable[RSubset]) -> RGraph:
+    """An ``RGraph`` of edges that are already increasing r-tuples of ints in [n]; nothing is checked."""
+    graph = object.__new__(RGraph)
+    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "r", r)
+    object.__setattr__(graph, "edges", frozenset(edges))
+    return graph
 
 
 def degree_sequence(graph: RGraph) -> IntSequence:
@@ -216,7 +226,7 @@ def enumerate_r_ideals(n: int, r: int) -> tuple[RGraph, ...]:
 
     def walk(t: int) -> None:
         if t == len(elems):
-            out.append(RGraph(n, r, frozenset(e for e, c in zip(elems, chosen) if c)))
+            out.append(_built(n, r, compress(elems, chosen)))
             return
         chosen[t] = False
         walk(t + 1)
@@ -316,7 +326,7 @@ def realize_r_graph(d: Sequence[int], n: int, r: int) -> RGraph | None:
     by_rank_walked = sorted(range(1, n + 1), key=lambda v: -deg[v - 1])
     by_rank_input = sorted(range(1, n + 1), key=lambda v: -d[v - 1])
     label = dict(zip(by_rank_walked, by_rank_input))
-    result = RGraph(n, r, frozenset(tuple(map(label.__getitem__, edge)) for edge in edges))
+    result = _built(n, r, (tuple(sorted(map(label.__getitem__, edge))) for edge in edges))
     if degree_sequence(result) != tuple(d):
         raise AssertionError(f"realization has degrees {degree_sequence(result)!r}, not {tuple(d)!r}")
     return result
@@ -343,14 +353,14 @@ def havel_hakimi(d: Sequence[int]) -> RGraph | None:
         order = sorted(range(n), key=residual.__getitem__, reverse=True)
         hub, need = order[0], residual[order[0]]
         if need == 0:
-            return RGraph(n, 2, frozenset(edges))
+            return _built(n, 2, edges)
         targets = order[1 : need + 1]
         if len(targets) < need or residual[targets[-1]] == 0:
             return None
         residual[hub] = 0
         for v in targets:
             residual[v] -= 1
-            edges.append((hub + 1, v + 1))
+            edges.append((hub + 1, v + 1) if hub < v else (v + 1, hub + 1))
 
 
 def enumerate_degree_partitions(n: int, r: int) -> frozenset[Partition]:

@@ -146,8 +146,7 @@ def in_fhm_polytope(x: Sequence[Rational]) -> FhmMembership:
     sweep names becomes the witness; see :func:`_fhm_witness` for the
     sweep and :class:`FhmMembership` for what ``violations`` holds.
     Unordered membership, in the symmetrization of the polytope, is
-    this verdict on ``sort_decreasing(x)``.  At n = 125,000..10^6 its time
-    fits n^1.13..1.24, as a bare loop over the same ints does: the host's memory, not the sweep.
+    this verdict on ``sort_decreasing(x)``.
     """
     vec, scale = clear_denominators(x)
     witness = _fhm_witness(vec, scale)

@@ -37,6 +37,13 @@ ORACLES = {
     "threshold.proper_threshold_oracle": "is_r_ideal at r = 2: peel isolated and dominating vertices",
 }
 
+# the only functions that build an RGraph with hypergraph._built, which checks nothing, and why their edges are valid
+TRUSTED_BUILDERS = {
+    "hypergraph.enumerate_r_ideals": "the walk takes its edges from r_subsets, increasing tuples in [n]",
+    "hypergraph.realize_r_graph": "relabels by a bijection of [n] and sorts each edge; its degree check stays",
+    "hypergraph.havel_hakimi": "appends each pair smaller label first, and no pair twice",
+}
+
 # defaulted parameters that no call of the program or the benchmark passes, and why each stays
 UNPASSED_KNOBS = {
     "threshold.graph_from_weights.strict": "the min-mode oracle of Certificate.optimizer: the edge-minimal ideal",
@@ -299,3 +306,35 @@ def test_the_knob_scan_counts_positional_keyword_and_starred_calls():
     ]
     # strict is passed only inside a string, and _private is not public
     assert unpassed_knobs(modules, callers) == ["a.route.strict"]
+
+
+def trusted_builders(modules: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level statement that names ``_built``, its own def aside, in source order.
+
+    A name counts read or called, as an attribute too, nested
+    functions included, so an alias of the constructor is caught.
+    """
+    found = []
+    for stem, text in modules.items():
+        for node in ast.parse(text).body:
+            if getattr(node, "name", None) != "_built" and "_built" in _names([node]):
+                found.append(f"{stem}.{getattr(node, 'name', node.lineno)}")
+    return found
+
+
+def test_only_the_listed_routes_build_without_checks():
+    modules = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "degpoly").glob("*.py"))}
+    assert sorted(trusted_builders(modules)) == sorted(TRUSTED_BUILDERS), "a new caller of _built: list why its edges are valid"
+
+
+def test_the_trusted_builder_scan_catches_nested_calls_and_aliases():
+    modules = {
+        "a": (
+            "def _built(n, r, edges):\n    return edges\n"
+            "def walk(n):\n    def step(t):\n        return _built(n, 2, t)\n    return step\n"
+            "def checked(n):\n    return RGraph(n, 2, ())\n"
+            "make = _built\n"
+        ),
+        "b": "from . import a\n\ndef loose(n):\n    return a._built(n, 2, ())\n",
+    }
+    assert trusted_builders(modules) == ["a.walk", "a.9", "b.loose"]

@@ -57,11 +57,22 @@ def test_a_clearing_scale_must_be_a_positive_int(scale):
 
 
 def test_is_weakly_decreasing():
-    assert is_weakly_decreasing(())
-    assert is_weakly_decreasing((5,))
+    for empty in ((), []):
+        assert is_weakly_decreasing(empty)
+    for single in ((5,), [-5], (Fraction(-1, 2),)):
+        assert is_weakly_decreasing(single)
     assert is_weakly_decreasing((3, 3, 1, 0))
     assert not is_weakly_decreasing((1, 2))
+    assert not is_weakly_decreasing([3, 3, 1, 2])
     assert is_weakly_decreasing((Fraction(1, 2), Fraction(1, 3)))
+    assert not is_weakly_decreasing([Fraction(1, 3), Fraction(1, 2)])
+    assert is_weakly_decreasing((1, Fraction(1, 2), 0)) and not is_weakly_decreasing((0, Fraction(1, 2)))
+
+
+@given(st.lists(rationals | st.integers(-3, 3), max_size=8))
+def test_is_weakly_decreasing_checks_every_adjacent_pair(values):
+    expected = all(values[i] >= values[i + 1] for i in range(len(values) - 1))
+    assert is_weakly_decreasing(values) == is_weakly_decreasing(tuple(values)) == expected
 
 
 def test_sort_decreasing_frozen_example():

@@ -391,6 +391,60 @@ def test_havel_hakimi_witnesses_every_labelled_graph(data):
     assert witness is None or degree_sequence(witness) == tuple(raised)
 
 
+def _rebuilds_the_same(graph: RGraph) -> None:
+    # a route's own graph skips validation, so the public constructor must make it again unchanged
+    assert type(graph.edges) is frozenset and all(type(e) is tuple for e in graph.edges)
+    assert RGraph(graph.n, graph.r, graph.edges).edges == graph.edges
+
+
+def test_every_small_ideal_rebuilds_the_same():
+    cases = [(n, r) for n in range(1, 21) for r in range(1, n + 2) if comb(n, r) <= hypergraph.POSET_SIZE_BOUND]
+    ideals = [ideal for n, r in cases for ideal in enumerate_r_ideals(n, r)]
+    for ideal in ideals:
+        _rebuilds_the_same(ideal)
+    assert (len(cases), len(ideals)) == (83, 683)
+
+
+@given(st.data())
+def test_witnesses_rebuild_the_same(data):
+    # the degrees of a random r-graph in shuffled labels have a witness; with one entry raised by 2 they may not
+    n = data.draw(st.integers(1, 12))
+    r = data.draw(st.integers(1, n + 1)) if n <= 6 else 2
+    rnd = data.draw(st.randoms(use_true_random=False))
+    d = data.draw(st.permutations(degree_sequence(RGraph(n, r, [e for e in r_subsets(n, r) if rnd.random() < 0.5]))))
+    i = data.draw(st.integers(0, n - 1))
+    for seq in (d, d[:i] + [d[i] + 2] + d[i + 1 :]):
+        witnesses = [realize_r_graph(seq, n, r) if n <= 6 else None, havel_hakimi(seq) if r == 2 else None]
+        if seq is d:
+            assert any(witnesses)
+        for graph in filter(None, witnesses):
+            _rebuilds_the_same(graph)
+            assert degree_sequence(graph) == tuple(seq)
+
+
+def test_trusted_graphs_rebuild_the_same_under_python_O():
+    # the trusted constructor checks nothing, so no assert that -O strips may be what keeps its graphs right
+    script = (
+        "import random\n"
+        "from math import comb\n"
+        "from degpoly.hypergraph import RGraph, enumerate_r_ideals, havel_hakimi, realize_r_graph\n"
+        "from degpoly.hypergraph import degree_sequence, r_subsets\n"
+        "rng = random.Random(1)\n"
+        "built = {'ideals': [g for n in range(1, 21) for r in range(1, n + 2) if comb(n, r) <= 20 for g in enumerate_r_ideals(n, r)]}\n"
+        "for n in [*range(1, 13)] * 5:\n"
+        "    for r in (2, 3):\n"
+        "        d = list(degree_sequence(RGraph(n, r, [e for e in r_subsets(n, r) if rng.random() < 0.5])))\n"
+        "        rng.shuffle(d)\n"
+        "        for seq in (d, [d[0] + 2, *d[1:]]):\n"
+        "            built.setdefault('havel_hakimi', []).append(havel_hakimi(seq) if r == 2 else None)\n"
+        "            built.setdefault('realize_r_graph', []).append(realize_r_graph(seq, n, r) if n <= 6 else None)\n"
+        "for route, graphs in built.items():\n"
+        "    graphs = [g for g in graphs if g is not None]\n"
+        "    print(route, len(graphs), sum(RGraph(g.n, g.r, g.edges).edges != g.edges for g in graphs))\n"
+    )
+    assert run_under_python_O(script).splitlines() == ["ideals 683 0", "havel_hakimi 95 0", "realize_r_graph 68 0"]
+
+
 def test_brute_force_r_graphical_frozen_cases():
     assert brute_force_r_graphical((3, 3, 3, 3), 4, 3)
     assert not brute_force_r_graphical((3, 1, 1, 1), 4, 3)

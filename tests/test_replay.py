@@ -87,3 +87,8 @@ def test_opcount_counts_an_op_the_same_twice_after_one_warm_up():
         assert opcodes > calls > 0
     # the warm-up op is run once more and not counted
     assert opcount.per_op(ROOT / "src", ARGVS[:1]) == counts[1]
+
+
+def test_opcount_counts_whole_periods_of_at_least_48_ops():
+    argvs = [[str(i)] for i in range(200)]
+    assert [len(opcount.whole_periods(argvs, period)) for period in (1, 2, 12, 48, 49, 100)] == [48, 48, 48, 48, 49, 100]

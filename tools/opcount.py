@@ -4,9 +4,10 @@ Usage, from the root of a checkout:
 
     python3 tools/opcount.py [--parent HEAD~]
 
-For each workload in ``bench/workloads.py``, the first 48 ops of the
-seed-1 pool run through ``degpoly.cli.main`` in one ``python -B`` per
-tree, after one warm-up op (the pool's first).  Each op runs under
+For each workload in ``bench/workloads.py``, the seed-1 pool's first
+whole periods of its op mix that make at least 48 ops (49 for verify,
+whose period is 49) run through ``degpoly.cli.main`` in one ``python -B``
+per tree, after one warm-up op (the pool's first).  Each op runs under
 ``sys.settrace`` with ``frame.f_trace_opcodes`` set on every frame, and
 counts one opcode per ``opcode`` event and one call per ``call`` event:
 each Python frame entered, a generator's resumption included.  Work
@@ -28,7 +29,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from trees import ROOT, archived_src, pool_argvs, run_child
+from trees import ROOT, archived_src, periods, pool_argvs, run_child
 
 SEED = 1
 OPS = 48
@@ -74,11 +75,17 @@ def per_op(src: Path, argvs: list[list[str]]) -> tuple[float, float]:
     return sum(c[0] for c in counts) / len(counts), sum(c[1] for c in counts) / len(counts)
 
 
+def whole_periods(argvs: list[list[str]], period: int) -> list[list[str]]:
+    """The first ``argvs`` that make whole periods of ``period`` ops, at least ``OPS`` of them."""
+    return argvs[: -(-OPS // period) * period]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="also count the commit REF, such as HEAD~, and print the change")
     args = parser.parse_args(argv)
-    pools = {name: argvs[:OPS] for name, argvs in pool_argvs((SEED,)).items()}
+    period = periods()
+    pools = {name: whole_periods(argvs, period[name]) for name, argvs in pool_argvs((SEED,)).items()}
     with contextlib.ExitStack() as stack:
         trees = {args.parent: stack.enter_context(archived_src(args.parent))} if args.parent else {}
         trees["working tree"] = ROOT / "src"

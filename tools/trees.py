@@ -26,15 +26,28 @@ print(json.dumps(degpoly.cli.__file__), flush=True)
 """
 
 
+def _workloads():
+    """``bench/workloads.py``, imported without writing bytecode under ``bench/``."""
+    sys.dont_write_bytecode = True
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    return workloads
+
+
 def pool_argvs(seeds: tuple[int, ...]) -> dict[str, list[list[str]]]:
     """The argv of every op of ``seeds``' pools in ``bench/workloads.py``, by workload, in pool order."""
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import WORKLOADS, ops_for
-
+    bench = _workloads()
     return {
-        name: [list(op.argv) for seed in seeds for op in ops_for(workload, seed)] for name, workload in WORKLOADS.items()
+        name: [list(op.argv) for seed in seeds for op in bench.ops_for(workload, seed)]
+        for name, workload in bench.WORKLOADS.items()
     }
+
+
+def periods() -> dict[str, int]:
+    """Each workload's period in ``bench/workloads.py``: its op mix repeats every that many ops."""
+    return {name: workload.period for name, workload in _workloads().WORKLOADS.items()}
 
 
 @contextlib.contextmanager
