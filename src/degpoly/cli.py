@@ -69,6 +69,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
 from typing import Any, Callable, NoReturn, Sequence
@@ -84,13 +85,13 @@ from .hypergraph import (
 )
 from .optimize import MODES, brute_force_optimal_partition, optimality_certificate
 from .polytope import (
-    affine_rank,
     count_edges,
     dominating_sum_identity,
     dp3_volume,
     ds3_volume_estimate,
     facet_inequalities,
     in_fhm_polytope,
+    independent_points,
     irredundancy_witness,
     is_degree_sequence,
 )
@@ -316,23 +317,28 @@ def _suite_counts(n: int, seed: int, samples: int) -> SuiteReport:
 
 def _suite_facets(n: int, seed: int, samples: int) -> SuiteReport:
     facets = facet_inequalities(n)
-    vertices = enumerate_threshold_partitions(n)
-    # one evaluation per (facet, vertex) gives both the violations and the tight sets
-    violations = 0
-    tight_sets = []
-    for f in facets:
-        values = [f.value(d) for d in vertices]
-        violations += sum(v > f.rhs for v in values)
-        tight_sets.append([d for d, v in zip(vertices, values) if v == f.rhs])
-    min_rank = min(map(affine_rank, tight_sets))
+    # facet j's value at x is P_a + P_b - P_c - P_e over x's prefix sums P, for (a, b, c, e) = terms[j]
+    terms = [(f.i + 1, f.i - 1, f.i, f.i) if f.kind == "monotone" else (f.k, n - f.l, n, 0) for f in facets]
 
-    def violates_only(f, w):
+    def values(x):
+        p = tuple(accumulate(x, initial=0))
+        return [p[a] + p[b] - p[c] - p[e] for a, b, c, e in terms]
+
+    # column j holds facet j's value at every vertex: its entries above rhs are violations, at rhs tight
+    vertices = enumerate_threshold_partitions(n)
+    columns = list(zip(*map(values, vertices)))
+    violations = sum(sum(map(f.rhs.__lt__, column)) for f, column in zip(facets, columns))
+    tight_sets = [list(compress(vertices, map(f.rhs.__eq__, column))) for f, column in zip(facets, columns)]
+    # a tight set lies on its facet's hyperplane, so its affine rank is at most n
+    min_rank = min(len(independent_points(tight, n)) for tight in tight_sets)
+
+    def violates_only(j, w):
         # w = W / D: g holds at w exactly when g.value(W) <= g.rhs * D
         vec, scale = clear_denominators(w)
-        return all((g.value(vec) > g.rhs * scale) == (g == f) for g in facets)
+        return [g for g, (v, f) in enumerate(zip(values(vec), facets)) if v > f.rhs * scale] == [j]
 
     witnesses = sum(
-        1 for f, tight in zip(facets, tight_sets) if violates_only(f, irredundancy_witness(n, f, tight))
+        violates_only(j, irredundancy_witness(n, f, tight)) for j, (f, tight) in enumerate(zip(facets, tight_sets))
     )
     return {}, [
         _facet_count_check(n, len(facets)),

@@ -27,20 +27,21 @@ over the denominator 2^30.  :func:`fhm_violations` keeps the full
 O(n^2) scan as the oracle, and :func:`koren_oracle` the 3^n
 enumeration of disjoint S, T for the unordered version.
 
-This module keeps every test exact and makes it in integers where it
-can: integer input is decided in integers, rational input is cleared
-to one common denominator and then decided in integers too, a
-constraint evaluated at an integer point stays an integer, and affine
-ranks come from fraction-free integer elimination.  It knows
-the irredundant facet list for n >= 4, decides vertex adjacency from
-the block shape of the difference of two threshold partitions
-(recognized by the one peel of :mod:`degpoly.threshold`; the rank of
-the facets tight at both vertices is the oracle), counts edges
-by validating each enumerated vertex once and then looking up each
-pair's difference among the differences that rule accepts, and spot-checks the
-n = 3 volume: the polytope is a tetrahedron of volume 1/3, and the
-unordered region in [0,2]^3 has volume 2, estimated by Monte Carlo
-with exact membership per sample.
+This module keeps every test exact and makes it in integers where it can:
+integer input is decided in integers, rational input is cleared to one
+common denominator and then decided in integers too, a constraint evaluated
+at an integer point stays an integer, affine ranks come from incremental
+integer elimination that stops at a given count (n for a facet's tight
+vertices, which lie on its hyperplane), and a facet's witness steps out by
+the least of integer ratios.  It knows the irredundant facet list for
+n >= 4, decides vertex adjacency from the block shape of the difference of
+two threshold partitions (recognized by the one peel of
+:mod:`degpoly.threshold`; the rank of the facets tight at both vertices is
+the oracle), counts edges by validating each enumerated vertex once and then
+looking up each pair's difference among the differences that rule accepts,
+and spot-checks the n = 3 volume: the polytope is a tetrahedron of volume
+1/3, and the unordered region in [0,2]^3 has volume 2, estimated by Monte
+Carlo with exact membership per sample.
 The even-sum lattice points are compared one candidate at a time with
 the degree partitions of graphs: :func:`degpoly.hypergraph.havel_hakimi`
 builds a witness graph for each "yes", and a "no" from
@@ -54,7 +55,8 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, groupby, product, starmap
+from itertools import accumulate, chain, combinations, groupby, product, starmap
+from math import gcd
 from operator import sub
 from typing import Sequence
 
@@ -407,37 +409,46 @@ def dominating_sum_identity(n: int) -> int:
     return sum(d.count(n - 1) for d in enumerate_threshold_partitions(n))
 
 
+def independent_points(points: Sequence[Sequence[Rational]], limit: int) -> list[tuple[Rational, ...]]:
+    """The points that each raise the affine rank of those kept before them, in order, at most ``limit``.
+
+    Each difference from the first point, cleared of denominators, is
+    reduced against the kept rows to zero at their pivot columns, then
+    divided by its content: the point raises the rank exactly when a
+    nonzero row is left.  A point off the rational rule of
+    :mod:`degpoly.core`, or of another length, raises ``ValueError`` first.
+    """
+    vecs = list(map(tuple, points))
+    # nonempty all-int points keep the rule in one pass, and give int rows as they are
+    fractional = not (all(vecs) and is_int_vector(chain.from_iterable(vecs)))
+    vecs = list(map(check_rational_vector, vecs)) if fractional else vecs
+    if len(set(map(len, vecs))) > 1:
+        j, p = next((j, p) for j, p in enumerate(vecs, 1) if len(p) != len(vecs[0]))
+        raise ValueError(f"affine rank needs points of one length, got {len(vecs[0])} at point 1 and {len(p)} at point {j}")
+    kept = vecs[:1] if limit > 0 else []  # one point has affine rank 1
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, reduced row) per kept point after the first
+    for p in vecs[1:]:
+        if len(kept) >= limit:
+            break
+        row = clear_denominators(map(sub, p, kept[0]))[0] if fractional else list(map(sub, p, kept[0]))
+        for col, head in pivots:
+            if f := row[col]:
+                h = head[col]
+                row = [h * a - f * b for a, b in zip(row, head)]
+        if content := gcd(*row):
+            row = [a // content for a in row]
+            pivots.append((next(filter(row.__getitem__, range(len(row)))), row))
+            kept.append(p)
+    return kept
+
+
 def affine_rank(points: Sequence[Sequence[Rational]]) -> int:
     """Size of a largest affinely independent subset, exactly.
 
-    The affine rank is the rank of the differences from the first point,
-    plus one.  Each difference row is cleared of its denominators, which
-    keeps the rank, and fraction-free (Bareiss) elimination finds that
-    rank in ``int``: each update (h * a - f * b) // prev divides exactly
-    by the previous pivot.  Points that break the rational rule of
-    :mod:`degpoly.core`, or differ in length, raise ``ValueError``.
+    The number of :func:`independent_points` kept under the cap no point
+    set passes, the dimension plus one; it refuses what that refuses.
     """
-    if not points:
-        return 0
-    base, *rest = map(check_rational_vector, points)
-    for j, p in enumerate(rest, 2):
-        if len(p) != len(base):
-            raise ValueError(f"affine rank needs points of one length, got {len(base)} at point 1 and {len(p)} at point {j}")
-    rows = [clear_denominators([v - b for v, b in zip(p, base)])[0] for p in rest]
-    rank, prev = 0, 1
-    for col in range(len(base)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        head = rows[rank]
-        h = head[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            rows[r] = [(h * a - f * b) // prev for a, b in zip(rows[r], head)]
-        prev = h
-        rank += 1
-    return rank + 1
+    return len(independent_points(points, len(points[0]) + 1 if points else 0))
 
 
 def facet_rank_adjacent(d: Sequence[int], e: Sequence[int]) -> bool:
@@ -461,38 +472,40 @@ def irredundancy_witness(
     """A rational point violating only the given facet.
 
     ``tight`` is the facet's set of tight vertices, which the caller has
-    already found.  Starts at their barycenter, which lies strictly
-    inside every other facet because distinct facets have distinct
-    hyperplanes, then steps outward along the facet normal by half the
-    largest exactly-safe amount.  It works on the integer column sums, m
-    times the barycenter of m vertices: each slack there is an ``int``,
-    and each step limit one ``Fraction``.  Raises ``ValueError`` when ``tight``
-    holds a point off the facet, and ``AssertionError`` when it is empty.
-    The point is not re-tested here: that it violates exactly this facet
-    is what the facets suite's ``facet-irredundancy-witnesses`` reports.
+    already found.  Starts at their barycenter, strictly inside every
+    other facet since distinct facets have distinct hyperplanes, and
+    steps out along the facet normal by half the largest exactly-safe
+    amount: each other facet g that the normal nears, at rate
+    g(normal) > 0, allows slack / (m * rate) over the integer column sums
+    of m vertices, the least such pair is found by cross-multiplying, and
+    each coordinate is one ``Fraction``.  Raises ``ValueError`` when
+    ``tight`` holds a point off the facet, and ``AssertionError`` when it
+    is empty; the facets suite's ``facet-irredundancy-witnesses`` tests
+    that the point violates exactly this facet.
     """
     facets = facet_inequalities(n)
-    if facet not in facets:
-        raise ValueError("witness requested for a constraint outside the facet list")
-    if not all(facet.tight(d) for d in tight):
+    try:
+        at = facets.index(facet)
+    except ValueError:
+        raise ValueError("witness requested for a constraint outside the facet list") from None
+    if any(facet.value(d) != facet.rhs for d in tight):
         raise ValueError(f"every given point must be tight at {facet!r}")
     if not tight:
         raise AssertionError(f"facet {facet!r} is tight at no vertex")
     m = len(tight)
     sums = tuple(map(sum, zip(*tight)))
     normal = facet.coefficients
-    limits = []
-    for g in facets:
-        if g == facet:
-            continue
+    limit = None  # the smallest (slack, m * rate) so far: the step is half of slack / (m * rate)
+    for g in facets[:at] + facets[at + 1 :]:
         rate = g.value(normal)
         if rate > 0:
             slack = g.rhs * m - g.value(sums)
             if slack <= 0:
                 raise AssertionError(f"barycenter of {facet!r} is not strictly inside {g!r}")
-            limits.append(Fraction(slack, m * rate))
-    eps = min(limits) / 2 if limits else Fraction(1)
-    return tuple(Fraction(s, m) + eps * c for s, c in zip(sums, normal))
+            if limit is None or slack * limit[1] < limit[0] * m * rate:
+                limit = (slack, m * rate)
+    slack, bound = limit or (2, 1)  # with no other facet to leave, a step of 1
+    return tuple(Fraction(2 * bound * s + m * c * slack, 2 * m * bound) for s, c in zip(sums, normal))
 
 
 def dp3_volume() -> Fraction:

@@ -16,7 +16,14 @@ import pytest
 from degpoly.core import as_rational_vector, bounded_partitions, check_partition, clear_denominators, is_partition
 from degpoly.hypergraph import RGraph, havel_hakimi, is_r_graphical_partition, realize_r_graph
 from degpoly.optimize import brute_force_optimal_partition, optimal_threshold_partition, optimality_certificate
-from degpoly.polytope import affine_rank, fhm_violations, in_fhm_polytope, is_degree_sequence, koren_oracle
+from degpoly.polytope import (
+    affine_rank,
+    fhm_violations,
+    in_fhm_polytope,
+    independent_points,
+    is_degree_sequence,
+    koren_oracle,
+)
 from degpoly.runs import average_runs, pava_oracle, pool
 from degpoly import runs
 from degpoly.threshold import graph_from_weights, ideal_from_partition, is_threshold_partition
@@ -60,6 +67,8 @@ RATIONAL_ENTRY_POINTS = {
     "koren_oracle": koren_oracle,
     # the rule holds for every point, not only the first
     "affine_rank": lambda x: affine_rank([(0,) * len(x), x]),
+    # and before the first point is kept, whatever the limit
+    "independent_points": lambda x: independent_points([(0,) * len(x), x], 1),
 }
 RATIONAL = (1, Fraction(1, 2), 0)
 # none is exactly an int or a Fraction
@@ -136,6 +145,7 @@ LONG_REFUSALS = {
         "entry 100001 = 1000000000000000000000000000000000000... exceeds",
     ),
     "affine_rank": (lambda: affine_rank([(0,) * 10**5, (1,)]), "got 100000 at point 1 and 1 at point 2"),
+    "independent_points": (lambda: independent_points([(0,) * 10**5, (1,)], 1), "got 100000 at point 1 and 1 at point 2"),
 }
 
 

@@ -14,6 +14,7 @@ from degpoly import polytope
 from degpoly.cli import DEFAULT_SEED
 from degpoly.core import (
     bounded_partitions,
+    clear_denominators,
     is_int_vector,
     is_weakly_decreasing,
     sort_decreasing,
@@ -33,6 +34,7 @@ from degpoly.polytope import (
     fhm_inequality,
     fhm_violations,
     in_fhm_polytope,
+    independent_points,
     irredundancy_witness,
     is_degree_sequence,
     koren_oracle,
@@ -745,20 +747,30 @@ def test_affine_rank_refuses_points_of_different_lengths():
             affine_rank(points)
 
 
-def _fraction_affine_rank(points):
-    """Gaussian elimination over Fractions: the reference for affine_rank."""
+def _bareiss_affine_rank(points):
+    """Fraction-free (Bareiss) elimination of the whole matrix: the oracle for affine_rank and independent_points.
+
+    The affine rank is the rank of the differences from the first point,
+    plus one.  Each difference row is cleared of its denominators, and
+    each update (h * a - f * b) // prev divides exactly by the previous
+    pivot.
+    """
     if not points:
         return 0
-    rows = [[F(v) - F(b) for v, b in zip(p, points[0])] for p in points[1:]]
-    rank = 0
-    for col in range(len(points[0])):
+    base, *rest = points
+    rows = [clear_denominators([F(v) - b for v, b in zip(p, base)])[0] for p in rest]
+    rank, prev = 0, 1
+    for col in range(len(base)):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank]
+        h = head[col]
         for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / rows[rank][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            f = rows[r][col]
+            rows[r] = [(h * a - f * b) // prev for a, b in zip(rows[r], head)]
+        prev = h
         rank += 1
     return rank + 1
 
@@ -786,8 +798,63 @@ def tie_heavy_points(draw):
 
 
 @given(tie_heavy_points())
-def test_affine_rank_matches_fraction_elimination(points):
-    assert affine_rank(points) == _fraction_affine_rank(points)
+def test_affine_rank_matches_bareiss_elimination(points):
+    assert affine_rank(points) == _bareiss_affine_rank(points)
+
+
+@st.composite
+def repeating_points(draw):
+    # points of one width with exact duplicates, points on the line through two earlier
+    # ones, and up to width + 4 points, more than any independent set holds; half the
+    # draws are all-int, the rest mix in fractions, integral ones among them
+    width = draw(st.integers(min_value=1, max_value=5))
+    values = st.integers(min_value=-3, max_value=3)
+    if draw(st.booleans()):
+        values = st.one_of(values, st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    vector = st.lists(values, min_size=width, max_size=width)
+    points = []
+    for _ in range(draw(st.integers(min_value=0, max_value=width + 4))):
+        kind = draw(st.sampled_from(("new", "duplicate", "collinear"))) if points else "new"
+        if kind == "new":
+            points.append(draw(vector))
+        elif kind == "duplicate":
+            points.append(list(draw(st.sampled_from(points))))
+        else:
+            a, b, t = draw(st.sampled_from(points)), draw(st.sampled_from(points)), draw(values)
+            points.append([x + t * (y - x) for x, y in zip(a, b)])
+    return points
+
+
+@given(repeating_points(), st.integers(min_value=0, max_value=8))
+def test_independent_points_keep_each_rank_raising_point_up_to_the_limit(points, limit):
+    assert affine_rank(points) == _bareiss_affine_rank(points)
+    kept = independent_points(points, limit)
+    assert len(kept) <= limit
+    assert _bareiss_affine_rank(kept) == len(kept)
+    # kept in order: each point that raises the rank of the points before it, until the limit
+    raising = [tuple(p) for j, p in enumerate(points) if _bareiss_affine_rank(points[: j + 1]) > _bareiss_affine_rank(points[:j])]
+    assert kept == raising[:limit]
+
+
+def test_independent_points_check_every_point_before_keeping_any():
+    for limit in (0, 1):
+        with pytest.raises(ValueError, match="one length"):
+            independent_points([(0, 0), (1, 0), (1,)], limit)
+        with pytest.raises(ValueError, match="type float"):
+            independent_points([(0, 0), (1, 0.5)], limit)
+    assert independent_points([], 3) == []
+    assert independent_points([(1, 2), (1, 2), (2, 4), (F(3), 6), (0, 1)], 5) == [(1, 2), (2, 4), (0, 1)]
+    assert independent_points([(1, 2), (1, 2), (2, 4), (F(3), 6), (0, 1)], 2) == [(1, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_every_facet_is_tight_on_a_vertex_set_of_affine_rank_exactly_n(n):
+    # a tight set lies on its facet's hyperplane, so n is also the most: the facets suite stops there
+    vertices = enumerate_threshold_partitions(n)
+    for f in facet_inequalities(n):
+        tight = [d for d in vertices if f.tight(d)]
+        assert _bareiss_affine_rank(tight) == n
+        assert independent_points(tight, n) == independent_points(tight, n + 1)
 
 
 def test_dp3_volume():

@@ -1,8 +1,10 @@
-"""tools/replay.py finds exactly the ops whose output differs between two trees, and counts lines; tools/opcount.py counts the same on every run."""
+"""tools/replay.py finds exactly the ops whose output differs between two trees, and counts lines; tools/opcount.py counts the same on every run, and its per-suite counts add up to the pool's."""
 
 import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # the tools import their shared helpers, tools/trees.py, as a top-level module
@@ -86,9 +88,22 @@ def test_opcount_counts_an_op_the_same_twice_after_one_warm_up():
         opcodes, calls = second
         assert opcodes > calls > 0
     # the warm-up op is run once more and not counted
-    assert opcount.per_op(ROOT / "src", ARGVS[:1]) == counts[1]
+    assert opcount.mean(opcount.warmed(ROOT / "src", ARGVS[:1])) == counts[1]
 
 
 def test_opcount_counts_whole_periods_of_at_least_48_ops():
     argvs = [[str(i)] for i in range(200)]
     assert [len(opcount.whole_periods(argvs, period)) for period in (1, 2, 12, 48, 49, 100)] == [48, 48, 48, 48, 49, 100]
+
+
+def test_opcount_per_suite_counts_add_up_to_the_pool_total():
+    # a verify-like pool: two suites, one of them twice, and an optimize --oracle op
+    argvs = [COUNTS, ["verify", "--n", "4", "--suite", "facets"], ARGVS[1], COUNTS]
+    counts = opcount.warmed(ROOT / "src", argvs)
+    groups = opcount.by_suite(argvs, counts)
+    assert {suite: len(ops) for suite, ops in groups.items()} == {"counts": 2, "facets": 1, "optimize --oracle": 1}
+    assert sorted(count for ops in groups.values() for count in ops) == sorted(counts)
+    pool = opcount.mean(counts)
+    for column in (0, 1):
+        weighted = sum(len(ops) * opcount.mean(ops)[column] for ops in groups.values())
+        assert weighted == pytest.approx(len(counts) * pool[column])

@@ -19,7 +19,10 @@ a rerun gives the same counts.
 
 The tool prints, per workload and tree, the mean opcodes and calls per
 op, and with ``--parent`` the change from the commit to the working
-tree.  ``bench/`` is imported read-only and nothing is written under it.
+tree.  For ``verify`` it prints the same for each suite's ops, and for
+its ``optimize --oracle`` ops, under the pool's lines, so that a change
+to one suite reads as that suite's.  ``bench/`` is imported read-only
+and nothing is written under it.
 """
 
 from __future__ import annotations
@@ -69,10 +72,32 @@ def opcounts(src: Path, argvs: list[list[str]]) -> list[tuple[int, int]]:
     return [tuple(counts) for counts in run_child(src, _CHILD, argvs, env={"PYTHONHASHSEED": "0"})]
 
 
-def per_op(src: Path, argvs: list[list[str]]) -> tuple[float, float]:
-    """Mean (opcodes, calls) per op of ``argvs``, after the first of them is run once as a warm-up."""
-    counts = opcounts(src, argvs[:1] + argvs)[1:]
+def warmed(src: Path, argvs: list[list[str]]) -> list[tuple[int, int]]:
+    """(opcodes, calls) of each argv, after the first of them is run once as a warm-up."""
+    return opcounts(src, argvs[:1] + argvs)[1:]
+
+
+def mean(counts: list[tuple[int, int]]) -> tuple[float, float]:
+    """Mean (opcodes, calls) per op."""
     return sum(c[0] for c in counts) / len(counts), sum(c[1] for c in counts) / len(counts)
+
+
+def by_suite(argvs: list[list[str]], counts: list[tuple[int, int]]) -> dict[str, list[tuple[int, int]]]:
+    """The counts of each argv, grouped by the suite it verifies; an ``optimize --oracle`` op is its own group."""
+    groups: dict[str, list[tuple[int, int]]] = {}
+    for argv, count in zip(argvs, counts):
+        label = argv[argv.index("--suite") + 1] if "--suite" in argv else "optimize --oracle"
+        groups.setdefault(label, []).append(count)
+    return groups
+
+
+def report(name: str, means: dict[str, tuple[float, float]]) -> None:
+    """One line per tree of ``name``'s mean opcodes and calls per op, then the change if there are two trees."""
+    for label, (opcodes, calls) in means.items():
+        print(f"{name} {label}: {opcodes:.1f} opcodes/op, {calls:.1f} calls/op")
+    if len(means) == 2:
+        (old_ops, old_calls), (new_ops, new_calls) = means.values()
+        print(f"{name} change: opcodes {new_ops / old_ops - 1:+.1%}, calls {new_calls / old_calls - 1:+.1%}")
 
 
 def whole_periods(argvs: list[list[str]], period: int) -> list[list[str]]:
@@ -90,12 +115,13 @@ def main(argv=None) -> int:
         trees = {args.parent: stack.enter_context(archived_src(args.parent))} if args.parent else {}
         trees["working tree"] = ROOT / "src"
         for name, argvs in pools.items():
-            counts = {label: per_op(src, argvs) for label, src in trees.items()}
-            for label, (opcodes, calls) in counts.items():
-                print(f"{name} ({len(argvs)} ops, seed {SEED}) {label}: {opcodes:.1f} opcodes/op, {calls:.1f} calls/op")
-            if args.parent:
-                (old_ops, old_calls), (new_ops, new_calls) = counts.values()
-                print(f"{name} change: opcodes {new_ops / old_ops - 1:+.1%}, calls {new_calls / old_calls - 1:+.1%}")
+            counts = {label: warmed(src, argvs) for label, src in trees.items()}
+            report(f"{name} ({len(argvs)} ops, seed {SEED})", {label: mean(c) for label, c in counts.items()})
+            if name != "verify":
+                continue
+            suites = {label: by_suite(argvs, c) for label, c in counts.items()}
+            for suite, ops in suites["working tree"].items():
+                report(f"  {name} {suite} ({len(ops)} ops)", {label: mean(s[suite]) for label, s in suites.items()})
     return 0
 
 
