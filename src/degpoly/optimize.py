@@ -29,7 +29,9 @@ integers, one block mean per block and no ``Fraction`` per entry;
 The brute-force oracle, :func:`brute_force_optimal_partition`, scores
 every vertex and returns the whole argmax set, so the tests and
 ``optimize --oracle`` can pin the optimizer and both extremes down
-exactly.
+exactly.  It scores the enumeration's byte strings
+(:func:`degpoly.threshold._threshold_bytes`) and turns only the argmax
+members into tuples.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from itertools import compress, islice, repeat
 from operator import mul, ne, sub
 from typing import Sequence
 
-from . import runs
+from . import runs, threshold
 from .core import (
     IntSequence,
     Partition,
@@ -51,7 +53,6 @@ from .core import (
     is_weakly_decreasing,
     ratio_text,
 )
-from .threshold import enumerate_threshold_partitions
 
 MODES = ("max", "min")
 
@@ -107,20 +108,15 @@ def brute_force_optimal_partition(c: Sequence[Rational]) -> tuple[Fraction, froz
 
     The costs are scaled once to integer numerators over their common
     denominator D, so every vertex is scored by an integer dot product;
-    the best value is that integer over D.
+    the best value is that integer over D.  The vertices are scored as
+    the byte strings of :func:`degpoly.threshold._threshold_bytes`, whose
+    entries iterate as ``int``s, and only the argmax members become tuples.
     """
     numerators, scale = clear_denominators(c)
-    best: int | None = None
-    argmax: list[Partition] = []
-    for d in enumerate_threshold_partitions(len(numerators)):
-        v = sum(map(mul, numerators, d))
-        if best is None or v > best:
-            best, argmax = v, [d]
-        elif v == best:
-            argmax.append(d)
-    if best is None:
-        raise AssertionError("enumeration returned no candidates")
-    return Fraction(best, scale), frozenset(argmax)
+    vertices = threshold._threshold_bytes(len(numerators))
+    values = [sum(map(mul, numerators, d)) for d in vertices]
+    best = max(values)
+    return Fraction(best, scale), frozenset(map(tuple, compress(vertices, map(best.__eq__, values))))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,9 @@ two threshold partitions (recognized by the one peel of
 :mod:`degpoly.threshold`; the rank of the facets tight at both vertices is
 the oracle), counts edges by validating each enumerated vertex once and then
 looking up each pair's difference among the differences that rule accepts,
-and spot-checks the n = 3 volume: the polytope is a tetrahedron of volume
+whose base-n keys it reads from a closed form (a block of value v keys as
+v * (n^a - n^b) / (n - 1), two blocks as the sum of theirs), and
+spot-checks the n = 3 volume: the polytope is a tetrahedron of volume
 1/3, and the unordered region in [0,2]^3 has volume 2, estimated by Monte
 Carlo with exact membership per sample.
 The even-sum lattice points are compared one candidate at a time with
@@ -329,33 +331,30 @@ def _adjacent(a: Partition, b: Partition) -> bool:
     return False
 
 
-def _edge_moves(n: int) -> list[Partition]:
-    """Every difference a - b that the adjacency rule accepts for a dominating a, at length n.
+def _move_keys(n: int) -> set[int]:
+    """The base-n key of every difference a - b that the adjacency rule accepts for a dominating a, at length n.
 
-    One block of value v on L consecutive positions with v = L - 1 or
-    2v = L, or value q on p consecutive positions followed, after a gap
-    of any length, by value p on q consecutive positions.  Two touching
-    blocks with p = q are one block of value p and length 2p, so they
-    are listed once, as that block.
+    A difference is one block of value v on L consecutive positions with
+    v = L - 1 or 2v = L, or value q on p consecutive positions followed,
+    after a gap of any length, by value p on q consecutive positions.
+    Two touching blocks with p = q are one block of value p and length
+    2p, so they are listed once, as that block.  Each key is read from
+    its closed form: ones[s] = (n^(n-s) - 1) / (n - 1) keys ones on
+    positions s..n-1 (0-based), so a block of value v on s..s+L-1 keys
+    as v * (ones[s] - ones[s+L]), and two blocks key as the sum of theirs.
     """
-
-    def place(*blocks: tuple[int, int, int]) -> Partition:
-        diff = [0] * n
-        for start, length, value in blocks:
-            diff[start : start + length] = [value] * length
-        return tuple(diff)
-
-    moves = []
+    ones = [(n ** (n - s) - 1) // (n - 1) for s in range(n + 1)]
+    keys = set()
     for length in range(2, n + 1):
-        for v in sorted({length - 1, length // 2} if length % 2 == 0 else {length - 1}):
-            moves.extend(place((s, length, v)) for s in range(n - length + 1))
+        for v in {length - 1, length // 2} if length % 2 == 0 else {length - 1}:
+            keys.update(v * (ones[s] - ones[s + length]) for s in range(n - length + 1))
     for p in range(1, n):
         for q in range(1, n - p + 1):
             for s in range(n - p - q + 1):
+                first = q * (ones[s] - ones[s + p])
                 # t = s + p would touch; with p = q that is the block above
-                for t in range(s + p + (p == q), n - q + 1):
-                    moves.append(place((s, p, q), (t, q, p)))
-    return moves
+                keys.update(first + p * (ones[t] - ones[t + q]) for t in range(s + p + (p == q), n - q + 1))
+    return keys
 
 
 def _base_n_key(d: Sequence[int], n: int) -> int:
@@ -370,16 +369,13 @@ def count_edges(n: int) -> int:
     """Edge count of the polytope, each edge found once, over vertex pairs (3 <= n <= 12).
 
     Adjacent vertices a, b have a >= b componentwise for one of the two
-    orders, and a - b is one of the :func:`_edge_moves` differences.  So
-    a pair of base-n keys, sorted descending, is an edge when their
-    difference is a move key, since key(a) - key(b) = key(a - b) whenever
-    a >= b.  A hit with a >= b failing somewhere would be a borrow reading
-    as a move; the tests check every n this function accepts and find
-    none, so no hit is tested again.  The C(2^(n-1), 2) lookups run in C:
-    8,128, 130,816 and 2,096,128 at n = 8, 10, 12 take 1.4 ms, 11 ms and
-    0.18 s, against 3.5 ms, 17 ms and 0.14 s for the 29,568, 271,872 and
-    2,162,688 lookups of vertices x moves: at n = 12 fewer, yet slower
-    (min of 3, Python 3.11 on a 2-vCPU Xeon).
+    orders, and the base-n key of a - b is one of the :func:`_move_keys`,
+    each read from its closed form without building the move.  So a pair
+    of base-n keys, sorted descending, is an edge when their difference
+    is a move key, since key(a) - key(b) = key(a - b) whenever a >= b.  A
+    hit with a >= b failing somewhere would be a borrow reading as a
+    move; the tests check every n this function accepts and find none,
+    so no hit is tested again.  The C(2^(n-1), 2) lookups run in C.
 
     Each enumerated vertex is validated once, before the count; a
     repeated vertex, or one that is not a threshold partition on [n],
@@ -394,8 +390,7 @@ def count_edges(n: int) -> int:
     if bad or len(set(tps)) != len(tps):
         raise AssertionError(f"the enumeration at n={n} holds repeated or non-threshold vertices {bad!r}")
     keys = sorted((_base_n_key(d, n) for d in tps), reverse=True)
-    move_keys = {_base_n_key(m, n) for m in _edge_moves(n)}
-    return sum(map(move_keys.__contains__, starmap(sub, combinations(keys, 2))))
+    return sum(map(_move_keys(n).__contains__, starmap(sub, combinations(keys, 2))))
 
 
 def dominating_sum_identity(n: int) -> int:

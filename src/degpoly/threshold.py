@@ -17,10 +17,12 @@ their degree vectors stay threshold partitions, so they form a lattice;
 no function spells that out, because the one reader, ``optimize
 --oracle``, takes the column max or min of its argmax set directly.
 
-The recursion is written out twice: forwards in
-:func:`enumerate_threshold_partitions`, which builds every partition,
-and backwards in one O(n) peel that decodes a partition into its
-creation word, read by recognition.  :func:`ideal_from_partition` takes
+The recursion is written out twice.  Forwards, :func:`_threshold_bytes`
+builds every partition as a byte string, one C-level ``translate`` per
+partition and doubling; :func:`enumerate_threshold_partitions` returns
+them as tuples, and the optimizer's brute-force oracle scores the byte
+strings themselves.  Backwards, one O(n) peel decodes a partition into
+its creation word, read by recognition.  :func:`ideal_from_partition` takes
 the shifted shape {(i, j) : i < j <= d_i + 1} (Merris and Roby, 2005);
 the tests hold its ideals to the r = 2 walk of :mod:`degpoly.hypergraph`.
 """
@@ -130,19 +132,28 @@ def ideal_from_partition(d: Sequence[int]) -> RGraph:
     return ideal
 
 
-def enumerate_threshold_partitions(n: int) -> tuple[Partition, ...]:
-    """All 2^(n-1) threshold partitions on [n], in recursion order.
+def _threshold_bytes(n: int) -> list[bytes]:
+    """All 2^(n-1) threshold partitions on [n] as byte strings, entry i of a partition in byte i.
 
     The isolated branch (append a 0) precedes the dominating branch
     (prepend n-1 and shift the rest up by one), recursively, so entry w
     has creation word w: vertex m dominates when bit m - 2 of w is set.
+    Each doubling is a byte-string concatenation and one ``translate``
+    in C.  Iterating a byte string gives its entries as ``int``s, so a
+    reader that only scores the partitions, such as the optimizer's
+    brute-force oracle, can skip the tuples.
     """
     if not 1 <= n <= ENUMERATION_BOUND:
         raise ValueError(f"n={n} outside the enumeration bound 1..{ENUMERATION_BOUND}")
     tps = [b"\0"]
     for m in range(2, n + 1):
         tps = [t + b"\0" for t in tps] + [bytes((m - 1,)) + t.translate(_SHIFT_UP) for t in tps]
-    return tuple(map(tuple, tps))
+    return tps
+
+
+def enumerate_threshold_partitions(n: int) -> tuple[Partition, ...]:
+    """All 2^(n-1) threshold partitions on [n], in recursion order: :func:`_threshold_bytes` as tuples."""
+    return tuple(map(tuple, _threshold_bytes(n)))
 
 
 def graph_from_weights(b: Sequence[Rational], strict: bool = False) -> RGraph:

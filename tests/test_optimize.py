@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -264,6 +265,27 @@ def test_brute_force_optimal_partition_matches_objective_value_scan(c):
     best, argmax = brute_force_optimal_partition(c)
     assert type(best) is Fraction and best == top
     assert argmax == frozenset(d for d, v in values.items() if v == top)
+
+
+def test_brute_force_argmax_holds_int_tuples_and_matches_a_tuple_scan():
+    # the oracle scores the enumeration's byte strings; a bytes member would fail the CLI's `partition in argmax`
+    rng = random.Random(43)
+    for n in range(1, 13):
+        vertices = enumerate_threshold_partitions(n)
+        palette = [F(rng.randint(-3, 3), rng.choice((1, 3, 7, 1000))) for _ in range(3)]
+        tie_heavy = (
+            [0] * n,
+            [rng.choice((-1, 0, 1)) for _ in range(n)],
+            [rng.choice(palette) for _ in range(n)],
+        )
+        for c in tie_heavy:
+            numerators, scale = clear_denominators(c)
+            values = {d: sum(map(mul, numerators, d)) for d in vertices}
+            top = max(values.values())
+            best, argmax = brute_force_optimal_partition(c)
+            assert all(type(d) is tuple and all(type(x) is int for x in d) for d in argmax)
+            assert argmax <= set(vertices)
+            assert (best, argmax) == (F(top, scale), frozenset(d for d, v in values.items() if v == top))
 
 
 def test_certificate_soundness_seeded():

@@ -621,6 +621,36 @@ def _one_block_near_misses(d):
                             yield e
 
 
+def _edge_moves(n):
+    """Every difference a - b that the adjacency rule accepts for a dominating a, at length n, built entry by entry.
+
+    One block of value v on L consecutive positions with v = L - 1 or
+    2v = L, or value q on p consecutive positions followed, after a gap
+    of any length, by value p on q consecutive positions.  Two touching
+    blocks with p = q are one block of value p and length 2p, so they
+    are listed once, as that block.  The oracle of the closed-form keys
+    of ``polytope._move_keys``.
+    """
+
+    def place(*blocks):
+        diff = [0] * n
+        for start, length, value in blocks:
+            diff[start : start + length] = [value] * length
+        return tuple(diff)
+
+    moves = []
+    for length in range(2, n + 1):
+        for v in sorted({length - 1, length // 2} if length % 2 == 0 else {length - 1}):
+            moves.extend(place((s, length, v)) for s in range(n - length + 1))
+    for p in range(1, n):
+        for q in range(1, n - p + 1):
+            for s in range(n - p - q + 1):
+                # t = s + p would touch; with p = q that is the block above
+                for t in range(s + p + (p == q), n - q + 1):
+                    moves.append(place((s, p, q), (t, q, p)))
+    return moves
+
+
 def test_rank_oracle_matches_the_edge_rule_on_near_misses_at_n20():
     # evenly spaced creation words, no seed; 2^19 vertices are far too many to list
     n, m = 20, 48
@@ -631,7 +661,7 @@ def test_rank_oracle_matches_the_edge_rule_on_near_misses_at_n20():
     adjacent = [
         (d, e)
         for d in vertices[::8]
-        for move in polytope._edge_moves(n)
+        for move in _edge_moves(n)
         if is_threshold_partition(e := tuple(map(sub, d, move)))
     ]
     near_misses = [(d, e) for d in vertices for e in _one_block_near_misses(d)]
@@ -641,6 +671,15 @@ def test_rank_oracle_matches_the_edge_rule_on_near_misses_at_n20():
     assert [pair for pair, rule in verdicts.items() if facet_rank_adjacent(*pair) != rule] == []
     assert all(verdicts[pair] for pair in adjacent)
     assert not any(verdicts[pair] for pair in near_misses)
+
+
+def test_move_keys_are_the_keys_of_the_built_moves():
+    # the closed form v * (ones[s] - ones[s + L]) per block against each move built and read back as a numeral
+    for n in range(3, 13):
+        moves = _edge_moves(n)
+        keys = polytope._move_keys(n)
+        assert keys == {polytope._base_n_key(m, n) for m in moves}, n
+        assert len(keys) == len(moves), n
 
 
 def test_count_edges_formula_and_enumeration():
@@ -661,7 +700,7 @@ def test_count_edges_key_hits_dominate_their_moves():
     # componentwise at every hit pair, which this checks for every n count_edges accepts
     for n in range(3, 13):
         vertices = sorted(((polytope._base_n_key(d, n), d) for d in enumerate_threshold_partitions(n)), reverse=True)
-        moves = {polytope._base_n_key(m, n) for m in polytope._edge_moves(n)}
+        moves = {polytope._base_n_key(m, n) for m in _edge_moves(n)}
         hits = [(a, b) for (key_a, a), (key_b, b) in combinations(vertices, 2) if key_a - key_b in moves]
         assert len(hits) == 2 ** (n - 2) * (2 * n - 3)
         assert [(a, b) for a, b in hits if any(map(lt, a, b))] == [], n
@@ -670,12 +709,12 @@ def test_count_edges_key_hits_dominate_their_moves():
 def test_edge_moves_are_the_differences_the_rule_accepts():
     # the list is the rule read off every nonzero difference against the zero vector
     for n in range(3, 7):
-        moves = polytope._edge_moves(n)
+        moves = _edge_moves(n)
         zero = (0,) * n
         accepted = [d for d in product(range(n), repeat=n) if d != zero and polytope._adjacent(d, zero)]
         assert len(moves) == len(set(moves))
         assert set(moves) == set(accepted)
-    assert [len(polytope._edge_moves(n)) for n in (8, 10, 12)] == [231, 531, 1056]
+    assert [len(_edge_moves(n)) for n in (8, 10, 12)] == [231, 531, 1056]
 
 
 def test_count_edges_matches_the_pairwise_rule():
@@ -691,7 +730,7 @@ def test_edge_moves_find_each_vertexs_dominated_neighbours():
     n = 9
     tps = enumerate_threshold_partitions(n)
     vertices = set(tps)
-    moves = polytope._edge_moves(n)
+    moves = _edge_moves(n)
     for a in tps:
         through_moves = {b for b in (tuple(x - y for x, y in zip(a, m)) for m in moves) if b in vertices}
         by_rule = {

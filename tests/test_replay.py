@@ -1,4 +1,4 @@
-"""tools/replay.py finds exactly the ops whose output differs between two trees, and counts lines; tools/opcount.py counts the same on every run, and its per-suite counts add up to the pool's."""
+"""tools/replay.py finds exactly the ops whose output differs between two trees, and counts lines; tools/opcount.py counts the same on every run, takes whole periods of each of seeds 1-3, and its per-suite counts add up to the pool's."""
 
 import shutil
 import sys
@@ -94,6 +94,11 @@ def test_opcount_counts_an_op_the_same_twice_after_one_warm_up():
 def test_opcount_counts_whole_periods_of_at_least_48_ops():
     argvs = [[str(i)] for i in range(200)]
     assert [len(opcount.whole_periods(argvs, period)) for period in (1, 2, 12, 48, 49, 100)] == [48, 48, 48, 48, 49, 100]
+    pools = [[[str(seed), str(i)] for i in range(200)] for seed in opcount.SEEDS]
+    for period in (1, 12, 49):
+        counted = opcount.seed_periods(pools, period)
+        assert counted == [argv for pool in pools for argv in opcount.whole_periods(pool, period)]
+    assert opcount.SEEDS == replay.SEEDS == (1, 2, 3)
 
 
 def test_opcount_per_suite_counts_add_up_to_the_pool_total():

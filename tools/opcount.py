@@ -4,10 +4,12 @@ Usage, from the root of a checkout:
 
     python3 tools/opcount.py [--parent HEAD~]
 
-For each workload in ``bench/workloads.py``, the seed-1 pool's first
-whole periods of its op mix that make at least 48 ops (49 for verify,
-whose period is 49) run through ``degpoly.cli.main`` in one ``python -B``
-per tree, after one warm-up op (the pool's first).  Each op runs under
+For each workload in ``bench/workloads.py``, and for each of seeds 1-3,
+the seed's pool's first whole periods of its op mix that make at least
+48 ops (49 for verify, whose period is 49) are counted, seed after seed:
+144 ops per workload, 147 for verify.  They run through
+``degpoly.cli.main`` in one ``python -B`` per workload and tree, after
+one warm-up op (seed 1's first).  Each op runs under
 ``sys.settrace`` with ``frame.f_trace_opcodes`` set on every frame, and
 counts one opcode per ``opcode`` event and one call per ``call`` event:
 each Python frame entered, a generator's resumption included.  Work
@@ -34,7 +36,7 @@ from pathlib import Path
 
 from trees import ROOT, archived_src, periods, pool_argvs, run_child
 
-SEED = 1
+SEEDS = (1, 2, 3)
 OPS = 48
 
 # one JSON line per op back: [opcodes, calls]
@@ -105,18 +107,24 @@ def whole_periods(argvs: list[list[str]], period: int) -> list[list[str]]:
     return argvs[: -(-OPS // period) * period]
 
 
+def seed_periods(pools: list[list[list[str]]], period: int) -> list[list[str]]:
+    """Each seed's pool cut by :func:`whole_periods`, seed after seed."""
+    return [argv for argvs in pools for argv in whole_periods(argvs, period)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="also count the commit REF, such as HEAD~, and print the change")
     args = parser.parse_args(argv)
     period = periods()
-    pools = {name: whole_periods(argvs, period[name]) for name, argvs in pool_argvs((SEED,)).items()}
+    by_seed = [pool_argvs((seed,)) for seed in SEEDS]
+    pools = {name: seed_periods([seed[name] for seed in by_seed], period[name]) for name in period}
     with contextlib.ExitStack() as stack:
         trees = {args.parent: stack.enter_context(archived_src(args.parent))} if args.parent else {}
         trees["working tree"] = ROOT / "src"
         for name, argvs in pools.items():
             counts = {label: warmed(src, argvs) for label, src in trees.items()}
-            report(f"{name} ({len(argvs)} ops, seed {SEED})", {label: mean(c) for label, c in counts.items()})
+            report(f"{name} ({len(argvs)} ops, seeds 1-3)", {label: mean(c) for label, c in counts.items()})
             if name != "verify":
                 continue
             suites = {label: by_suite(argvs, c) for label, c in counts.items()}
